@@ -147,8 +147,9 @@ def service_guarantee(b: float, bw: float, link: LinkState) -> float:
 def guarantee_inverse_bw(b: float, target: float, link: LinkState) -> float:
     """Smallest bandwidth at which the rate-b guarantee reaches target.
 
-    Closed form: bw = b / log2(1 - mean_snr * ln(target)).  A target of 1
-    needs unbounded bandwidth and raises InfeasibleError.
+    Closed form: bw = b / log2(1 - mean_snr * ln(target)).  A target of 1,
+    or one so close to 1 that the logarithm rounds to zero, needs unbounded
+    bandwidth and raises InfeasibleError.
     """
     if b <= 0:
         raise ValueError(f"rate must be positive, got {b}")
@@ -160,7 +161,12 @@ def guarantee_inverse_bw(b: float, target: float, link: LinkState) -> float:
         )
     if link.mean_snr <= 0:
         raise InfeasibleError("zero mean SNR cannot support any guarantee")
-    return b / math.log2(1.0 - link.mean_snr * math.log(target))
+    denom = math.log2(1.0 - link.mean_snr * math.log(target))
+    if denom <= 0.0:
+        raise InfeasibleError(
+            f"guarantee {target} is unreachable at any finite bandwidth"
+        )
+    return b / denom
 
 
 def with_budget_fraction(link: LinkState, fraction: float) -> LinkState:

@@ -132,8 +132,14 @@ class ScenarioConfig:
             raise ValueError("n_users must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not self.sweep:
+            raise ValueError("sweep must list at least one load")
         if any(n < 1 for n in self.sweep):
             raise ValueError("sweep loads must be positive")
+        if self.area_side_m <= 0:
+            raise ValueError(f"area_side_m must be positive, got {self.area_side_m}")
+        if not 0.0 < self.prelec_alpha < 1.0:
+            raise ValueError(f"prelec_alpha must lie in (0, 1), got {self.prelec_alpha}")
         if not 0.0 <= self.activity_prob <= 1.0:
             raise ValueError("activity_prob must lie in [0, 1]")
 

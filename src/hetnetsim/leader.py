@@ -36,6 +36,9 @@ _LOW_EDGE = 1e-6
 # relative slack when testing the bandwidth budget, to absorb roundoff at
 # corner solutions
 _BUDGET_SLACK = 1e-12
+# relative distance from the budget within which the array-evaluated rebid
+# scan defers to the scalar formula (array and scalar differ by ~1e-12)
+_GUARD_BAND = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -145,6 +148,16 @@ def expand_bw_pt(bid: Bid, model: DecisionModel, link: LinkState) -> Bid | NoBid
     return Bid(rate=bid.rate, price=bid.price, bandwidth=new_bw, guarantee=lam)
 
 
+def _expanded_bw(b: float, b_min: float, link: LinkState, model: DecisionModel) -> float:
+    """Bandwidth a floor-tight rate-b bid needs once expanded for a weighting
+    user, or inf when no finite bandwidth reaches the expansion target (for
+    small Prelec exponents the target rounds to 1 just above b_min)."""
+    try:
+        return guarantee_inverse_bw(b, weight_inverse(b_min / b, model), link)
+    except InfeasibleError:
+        return math.inf
+
+
 def expansion_rebid(
     sp: SpProfile,
     link: LinkState,
@@ -164,6 +177,15 @@ def expansion_rebid(
     expandable bids and spends the whole budget, matching what an
     unexpanded bid would have consumed.
 
+    The coarse scan evaluates the closed-form expanded bandwidth (the Prelec
+    inverse of the guarantee b_min / b, then the Rayleigh bandwidth inverse)
+    over the whole log-spaced rate grid as one array pass, in the scalar
+    path's operation order.  Array and scalar results agree to about 1e-12
+    relative, so a grid point whose array bandwidth lies within a relative
+    _GUARD_BAND of the budget is re-judged by the scalar formula; the
+    bracket is therefore the one a point-by-point scalar scan would pick.
+    The bisection and the final bid stay scalar.
+
     Returns NoBid when the link is down, no rate admits an expansion within
     budget, or the crossing bid loses money once the expanded bandwidth is
     paid for.
@@ -173,9 +195,6 @@ def expansion_rebid(
     if not link.covered or link.b_max <= 0:
         return NoBid("link not covered")
 
-    def expanded_bw(b: float) -> float:
-        return guarantee_inverse_bw(b, weight_inverse(b_min / b, model), link)
-
     # above e * b_min the guarantee sits at or below the weighting fixed
     # point and no expansion is needed, so the search stays below it
     cap = min(link.b_max, math.e * b_min)
@@ -184,23 +203,28 @@ def expansion_rebid(
         return NoBid("rate cap does not exceed the minimum rate")
 
     grid = np.geomspace(lo_edge, cap, grid_points)
-    feasible = [expanded_bw(float(b)) <= link.bw_max for b in grid]
-    if not any(feasible):
+    lam = np.exp(-((-np.log(b_min / grid)) ** (1.0 / model.prelec_alpha)))
+    with np.errstate(divide="ignore"):
+        bw_grid = grid / np.log2(1.0 - link.mean_snr * np.log(lam))
+    feasible = bw_grid <= link.bw_max
+    for k in np.flatnonzero(np.abs(bw_grid - link.bw_max) <= _GUARD_BAND * link.bw_max):
+        feasible[k] = _expanded_bw(float(grid[k]), b_min, link, model) <= link.bw_max
+    if not feasible.any():
         return NoBid("expansion exceeds the budget at every rate")
 
-    j = max(i for i, ok in enumerate(feasible) if ok)
+    j = int(np.flatnonzero(feasible)[-1])
     b_up = float(grid[j])
     if j + 1 < grid_points:
         lo, hi = b_up, float(grid[j + 1])
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if expanded_bw(mid) <= link.bw_max:
+            if _expanded_bw(mid, b_min, link, model) <= link.bw_max:
                 lo = mid
             else:
                 hi = mid
         b_up = lo
 
-    bw = expanded_bw(b_up)
+    bw = _expanded_bw(b_up, b_min, link, model)
     if sp_price(b_up, sp) - sp.cost_rate * b_up - sp.cost_bw * bw < 0:
         return NoBid("no profitable expandable rate")
     candidate = Bid(

@@ -252,7 +252,3 @@ def doubling_gap(user: UserProfile) -> float:
     as its price for the user to multihome.
     """
     return user.delta * (2.0 ** (1.0 / user.theta) - 1.0) * user.b_min ** (1.0 / user.theta)
-
-
-def is_real_bid(bid: Bid | NoBid) -> bool:
-    return isinstance(bid, Bid)

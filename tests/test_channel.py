@@ -241,6 +241,12 @@ class TestGuaranteeInverseBw:
         with pytest.raises(InfeasibleError):
             guarantee_inverse_bw(2.0, 1.0, link)
 
+    def test_target_rounding_to_certainty_is_infeasible(self):
+        # at unit SNR, 1 - ln(q) rounds to 1 for the largest double below 1,
+        # so no finite bandwidth reaches it
+        with pytest.raises(InfeasibleError):
+            guarantee_inverse_bw(2.0, math.nextafter(1.0, 0.0), make_link(1.0))
+
     def test_bad_inputs(self):
         link = make_link(10.0)
         with pytest.raises(ValueError):

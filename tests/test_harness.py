@@ -132,6 +132,16 @@ class TestRunTrial:
         stats = run_trial(DEFAULT_CONFIG, 400, 0)
         assert stats[Scenario.PT_EXPANSION].n_associated >= stats[Scenario.PT].n_associated
 
+    def test_small_prelec_exponent_completes(self):
+        # just above b_min the expansion target rounds to 1 at alpha = 0.3;
+        # such rates must count as infeasible instead of aborting the trial
+        stats = run_trial(replace(DEFAULT_CONFIG, prelec_alpha=0.3), 500, 0)
+        for s in stats.values():
+            assert math.isfinite(s.sum_sp_utility)
+            assert math.isfinite(s.sum_user_utility)
+            assert math.isfinite(s.avg_bw_per_associated)
+            assert 0.0 <= s.association_rate <= 1.0
+
 
 class TestRunPoint:
     def test_rows_shape_and_order(self):
@@ -238,6 +248,39 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             replace(DEFAULT_CONFIG, sweep=(50, 0))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2])
+    def test_prelec_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="prelec_alpha"):
+            replace(DEFAULT_CONFIG, prelec_alpha=alpha)
+
+    @pytest.mark.parametrize("side", [0.0, -1.0])
+    def test_nonpositive_area_rejected(self, side):
+        with pytest.raises(ValueError, match="area_side_m"):
+            replace(DEFAULT_CONFIG, area_side_m=side)
+
+    def test_empty_sweep_rejected(self):
+        payload = DEFAULT_CONFIG.to_dict()
+        payload["sweep"] = []
+        with pytest.raises(ValueError, match="sweep"):
+            ScenarioConfig.from_dict(payload)
+
     def test_shipped_default_file_matches_builtin(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
         assert ScenarioConfig.from_json_file(path) == DEFAULT_CONFIG
+
+
+class TestGoldenOutput:
+    """Byte-for-byte regression gate for changes that must not move results.
+
+    tests/data/golden_sweep.csv holds the CSV of the default config with
+    sweep=(50, 250, 500) and trials=2, as written by the scalar reference
+    implementation.  Regenerate it only for a deliberate model change, and
+    record the row diff when doing so.
+    """
+
+    def test_default_config_sweep_is_byte_identical(self, tmp_path):
+        cfg = replace(DEFAULT_CONFIG, sweep=(50, 250, 500), trials=2)
+        out = tmp_path / "rows.csv"
+        emit(run_sweep(cfg), "csv", out)
+        golden = Path(__file__).resolve().parent / "data" / "golden_sweep.csv"
+        assert out.read_bytes() == golden.read_bytes()

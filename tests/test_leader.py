@@ -5,13 +5,17 @@ directly from the closed-form guarantee model so the optimizer is checked
 against independent arithmetic, not against itself.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_link
-from hetnetsim.channel import guarantee_inverse_bw, service_guarantee
+from hetnetsim import leader
+from hetnetsim.channel import LinkState, guarantee_inverse_bw, service_guarantee
 from hetnetsim.leader import (
     expand_bw_pt,
     expansion_rebid,
@@ -68,6 +72,65 @@ def grid_profit_oracle(sp, link, b_min, points=200_000):
 
 def bid_profit(bid, sp):
     return bid.price - sp_cost(bid.rate, bid.bandwidth, sp)
+
+
+def scalar_expanded_bw(b, b_min, link, model):
+    """Post-expansion bandwidth of a floor-tight rate-b bid, one rate at a
+    time; inf where the expansion target is out of reach."""
+    try:
+        return guarantee_inverse_bw(b, weight_inverse(b_min / b, model), link)
+    except InfeasibleError:
+        return math.inf
+
+
+def reference_rebid_grid(link, b_min, grid_points=256):
+    cap = min(link.b_max, math.e * b_min)
+    return np.geomspace(b_min * (1.0 + 1e-6), cap, grid_points)
+
+
+def reference_expansion_rebid(sp, link, b_min, model, grid_points=256, tol=1e-9):
+    """Point-by-point scalar scan, the reference for expansion_rebid's array pass.
+
+    It judges every grid rate with the scalar closed forms, then runs the
+    same bisection and final bid construction; expansion_rebid must agree
+    with it field for field."""
+    if not model.is_pt:
+        return NoBid("expansion applies to weighting users only")
+    if not link.covered or link.b_max <= 0:
+        return NoBid("link not covered")
+    if min(link.b_max, math.e * b_min) <= b_min * (1.0 + 1e-6):
+        return NoBid("rate cap does not exceed the minimum rate")
+
+    def expanded_bw(b):
+        return scalar_expanded_bw(b, b_min, link, model)
+
+    grid = reference_rebid_grid(link, b_min, grid_points)
+    feasible = [expanded_bw(float(b)) <= link.bw_max for b in grid]
+    if not any(feasible):
+        return NoBid("expansion exceeds the budget at every rate")
+
+    j = max(i for i, ok in enumerate(feasible) if ok)
+    b_up = float(grid[j])
+    if j + 1 < grid_points:
+        lo, hi = b_up, float(grid[j + 1])
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if expanded_bw(mid) <= link.bw_max:
+                lo = mid
+            else:
+                hi = mid
+        b_up = lo
+
+    bw = expanded_bw(b_up)
+    if sp_price(b_up, sp) - sp.cost_rate * b_up - sp.cost_bw * bw < 0:
+        return NoBid("no profitable expandable rate")
+    candidate = Bid(
+        rate=b_up,
+        price=sp_price(b_up, sp),
+        bandwidth=marginal_bw(b_up, b_min, link),
+        guarantee=b_min / b_up,
+    )
+    return expand_bw_pt(candidate, model, link)
 
 
 class TestMarginalBw:
@@ -358,6 +421,84 @@ class TestExpansionRebid:
         dear = make_sp(alpha=0.01, beta=1.05, cost_rate=20.0, cost_bw=10.0)
         out = expansion_rebid(dear, link, b_min, DecisionModel.pt(0.7))
         assert isinstance(out, NoBid)
+
+
+class TestExpansionRebidOracle:
+    """The array scan against the point-by-point scalar reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        snr=st.floats(1.0, 1e3),
+        bw_max=st.floats(0.02, 20.0),
+        b_max_factor=st.floats(0.5, 4.0),
+        b_min=st.floats(0.2, 8.0),
+        alpha=st.floats(0.05, 0.99),
+        price_alpha=st.floats(0.05, 3.0),
+        beta=st.floats(1.01, 2.0),
+        cost_rate=st.floats(0.0, 1.0, exclude_min=True),
+        cost_bw=st.floats(0.0, 2.0, exclude_min=True),
+    )
+    def test_matches_scalar_scan(
+        self, snr, bw_max, b_max_factor, b_min, alpha, price_alpha, beta, cost_rate, cost_bw
+    ):
+        # b_max spans both sides of e * b_min, so the scan cap comes from
+        # either the link or the weighting fixed point
+        link = LinkState(
+            path_loss_db=0.0,
+            mean_snr=snr,
+            covered=True,
+            bw_max=bw_max,
+            b_max=b_max_factor * math.e * b_min,
+        )
+        sp = make_sp(alpha=price_alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw)
+        model = DecisionModel.pt(alpha)
+        assert expansion_rebid(sp, link, b_min, model) == reference_expansion_rebid(
+            sp, link, b_min, model
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, 40, 128, 200, 254])
+    @pytest.mark.parametrize("nudge", [0.0, -1.0])
+    def test_budget_on_a_grid_point_is_judged_by_the_scalar_formula(
+        self, monkeypatch, k, nudge
+    ):
+        # bw_max equal to (or one ulp below) the scalar expanded bandwidth
+        # of grid[k] puts that point inside the guard band, where the
+        # array value alone could flip the feasibility verdict
+        snr, b_min, model = 30.0, 2.0, DecisionModel.pt(0.7)
+        probe = LinkState(0.0, snr, True, 1.0, 4.0 * math.e * b_min)
+        b_k = float(reference_rebid_grid(probe, b_min)[k])
+        bw_k = scalar_expanded_bw(b_k, b_min, probe, model)
+        if nudge:
+            bw_k = math.nextafter(bw_k, 0.0)
+        link = LinkState(0.0, snr, True, bw_k, probe.b_max)
+        sp = make_sp(cost_rate=0.01, cost_bw=0.01)
+
+        judged = []
+        scalar = leader._expanded_bw
+
+        def spy(b, *args):
+            judged.append(b)
+            return scalar(b, *args)
+
+        monkeypatch.setattr(leader, "_expanded_bw", spy)
+        got = expansion_rebid(sp, link, b_min, model)
+        # the guard re-checks run before the bisection's off-grid midpoints
+        # and the final bid (which sits on grid[255] when no bisection runs)
+        on_grid = set(reference_rebid_grid(link, b_min).tolist())
+        assert b_k in itertools.takewhile(on_grid.__contains__, judged)
+        assert got == reference_expansion_rebid(sp, link, b_min, model)
+
+    def test_unreachable_target_is_infeasible_not_an_error(self):
+        # at alpha = 0.3 the target for the lowest grid rates rounds to 1
+        model = DecisionModel.pt(0.3)
+        b_min = 2.0
+        link = make_link(50.0, bw_max=5.0)
+        low = b_min * (1.0 + 1e-6)
+        assert weight_inverse(b_min / low, model) == 1.0
+        assert leader._expanded_bw(low, b_min, link, model) == math.inf
+        out = expansion_rebid(make_sp(), link, b_min, model)
+        assert out == reference_expansion_rebid(make_sp(), link, b_min, model)
+        assert isinstance(out, Bid)
 
 
 class TestParticipationCheck:
