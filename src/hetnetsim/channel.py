@@ -34,6 +34,9 @@ COST231_CROSSOVER_MHZ = 1500.0
 # which is not meant for the near field.
 MIN_DISTANCE_M = 1.0
 
+# Antenna height of every user terminal, in meters.
+USER_HEIGHT_M = 1.5
+
 
 @dataclass(frozen=True)
 class LinkState:
@@ -108,7 +111,9 @@ def link_state(
     dx = user.position[0] - sp.position[0]
     dy = user.position[1] - sp.position[1]
     dist_m = max(math.hypot(dx, dy), MIN_DISTANCE_M)
-    loss_db = hata_path_loss(sp.frequency_mhz, dist_m / 1000.0, sp.antenna_height_m, 1.5)
+    loss_db = hata_path_loss(
+        sp.frequency_mhz, dist_m / 1000.0, sp.antenna_height_m, USER_HEIGHT_M
+    )
 
     noise_dbm = noise_density_dbm_hz + 10.0 * math.log10(bw_max * 1e6)
     snr_db = sp.tx_power_dbm - loss_db - noise_dbm

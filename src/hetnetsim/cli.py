@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +51,9 @@ def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise ValueError(f"output directory {out_dir} does not exist")
     rows = run_sweep(cfg)
     emit(rows, args.format, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import LinkState, allocate_bw, link_state
+from .channel import USER_HEIGHT_M, LinkState, allocate_bw, hata_path_loss, link_state
 from .equilibrium import make_eut_bids, resolve_user_game
 from .model import Bid, SpKind, SpProfile, UserProfile
 from .prospect import FIXED_POINT, DecisionModel
@@ -142,6 +142,20 @@ class ScenarioConfig:
             raise ValueError(f"prelec_alpha must lie in (0, 1), got {self.prelec_alpha}")
         if not 0.0 <= self.activity_prob <= 1.0:
             raise ValueError("activity_prob must lie in [0, 1]")
+        if self.n_wifi < 0:
+            raise ValueError(f"n_wifi must be nonnegative, got {self.n_wifi}")
+        # the checks the first trial would run (provider and user fields,
+        # the Hata frequency window and antenna heights), so a bad field
+        # fails here; section names the config key at fault
+        try:
+            for kind, params in ((SpKind.CELLULAR, self.cellular), (SpKind.WIFI, self.wifi)):
+                section = kind.value
+                SpProfile(kind=kind, **asdict(params))
+                hata_path_loss(params.frequency_mhz, 1.0, params.antenna_height_m, USER_HEIGHT_M)
+            section = "user"
+            UserProfile(self.user.delta, self.user.theta, self.user.b_min)
+        except ValueError as exc:
+            raise ValueError(f"{section}: {exc}") from None
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -20,6 +20,7 @@ price untouched.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +42,17 @@ _BUDGET_SLACK = 1e-12
 _GUARD_BAND = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# shared results of the fixed-reason exits (NoBid is frozen)
+_UNCOVERED = NoBid("link not covered")
+_NO_HEADROOM = NoBid("rate cap does not exceed the minimum rate")
+_NO_FEASIBLE_RATE = NoBid("bandwidth budget cannot support any rate")
+_UNPROFITABLE = NoBid("no profitable rate")
+_NOT_WEIGHTING = NoBid("expansion applies to weighting users only")
+_NO_EXPANDABLE_RATE = NoBid("expansion exceeds the budget at every rate")
+_UNPROFITABLE_EXPANSION = NoBid("no profitable expandable rate")
+_UNEXPANDABLE = NoBid("cannot expand within any budget")
+_BUDGET_EXHAUSTED = NoBid("budget exhausted")
+
 
 def marginal_bw(b: float, b_min: float, link: LinkState) -> float:
     """The unique bandwidth with b * guarantee(b, bw) = b_min.
@@ -57,6 +69,36 @@ def marginal_bw(b: float, b_min: float, link: LinkState) -> float:
     return guarantee_inverse_bw(b, b_min / b, link)
 
 
+@functools.cache
+def _ladder(num: int) -> np.ndarray:
+    """The read-only ladder 0, 1, ..., num - 1 that _log_grid scales."""
+    ladder = np.arange(num, dtype=float)
+    ladder.flags.writeable = False
+    return ladder
+
+
+def _log_grid(lo: float, hi: float, num: int) -> np.ndarray:
+    """np.geomspace(lo, hi, num) for positive endpoints, bit for bit.
+
+    The arithmetic is geomspace's, step for step: a cached ladder
+    0, 1, ..., num - 1 scaled between the base-10 logarithms of the
+    endpoints, raised to the power of ten, with both endpoints pinned.  Only
+    geomspace's per-call dtype and sign handling is skipped.  The logarithms
+    are numpy's, not math.log10, which differs from it in the last bit on
+    some inputs.  Every call returns a fresh array the caller may modify.
+    """
+    if num < 2:
+        return np.geomspace(lo, hi, num)
+    log_lo = np.log10(np.float64(lo))
+    log_hi = np.log10(np.float64(hi))
+    grid = _ladder(num) * ((log_hi - log_lo) / (num - 1))
+    grid += log_lo
+    np.power(10.0, grid, out=grid)
+    grid[0] = lo
+    grid[-1] = hi
+    return grid
+
+
 def optimize_bid(
     sp: SpProfile,
     link: LinkState,
@@ -70,56 +112,69 @@ def optimize_bid(
     (b_min, b_max] fits the bandwidth budget, or when the best achievable
     profit is negative (the SP prefers silence to a loss)."""
     if not link.covered or link.b_max <= 0:
-        return NoBid("link not covered")
+        return _UNCOVERED
     if link.b_max <= b_min * (1.0 + _LOW_EDGE):
-        return NoBid("rate cap does not exceed the minimum rate")
+        return _NO_HEADROOM
 
     budget = link.bw_max * (1.0 + _BUDGET_SLACK)
     snr = link.mean_snr
-
-    def required_bw(b: float) -> float:
-        return b / math.log2(1.0 + snr * math.log(b / b_min))
+    alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
 
     def objective(b: float) -> float:
-        bw = required_bw(b)
+        bw = b / math.log2(1.0 + snr * math.log(b / b_min))
         if bw > budget:
             return -math.inf
-        return sp.alpha * b**sp.beta - sp.cost_rate * b - sp.cost_bw * bw
+        return alpha * b**beta - cost_rate * b - cost_bw * bw
 
-    grid = np.geomspace(b_min * (1.0 + _LOW_EDGE), link.b_max, grid_points)
-    bw_grid = grid / np.log2(1.0 + snr * np.log(grid / b_min))
-    profit = sp.alpha * grid**sp.beta - sp.cost_rate * grid - sp.cost_bw * bw_grid
+    # bw = grid / log2(1 + snr * log(grid / b_min)) and
+    # profit = alpha * grid**beta - cost_rate * grid - cost_bw * bw,
+    # evaluated in place in that operation order
+    grid = _log_grid(b_min * (1.0 + _LOW_EDGE), link.b_max, grid_points)
+    bw_grid = np.divide(grid, b_min)
+    np.log(bw_grid, out=bw_grid)
+    np.multiply(bw_grid, snr, out=bw_grid)
+    np.add(bw_grid, 1.0, out=bw_grid)
+    np.log2(bw_grid, out=bw_grid)
+    np.divide(grid, bw_grid, out=bw_grid)
+    profit = grid**beta
+    profit *= alpha
+    term = np.multiply(grid, cost_rate)
+    profit -= term
+    np.multiply(bw_grid, cost_bw, out=term)
+    profit -= term
     profit[bw_grid > budget] = -np.inf
 
     best = int(np.argmax(profit))
-    if not np.isfinite(profit[best]):
-        return NoBid("bandwidth budget cannot support any rate")
+    best_profit = float(profit[best])
+    if not math.isfinite(best_profit):
+        return _NO_FEASIBLE_RATE
 
     # golden-section refinement around the winning grid point; the -inf
     # penalty keeps the search on the feasible side of a budget corner
-    lo = grid[best - 1] if best > 0 else grid[0]
-    hi = grid[best + 1] if best < grid_points - 1 else grid[-1]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
+    lo = float(grid[best - 1] if best > 0 else grid[0])
+    hi = float(grid[best + 1] if best < grid_points - 1 else grid[-1])
+    golden = _GOLDEN
+    x1 = hi - golden * (hi - lo)
+    x2 = lo + golden * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
     while hi - lo > tol:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
+            x1 = hi - golden * (hi - lo)
             f1 = objective(x1)
         else:
             lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
+            x2 = lo + golden * (hi - lo)
             f2 = objective(x2)
 
-    candidates = [(float(profit[best]), float(grid[best])), (f1, x1), (f2, x2)]
+    candidates = [(best_profit, float(grid[best])), (f1, x1), (f2, x2)]
     best_profit, b_star = max(candidates, key=lambda item: item[0])
     if best_profit < 0:
-        return NoBid("no profitable rate")
+        return _UNPROFITABLE
     return Bid(
         rate=b_star,
         price=sp_price(b_star, sp),
-        bandwidth=required_bw(b_star),
+        bandwidth=b_star / math.log2(1.0 + snr * math.log(b_star / b_min)),
         guarantee=b_min / b_star,
     )
 
@@ -141,10 +196,10 @@ def expand_bw_pt(bid: Bid, model: DecisionModel, link: LinkState) -> Bid | NoBid
         return bid
     lam = weight_inverse(bid.guarantee, model)
     if lam >= 1.0:
-        return NoBid("cannot expand within any budget")
+        return _UNEXPANDABLE
     new_bw = guarantee_inverse_bw(bid.rate, lam, link)
     if new_bw > link.bw_max * (1.0 + _BUDGET_SLACK):
-        return NoBid("budget exhausted")
+        return _BUDGET_EXHAUSTED
     return Bid(rate=bid.rate, price=bid.price, bandwidth=new_bw, guarantee=lam)
 
 
@@ -191,34 +246,46 @@ def expansion_rebid(
     paid for.
     """
     if not model.is_pt:
-        return NoBid("expansion applies to weighting users only")
+        return _NOT_WEIGHTING
     if not link.covered or link.b_max <= 0:
-        return NoBid("link not covered")
+        return _UNCOVERED
 
     # above e * b_min the guarantee sits at or below the weighting fixed
     # point and no expansion is needed, so the search stays below it
     cap = min(link.b_max, math.e * b_min)
     lo_edge = b_min * (1.0 + _LOW_EDGE)
     if cap <= lo_edge:
-        return NoBid("rate cap does not exceed the minimum rate")
+        return _NO_HEADROOM
 
-    grid = np.geomspace(lo_edge, cap, grid_points)
+    grid = _log_grid(lo_edge, cap, grid_points)
     lam = np.exp(-((-np.log(b_min / grid)) ** (1.0 / model.prelec_alpha)))
     with np.errstate(divide="ignore"):
         bw_grid = grid / np.log2(1.0 - link.mean_snr * np.log(lam))
     feasible = bw_grid <= link.bw_max
     for k in np.flatnonzero(np.abs(bw_grid - link.bw_max) <= _GUARD_BAND * link.bw_max):
         feasible[k] = _expanded_bw(float(grid[k]), b_min, link, model) <= link.bw_max
-    if not feasible.any():
-        return NoBid("expansion exceeds the budget at every rate")
+    feasible_at = np.flatnonzero(feasible)
+    if not feasible_at.size:
+        return _NO_EXPANDABLE_RATE
 
-    j = int(np.flatnonzero(feasible)[-1])
+    j = int(feasible_at[-1])
     b_up = float(grid[j])
     if j + 1 < grid_points:
+        # _expanded_bw(mid, ...) <= bw_max, inlined: mid > b_min keeps the
+        # guarantee inside (0, 1), and an unreachable target (one rounding
+        # to 1, or a logarithm that is not positive) is infeasible
+        inv_alpha = 1.0 / model.prelec_alpha
+        snr, bw_max = link.mean_snr, link.bw_max
         lo, hi = b_up, float(grid[j + 1])
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if _expanded_bw(mid, b_min, link, model) <= link.bw_max:
+            target = math.exp(-((-math.log(b_min / mid)) ** inv_alpha))
+            if (
+                target < 1.0
+                and snr > 0.0
+                and (denom := math.log2(1.0 - snr * math.log(target))) > 0.0
+                and mid / denom <= bw_max
+            ):
                 lo = mid
             else:
                 hi = mid
@@ -226,7 +293,7 @@ def expansion_rebid(
 
     bw = _expanded_bw(b_up, b_min, link, model)
     if sp_price(b_up, sp) - sp.cost_rate * b_up - sp.cost_bw * bw < 0:
-        return NoBid("no profitable expandable rate")
+        return _UNPROFITABLE_EXPANSION
     candidate = Bid(
         rate=b_up,
         price=sp_price(b_up, sp),

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from hetnetsim.channel import LinkState, guarantee_inverse_bw
+from hetnetsim import cli
 from hetnetsim.cli import main
 from hetnetsim.harness import CSV_HEADER, DEFAULT_CONFIG
 from hetnetsim.model import NeClass
@@ -55,12 +56,18 @@ class TestSimulate:
         assert main(base + ["--out", str(b), "--seed", "999"]) == 0
         assert a.read_bytes() != b.read_bytes()
 
-    def test_unwritable_target_fails_cleanly(self, tiny_config, capsys):
+    def test_unwritable_target_fails_cleanly(self, tiny_config, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("the sweep ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
         rc = main(
             ["simulate", "--config", str(tiny_config), "--out", "/nonexistent-dir-xyz/o.csv"]
         )
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory")
+        assert "/nonexistent-dir-xyz" in err
 
 
 class TestGame:

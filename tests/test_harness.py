@@ -264,6 +264,25 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="sweep"):
             ScenarioConfig.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("wifi", "frequency_mhz", 5000.0, "wifi: frequency"),
+            ("cellular", "beta", 0.9, "cellular: pricing exponent beta"),
+            ("cellular", "g_ba", 1.5, "cellular: g_ba"),
+            ("wifi", "antenna_height_m", 0.0, "wifi: antenna heights"),
+            ("user", "b_min", 0.0, "user: b_min"),
+            (None, "n_wifi", -2, "n_wifi"),
+        ],
+    )
+    def test_invalid_field_rejected_at_load(self, section, key, value, message):
+        # through the JSON path, before any trial runs
+        payload = DEFAULT_CONFIG.to_dict()
+        (payload[section] if section else payload)[key] = value
+        with pytest.raises(ValueError, match=message) as err:
+            ScenarioConfig.from_dict(payload)
+        assert "\n" not in str(err.value)
+
     def test_shipped_default_file_matches_builtin(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
         assert ScenarioConfig.from_json_file(path) == DEFAULT_CONFIG

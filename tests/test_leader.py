@@ -83,6 +83,66 @@ def scalar_expanded_bw(b, b_min, link, model):
         return math.inf
 
 
+def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
+    """The bid search as first written, the reference for optimize_bid.
+
+    np.geomspace grid, whole-array temporaries and a golden-section pass
+    over a closure objective; optimize_bid must agree with it field for
+    field."""
+    if not link.covered or link.b_max <= 0:
+        return NoBid("link not covered")
+    if link.b_max <= b_min * (1.0 + 1e-6):
+        return NoBid("rate cap does not exceed the minimum rate")
+
+    budget = link.bw_max * (1.0 + 1e-12)
+    snr = link.mean_snr
+
+    def required_bw(b):
+        return b / math.log2(1.0 + snr * math.log(b / b_min))
+
+    def objective(b):
+        bw = required_bw(b)
+        if bw > budget:
+            return -math.inf
+        return sp.alpha * b**sp.beta - sp.cost_rate * b - sp.cost_bw * bw
+
+    grid = np.geomspace(b_min * (1.0 + 1e-6), link.b_max, grid_points)
+    bw_grid = grid / np.log2(1.0 + snr * np.log(grid / b_min))
+    profit = sp.alpha * grid**sp.beta - sp.cost_rate * grid - sp.cost_bw * bw_grid
+    profit[bw_grid > budget] = -np.inf
+
+    best = int(np.argmax(profit))
+    if not np.isfinite(profit[best]):
+        return NoBid("bandwidth budget cannot support any rate")
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    lo = grid[best - 1] if best > 0 else grid[0]
+    hi = grid[best + 1] if best < grid_points - 1 else grid[-1]
+    x1 = hi - golden * (hi - lo)
+    x2 = lo + golden * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    while hi - lo > tol:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = objective(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = objective(x2)
+
+    candidates = [(float(profit[best]), float(grid[best])), (f1, x1), (f2, x2)]
+    best_profit, b_star = max(candidates, key=lambda item: item[0])
+    if best_profit < 0:
+        return NoBid("no profitable rate")
+    return Bid(
+        rate=b_star,
+        price=sp_price(b_star, sp),
+        bandwidth=required_bw(b_star),
+        guarantee=b_min / b_star,
+    )
+
+
 def reference_rebid_grid(link, b_min, grid_points=256):
     cap = min(link.b_max, math.e * b_min)
     return np.geomspace(b_min * (1.0 + 1e-6), cap, grid_points)
@@ -276,6 +336,60 @@ class TestOptimizeBid:
         bid = optimize_bid(sp, self.reference_link(), b_min=1.0)
         inflated = sp_price(bid.rate, sp) - sp_cost(bid.rate, 1.01 * bid.bandwidth, sp)
         assert inflated < bid_profit(bid, sp)
+
+
+class TestOptimizeBidOracle:
+    """optimize_bid against the first-written bid search."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        snr=st.floats(0.5, 1e6),
+        bw_max=st.floats(0.01, 20.0),
+        b_max_factor=st.floats(0.0, 2.0),
+        b_min=st.floats(0.1, 10.0),
+        price_alpha=st.floats(0.01, 3.0),
+        beta=st.floats(1.01, 2.5),
+        cost_rate=st.floats(0.0, 1.0, exclude_min=True),
+        cost_bw=st.floats(0.0, 5.0, exclude_min=True),
+    )
+    def test_matches_reference_search(
+        self, snr, bw_max, b_max_factor, b_min, price_alpha, beta, cost_rate, cost_bw
+    ):
+        # b_max_factor scales the Shannon cap, so the rate cap falls on
+        # either side of b_min and the budget binds or not
+        link = LinkState(
+            path_loss_db=0.0,
+            mean_snr=snr,
+            covered=True,
+            bw_max=bw_max,
+            b_max=b_max_factor * bw_max * math.log2(1.0 + snr),
+        )
+        sp = make_sp(alpha=price_alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw)
+        got = optimize_bid(sp, link, b_min)
+        want = reference_optimize_bid(sp, link, b_min)
+        # dataclass equality compares field values, so a float field equals
+        # the reference's np.float64 field of the same value; a NoBid
+        # equals another only with the same reason
+        assert type(got) is type(want)
+        assert got == want
+
+
+class TestLogGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(1e-300, 1e300),
+        hi=st.floats(1e-300, 1e300),
+        num=st.sampled_from([1, 2, 3, 256, 1024]),
+    )
+    def test_bit_identical_to_geomspace(self, lo, hi, num):
+        assert leader._log_grid(lo, hi, num).tobytes() == np.geomspace(lo, hi, num).tobytes()
+
+    def test_returned_grid_is_fresh(self):
+        first = leader._log_grid(2.0, 150.0, 256)
+        first[:] = -1.0
+        second = leader._log_grid(2.0, 150.0, 256)
+        assert second.tobytes() == np.geomspace(2.0, 150.0, 256).tobytes()
+        assert not np.shares_memory(first, second)
 
 
 class TestExpandBwPt:
