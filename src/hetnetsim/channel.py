@@ -18,6 +18,7 @@ invertible in bandwidth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -54,10 +55,13 @@ class LinkState:
     b_max: float
 
 
-def hata_path_loss(freq_mhz: float, d_km: float, h_bs_m: float, h_ue_m: float) -> float:
-    """Median urban path loss in dB at distance d_km kilometers."""
-    if d_km <= 0:
-        raise ValueError(f"distance must be positive, got {d_km} km")
+@functools.cache
+def _hata_terms(freq_mhz: float, h_bs_m: float, h_ue_m: float) -> tuple[float, float]:
+    """(intercept, slope) of the Hata loss as a line in log10(d_km).
+
+    Checks the frequency window and the antenna heights; an exception is
+    not cached, so a bad profile raises on every call.
+    """
     if not FREQ_MIN_MHZ <= freq_mhz <= FREQ_MAX_MHZ:
         raise ValueError(
             f"frequency {freq_mhz} MHz outside supported range "
@@ -75,7 +79,15 @@ def hata_path_loss(freq_mhz: float, d_km: float, h_bs_m: float, h_ue_m: float) -
         base = 69.55 + 26.16 * lf
     else:
         base = 46.3 + 33.9 * lf  # COST-231, medium city (C = 0)
-    return base - 13.82 * lhb - a_hm + slope * math.log10(d_km)
+    return base - 13.82 * lhb - a_hm, slope
+
+
+def hata_path_loss(freq_mhz: float, d_km: float, h_bs_m: float, h_ue_m: float) -> float:
+    """Median urban path loss in dB at distance d_km kilometers."""
+    if d_km <= 0:
+        raise ValueError(f"distance must be positive, got {d_km} km")
+    intercept, slope = _hata_terms(freq_mhz, h_bs_m, h_ue_m)
+    return intercept + slope * math.log10(d_km)
 
 
 def allocate_bw(sp: SpProfile, flags: Iterable[tuple[bool, bool]]) -> float:
@@ -108,12 +120,13 @@ def link_state(
     if bw_max <= 0:
         raise ValueError(f"bandwidth budget must be positive, got {bw_max}")
 
-    dx = user.position[0] - sp.position[0]
-    dy = user.position[1] - sp.position[1]
-    dist_m = max(math.hypot(dx, dy), MIN_DISTANCE_M)
-    loss_db = hata_path_loss(
-        sp.frequency_mhz, dist_m / 1000.0, sp.antenna_height_m, USER_HEIGHT_M
-    )
+    ux, uy = user.position
+    sx, sy = sp.position
+    dist_m = math.hypot(ux - sx, uy - sy)
+    if dist_m < MIN_DISTANCE_M:
+        dist_m = MIN_DISTANCE_M
+    intercept, slope = _hata_terms(sp.frequency_mhz, sp.antenna_height_m, USER_HEIGHT_M)
+    loss_db = intercept + slope * math.log10(dist_m / 1000.0)
 
     noise_dbm = noise_density_dbm_hz + 10.0 * math.log10(bw_max * 1e6)
     snr_db = sp.tx_power_dbm - loss_db - noise_dbm

@@ -14,8 +14,6 @@ follower flips a fair coin between the two single-acceptance strategies.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .channel import LinkState
 from .follower import best_response, select_wifi_sp
 from .leader import expand_bw_pt, expansion_rebid, optimize_bid
@@ -293,10 +291,13 @@ def resolve_user_game(
     Split out from solve_game so a sweep can reuse the same bids across the
     scenarios that share them.
     """
-    cell_idx = next((i for i, sp in enumerate(sps) if sp.kind is SpKind.CELLULAR), None)
-    wifi_offers = [
-        (i, eut_bids[i]) for i, sp in enumerate(sps) if sp.kind is SpKind.WIFI
-    ]
+    cell_idx = None
+    wifi_offers = []
+    for i, sp in enumerate(sps):
+        if sp.kind is SpKind.WIFI:
+            wifi_offers.append((i, eut_bids[i]))
+        elif cell_idx is None:
+            cell_idx = i
     wifi_idx = select_wifi_sp(wifi_offers, user, model)
 
     bid_c: Bid | NoBid = eut_bids[cell_idx] if cell_idx is not None else NoBid("no cellular SP")
@@ -325,18 +326,25 @@ def resolve_user_game(
         outcome = classify_eut_symmetric(bid_w, user, sp=sp_w, rng=rng)
         # the symmetric classifier prices both slots with one profile; redo
         # the cellular payoff in case the two SPs' costs differ
-        outcome = replace(
-            outcome,
-            u_sp_c=_sp_payoff(outcome.strategy_draw[0] == 1, outcome.bids[0], sp_c),
-        )
-    elif not model.is_pt and isinstance(bid_c, Bid) and isinstance(bid_w, Bid):
-        outcome = classify_eut_asymmetric(bid_w, bid_c, user, sp_w=sp_w, sp_c=sp_c)
+        u_sp_c = _sp_payoff(outcome.strategy_draw[0] == 1, outcome.bids[0], sp_c)
     else:
-        # weighted perception, or a lone offer under objective perception:
-        # label straight from the best response
-        outcome = classify_pt(bid_w, bid_c, user, model, sp_w=sp_w, sp_c=sp_c)
+        if not model.is_pt and isinstance(bid_c, Bid) and isinstance(bid_w, Bid):
+            outcome = classify_eut_asymmetric(bid_w, bid_c, user, sp_w=sp_w, sp_c=sp_c)
+        else:
+            # weighted perception, or a lone offer under objective perception:
+            # label straight from the best response
+            outcome = classify_pt(bid_w, bid_c, user, model, sp_w=sp_w, sp_c=sp_c)
+        u_sp_c = outcome.u_sp_c
 
-    return replace(outcome, wifi_index=wifi_idx)
+    return GameOutcome(
+        ne_class=outcome.ne_class,
+        strategy_draw=outcome.strategy_draw,
+        u_user=outcome.u_user,
+        u_sp_w=outcome.u_sp_w,
+        u_sp_c=u_sp_c,
+        bids=outcome.bids,
+        wifi_index=wifi_idx,
+    )
 
 
 def solve_game(

@@ -20,7 +20,6 @@ from .model import (
     Strategy,
     UserProfile,
     user_benefit,
-    user_utility,
 )
 from .prospect import DecisionModel, weight
 
@@ -38,6 +37,44 @@ def perceived_guarantee(bid: Bid | NoBid, model: DecisionModel) -> float:
     return weight(bid.guarantee, model)
 
 
+def _feasible_utilities(
+    bid_c: Bid | NoBid,
+    bid_w: Bid | NoBid,
+    user: UserProfile,
+    g_c: float,
+    g_w: float,
+) -> list[tuple[Strategy, float]]:
+    """Each feasible strategy other than (0, 0), in the order (0,1), (1,0),
+    (1,1), with its perceived utility, given the perceived guarantees.
+
+    The utility is user_utility's arithmetic: the benefit of the expected
+    joint rate, already computed for the price test, minus the prices.
+    """
+    has_c = isinstance(bid_c, Bid)
+    has_w = isinstance(bid_w, Bid)
+    floor = user.b_min * (1.0 - FLOOR_REL_TOL)
+    feasible = []
+    for strategy in ALL_STRATEGIES[1:]:
+        p_c, p_w = strategy
+        if (p_c and not has_c) or (p_w and not has_w):
+            continue
+        b_joint = 0.0
+        paid = 0.0
+        if p_c:
+            b_joint += bid_c.rate * g_c
+            paid += bid_c.price
+        if p_w:
+            b_joint += bid_w.rate * g_w
+            paid += bid_w.price
+        if b_joint < floor:
+            continue
+        benefit = user_benefit(b_joint, user)
+        if benefit < paid:
+            continue
+        feasible.append((strategy, benefit - paid))
+    return feasible
+
+
 def feasible_set(
     bid_c: Bid | NoBid,
     bid_w: Bid | NoBid,
@@ -52,25 +89,7 @@ def feasible_set(
     g_c = perceived_guarantee(bid_c, model)
     g_w = perceived_guarantee(bid_w, model)
     feasible: set[Strategy] = {REJECT_BOTH}
-    for strategy in ALL_STRATEGIES[1:]:
-        p_c, p_w = strategy
-        if p_c and not isinstance(bid_c, Bid):
-            continue
-        if p_w and not isinstance(bid_w, Bid):
-            continue
-        b_joint = 0.0
-        paid = 0.0
-        if p_c:
-            b_joint += bid_c.rate * g_c
-            paid += bid_c.price
-        if p_w:
-            b_joint += bid_w.rate * g_w
-            paid += bid_w.price
-        if b_joint < user.b_min * (1.0 - FLOOR_REL_TOL):
-            continue
-        if user_benefit(b_joint, user) < paid:
-            continue
-        feasible.add(strategy)
+    feasible.update(s for s, _ in _feasible_utilities(bid_c, bid_w, user, g_c, g_w))
     return feasible
 
 
@@ -88,13 +107,9 @@ def best_response(
     """
     g_c = perceived_guarantee(bid_c, model)
     g_w = perceived_guarantee(bid_w, model)
-    feasible = feasible_set(bid_c, bid_w, user, model)
     best: Strategy = REJECT_BOTH
     best_u = 0.0
-    for strategy in ((0, 1), (1, 0), (1, 1)):
-        if strategy not in feasible:
-            continue
-        u = user_utility(strategy, bid_c, bid_w, user, g_c, g_w)
+    for strategy, u in _feasible_utilities(bid_c, bid_w, user, g_c, g_w):
         if u > best_u:
             best, best_u = strategy, u
     return best, best_u
@@ -107,15 +122,17 @@ def select_wifi_sp(
 ) -> int | None:
     """The WiFi SP whose lone acceptance gives the highest perceived utility.
 
-    Entries without a real bid are skipped; ties go to the lowest SP id.
-    Returns None when no real offer exists.
+    Entries without a real bid are skipped; ties go to the lowest SP id, so
+    the result does not depend on the order of offers.  An offer whose
+    utility is -inf or NaN never wins.  Returns None when no real offer
+    exists.
     """
     best_id: int | None = None
     best_u = -float("inf")
-    for sp_id, bid in sorted(offers, key=lambda item: item[0]):
+    for sp_id, bid in offers:
         if not isinstance(bid, Bid):
             continue
         u = user_benefit(bid.rate * weight(bid.guarantee, model), user) - bid.price
-        if u > best_u:
+        if u > best_u or (u == best_u and best_id is not None and sp_id < best_id):
             best_id, best_u = sp_id, u
     return best_id

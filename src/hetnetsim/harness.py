@@ -28,7 +28,7 @@ import csv
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +43,6 @@ class Scenario(enum.Enum):
     EUT = "EUT"
     PT = "PT"
     PT_EXPANSION = "PT_EXPANSION"
-
-
-CSV_HEADER = (
-    "n,scenario,sum_sp_utility,sum_user_utility,avg_bw_per_user,"
-    "association_rate,trials,stderr_sp,stderr_user"
-)
 
 
 @dataclass(frozen=True)
@@ -206,6 +200,13 @@ class SweepRow:
     stderr_user: float
 
 
+# the CSV schema: one column per SweepRow field, in field order, parsed back
+# by the field's declared type
+_ROW_FIELDS = fields(SweepRow)
+_PARSE_BY_TYPE = {"int": int, "str": str, "float": float}
+CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
+
+
 @dataclass
 class TrialStats:
     """Raw per-(trial, scenario) tallies before aggregation."""
@@ -293,11 +294,19 @@ def build_links(
         for u, ref in zip(users, reference, strict=True):
             ln = link_state(u, sp, noise, bw_max=bw_each)
             if ln.covered and not ref.covered:
-                ln = replace(ln, covered=False, b_max=0.0)
+                ln = LinkState(
+                    path_loss_db=ln.path_loss_db,
+                    mean_snr=ln.mean_snr,
+                    covered=False,
+                    bw_max=ln.bw_max,
+                    b_max=0.0,
+                )
             final.append(ln)
         links_by_sp.append(final)
+    if not links_by_sp:
+        return [[] for _ in users]
     # transpose to per-user lists
-    return [[links_by_sp[s][u] for s in range(len(sps))] for u in range(len(users))]
+    return [list(row) for row in zip(*links_by_sp)]
 
 
 def _scenario_model(scenario: Scenario, cfg: ScenarioConfig) -> tuple[DecisionModel, bool]:
@@ -357,8 +366,10 @@ def _pool_expansion_pass(
         for j in sanctioned:
             ln = row[j]
             if ln.covered and caps[j] > ln.bw_max:
-                row[j] = replace(
-                    ln,
+                row[j] = LinkState(
+                    path_loss_db=ln.path_loss_db,
+                    mean_snr=ln.mean_snr,
+                    covered=True,
                     bw_max=caps[j],
                     b_max=caps[j] * math.log2(1.0 + ln.mean_snr),
                 )
@@ -529,17 +540,8 @@ def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
 
 
 def _row_values(row: SweepRow) -> list[str]:
-    return [
-        str(row.n),
-        row.scenario,
-        repr(row.sum_sp_utility),
-        repr(row.sum_user_utility),
-        repr(row.avg_bw_per_user),
-        repr(row.association_rate),
-        str(row.trials),
-        repr(row.stderr_sp),
-        repr(row.stderr_user),
-    ]
+    # str of a float is its repr, so the text round-trips exactly
+    return [str(getattr(row, f.name)) for f in _ROW_FIELDS]
 
 
 def emit(rows: list[SweepRow], fmt: str, path: str | Path) -> None:
@@ -574,17 +576,7 @@ def load_rows(path: str | Path, fmt: str = "csv") -> list[SweepRow]:
             reader = csv.DictReader(fh)
             for rec in reader:
                 rows.append(
-                    SweepRow(
-                        n=int(rec["n"]),
-                        scenario=rec["scenario"],
-                        sum_sp_utility=float(rec["sum_sp_utility"]),
-                        sum_user_utility=float(rec["sum_user_utility"]),
-                        avg_bw_per_user=float(rec["avg_bw_per_user"]),
-                        association_rate=float(rec["association_rate"]),
-                        trials=int(rec["trials"]),
-                        stderr_sp=float(rec["stderr_sp"]),
-                        stderr_user=float(rec["stderr_user"]),
-                    )
+                    SweepRow(**{f.name: _PARSE_BY_TYPE[f.type](rec[f.name]) for f in _ROW_FIELDS})
                 )
     elif fmt == "json":
         with open(path, encoding="utf-8") as fh:

@@ -291,16 +291,30 @@ def expansion_rebid(
                 hi = mid
         b_up = lo
 
-    bw = _expanded_bw(b_up, b_min, link, model)
-    if sp_price(b_up, sp) - sp.cost_rate * b_up - sp.cost_bw * bw < 0:
+    # _expanded_bw(b_up, ...) with its expansion target kept: the crossing
+    # bid is then expanded as expand_bw_pt would expand the floor-tight bid
+    # at b_up, reusing the bandwidth instead of computing it again
+    guarantee = b_min / b_up
+    lam = weight_inverse(guarantee, model)
+    try:
+        bw = guarantee_inverse_bw(b_up, lam, link)
+    except InfeasibleError:
+        bw = math.inf
+    price = sp_price(b_up, sp)
+    if price - sp.cost_rate * b_up - sp.cost_bw * bw < 0:
         return _UNPROFITABLE_EXPANSION
-    candidate = Bid(
-        rate=b_up,
-        price=sp_price(b_up, sp),
-        bandwidth=marginal_bw(b_up, b_min, link),
-        guarantee=b_min / b_up,
-    )
-    return expand_bw_pt(candidate, model, link)
+    if guarantee <= FIXED_POINT:
+        return Bid(
+            rate=b_up,
+            price=price,
+            bandwidth=marginal_bw(b_up, b_min, link),
+            guarantee=guarantee,
+        )
+    if lam >= 1.0:
+        return _UNEXPANDABLE
+    if bw > link.bw_max * (1.0 + _BUDGET_SLACK):
+        return _BUDGET_EXHAUSTED
+    return Bid(rate=b_up, price=price, bandwidth=bw, guarantee=lam)
 
 
 def participation_check(bid: Bid, acceptance_prob: float, sp: SpProfile) -> bool:

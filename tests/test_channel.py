@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetnetsim import (
     InfeasibleError,
@@ -17,6 +19,7 @@ from hetnetsim import (
     service_guarantee,
     with_budget_fraction,
 )
+from hetnetsim.channel import MIN_DISTANCE_M, USER_HEIGHT_M, LinkState
 from conftest import make_link
 
 
@@ -60,6 +63,74 @@ def bisect_inverse_bw(b: float, target: float, mean_snr: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def reference_hata_path_loss(freq_mhz, d_km, h_bs_m, h_ue_m):
+    """hata_path_loss as first written, every constant recomputed per call;
+    the rewritten one must agree with it bit for bit."""
+    if d_km <= 0:
+        raise ValueError(f"distance must be positive, got {d_km} km")
+    if not 150.0 <= freq_mhz <= 2500.0:
+        raise ValueError(f"frequency {freq_mhz} MHz outside supported range")
+    if h_bs_m <= 0 or h_ue_m <= 0:
+        raise ValueError("antenna heights must be positive")
+    lf = math.log10(freq_mhz)
+    lhb = math.log10(h_bs_m)
+    a_hm = (1.1 * lf - 0.7) * h_ue_m - (1.56 * lf - 0.8)
+    slope = 44.9 - 6.55 * lhb
+    if freq_mhz <= 1500.0:
+        base = 69.55 + 26.16 * lf
+    else:
+        base = 46.3 + 33.9 * lf
+    return base - 13.82 * lhb - a_hm + slope * math.log10(d_km)
+
+
+def reference_link_state(user, sp, noise_density_dbm_hz=-174.0, bw_max=None):
+    """link_state as first written (indexed positions, max() clamp, the
+    reference path loss); the rewritten one must agree with it bit for bit."""
+    if bw_max is None:
+        bw_max = sp.g_ba * sp.bw_total
+    if bw_max <= 0:
+        raise ValueError(f"bandwidth budget must be positive, got {bw_max}")
+    dx = user.position[0] - sp.position[0]
+    dy = user.position[1] - sp.position[1]
+    dist_m = max(math.hypot(dx, dy), MIN_DISTANCE_M)
+    loss_db = reference_hata_path_loss(
+        sp.frequency_mhz, dist_m / 1000.0, sp.antenna_height_m, USER_HEIGHT_M
+    )
+    noise_dbm = noise_density_dbm_hz + 10.0 * math.log10(bw_max * 1e6)
+    snr_db = sp.tx_power_dbm - loss_db - noise_dbm
+    mean_snr = 10.0 ** (snr_db / 10.0)
+    covered = user.active and snr_db >= sp.coverage_snr_threshold_db
+    if sp.coverage_radius is not None and dist_m > sp.coverage_radius:
+        covered = False
+    b_max = bw_max * math.log2(1.0 + mean_snr) if covered else 0.0
+    return LinkState(
+        path_loss_db=loss_db,
+        mean_snr=mean_snr,
+        covered=covered,
+        bw_max=bw_max,
+        b_max=b_max,
+    )
+
+
+def link_bits(ln: LinkState) -> tuple:
+    """The link's fields with every float as its exact bit pattern."""
+    return (
+        ln.path_loss_db.hex(),
+        ln.mean_snr.hex(),
+        ln.covered,
+        ln.bw_max.hex(),
+        ln.b_max.hex(),
+    )
+
+
+# the whole Hata window, both branch edges and the COST-231 crossover
+frequencies = st.one_of(
+    st.sampled_from([150.0, 900.0, 1500.0, 1500.0000000000002, 2400.0, 2500.0]),
+    st.floats(150.0, 2500.0),
+)
+heights = st.floats(0.5, 300.0)
+
+
 class TestHataPathLoss:
     def test_textbook_900mhz_point(self):
         got = hata_path_loss(900.0, 1.0, 50.0, 1.5)
@@ -87,6 +158,29 @@ class TestHataPathLoss:
             hata_path_loss(100.0, 1.0, 30.0, 1.5)
         with pytest.raises(ValueError):
             hata_path_loss(900.0, 1.0, -1.0, 1.5)
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        freq=frequencies,
+        d_km=st.floats(1e-4, 1e3),
+        h_bs=heights,
+        h_ue=heights,
+    )
+    def test_bit_identical_to_reference(self, freq, d_km, h_bs, h_ue):
+        got = hata_path_loss(freq, d_km, h_bs, h_ue)
+        assert got.hex() == reference_hata_path_loss(freq, d_km, h_bs, h_ue).hex()
+
+    def test_bad_profile_raises_on_every_call(self):
+        # the per-profile constants are cached, the failures are not
+        for _ in range(3):
+            with pytest.raises(ValueError, match="outside supported range"):
+                hata_path_loss(3000.0, 1.0, 30.0, 1.5)
+            with pytest.raises(ValueError, match="antenna heights"):
+                hata_path_loss(900.0, 1.0, 30.0, 0.0)
+        assert hata_path_loss(900.0, 1.0, 30.0, 1.5) == reference_hata_path_loss(
+            900.0, 1.0, 30.0, 1.5
+        )
 
 
 def make_sp(**overrides) -> SpProfile:
@@ -167,6 +261,57 @@ class TestLinkState:
         at_sp = UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(0.0, 0.0))
         ln = link_state(at_sp, make_sp())
         assert math.isfinite(ln.path_loss_db)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        ux=st.floats(-3000.0, 3000.0),
+        uy=st.floats(-3000.0, 3000.0),
+        sx=st.floats(-300.0, 300.0),
+        sy=st.floats(-300.0, 300.0),
+        near=st.floats(0.0, 2.0),
+        freq=frequencies,
+        h_bs=heights,
+        tx=st.floats(-10.0, 60.0),
+        threshold=st.floats(-20.0, 40.0),
+        radius=st.one_of(st.none(), st.floats(1.0, 2000.0)),
+        bw_max=st.one_of(st.none(), st.floats(1e-3, 100.0)),
+        active=st.booleans(),
+    )
+    def test_bit_identical_to_reference(
+        self, ux, uy, sx, sy, near, freq, h_bs, tx, threshold, radius, bw_max, active
+    ):
+        # every other example sits within 2 m of the SP, across the near-field clamp
+        if near < 1.0:
+            ux, uy = sx + near, sy
+        user = UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(ux, uy), active=active)
+        sp = make_sp(
+            position=(sx, sy),
+            frequency_mhz=freq,
+            antenna_height_m=h_bs,
+            tx_power_dbm=tx,
+            coverage_snr_threshold_db=threshold,
+            coverage_radius=radius,
+        )
+        got = link_state(user, sp, -174.0, bw_max=bw_max)
+        assert link_bits(got) == link_bits(reference_link_state(user, sp, -174.0, bw_max))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(frequency_mhz=3000.0), "outside supported range"),
+            (dict(frequency_mhz=100.0), "outside supported range"),
+            (dict(antenna_height_m=0.0), "antenna heights"),
+            (dict(antenna_height_m=-5.0), "antenna heights"),
+        ],
+    )
+    def test_bad_profile_raises_on_every_call(self, overrides, message):
+        user = UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(200.0, 0.0))
+        sp = make_sp(**overrides)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                link_state(user, sp)
+            with pytest.raises(ValueError, match=message):
+                link_state(user, sp, bw_max=1.0)
 
 
 class TestServiceGuarantee:

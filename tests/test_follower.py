@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetnetsim import (
     NO_BID,
@@ -17,7 +19,8 @@ from hetnetsim import (
     select_wifi_sp,
 )
 from hetnetsim.follower import FLOOR_REL_TOL
-from hetnetsim.prospect import FIXED_POINT
+from hetnetsim.model import user_benefit, user_utility
+from hetnetsim.prospect import FIXED_POINT, weight
 
 
 def oracle_best_response(bid_c, bid_w, user, alpha=None):
@@ -53,6 +56,82 @@ def oracle_best_response(bid_c, bid_w, user, alpha=None):
         if benefit - paid > best_u:
             best, best_u = (p_c, p_w), benefit - paid
     return best, best_u
+
+
+def reference_feasible_set(bid_c, bid_w, user, model):
+    """feasible_set as first written, the reference for the rewritten
+    follower: perceived guarantees taken per call, one strategy at a time."""
+    g_c = perceived_guarantee(bid_c, model)
+    g_w = perceived_guarantee(bid_w, model)
+    feasible = {(0, 0)}
+    for p_c, p_w in ((0, 1), (1, 0), (1, 1)):
+        if p_c and not isinstance(bid_c, Bid):
+            continue
+        if p_w and not isinstance(bid_w, Bid):
+            continue
+        b_joint = 0.0
+        paid = 0.0
+        if p_c:
+            b_joint += bid_c.rate * g_c
+            paid += bid_c.price
+        if p_w:
+            b_joint += bid_w.rate * g_w
+            paid += bid_w.price
+        if b_joint < user.b_min * (1.0 - FLOOR_REL_TOL):
+            continue
+        if user_benefit(b_joint, user) < paid:
+            continue
+        feasible.add((p_c, p_w))
+    return feasible
+
+
+def reference_best_response(bid_c, bid_w, user, model):
+    """best_response as first written: the reference feasible set, then
+    user_utility of each feasible strategy, strict improvements kept."""
+    g_c = perceived_guarantee(bid_c, model)
+    g_w = perceived_guarantee(bid_w, model)
+    feasible = reference_feasible_set(bid_c, bid_w, user, model)
+    best, best_u = (0, 0), 0.0
+    for strategy in ((0, 1), (1, 0), (1, 1)):
+        if strategy not in feasible:
+            continue
+        u = user_utility(strategy, bid_c, bid_w, user, g_c, g_w)
+        if u > best_u:
+            best, best_u = strategy, u
+    return best, best_u
+
+
+def reference_select_wifi_sp(offers, user, model):
+    """select_wifi_sp as first written: offers sorted by id, strict
+    improvements kept, so ties go to the lowest id."""
+    best_id = None
+    best_u = -float("inf")
+    for sp_id, bid in sorted(offers, key=lambda item: item[0]):
+        if not isinstance(bid, Bid):
+            continue
+        u = user_benefit(bid.rate * weight(bid.guarantee, model), user) - bid.price
+        if u > best_u:
+            best_id, best_u = sp_id, u
+    return best_id
+
+
+# few distinct values, so that equal utilities (ties) are common; an
+# infinite price gives a utility of -inf, a NaN price or an infinite rate at
+# an infinite price a NaN utility
+_RATES = st.sampled_from([0.5, 2.0, 4.0, math.inf]) | st.floats(0.0, 50.0)
+_PRICES = st.sampled_from([0.0, 0.5, 1.0, math.inf, math.nan]) | st.floats(0.0, 40.0)
+_GUARANTEES = st.sampled_from([0.0, 0.2, FIXED_POINT, 0.9, 1.0]) | st.floats(0.0, 1.0)
+_BIDS = st.one_of(
+    st.just(NoBid("silent")),
+    st.builds(Bid, rate=_RATES, price=_PRICES, bandwidth=st.just(1.0), guarantee=_GUARANTEES),
+)
+_MODELS = st.sampled_from([DecisionModel.eut(), DecisionModel.pt(0.3), DecisionModel.pt(0.7)])
+_USERS = st.builds(
+    UserProfile,
+    delta=st.floats(0.2, 20.0),
+    theta=st.floats(1.1, 5.0),
+    b_min=st.sampled_from([0.5, 2.0]) | st.floats(0.1, 8.0),
+)
 
 
 def random_instance(rng):
@@ -192,6 +271,23 @@ class TestBestResponse:
                 assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-12)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bid_c=_BIDS,
+        bid_w=_BIDS,
+        user=_USERS,
+        model=_MODELS,
+    )
+    def test_equals_first_written_reference(self, bid_c, bid_w, user, model):
+        got = best_response(bid_c, bid_w, user, model)
+        want = reference_best_response(bid_c, bid_w, user, model)
+        assert got[0] == want[0]
+        assert got[1].hex() == want[1].hex()
+        assert feasible_set(bid_c, bid_w, user, model) == reference_feasible_set(
+            bid_c, bid_w, user, model
+        )
+
+
 class TestSelectWifiSp:
     def test_empty_or_silent(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
@@ -218,6 +314,37 @@ class TestSelectWifiSp:
         offers = [(1, deep), (2, shallow)]
         assert select_wifi_sp(offers, user, DecisionModel.eut()) == 1
         assert select_wifi_sp(offers, user, DecisionModel.pt(0.3)) == 2
+
+    def test_order_independent_ties_and_bad_utilities(self):
+        user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
+        model = DecisionModel.eut()
+        bid = Bid(rate=2.0, price=0.1, bandwidth=1.0, guarantee=0.5)
+        ruinous = Bid(rate=2.0, price=math.inf, bandwidth=1.0, guarantee=0.5)
+        undefined = Bid(rate=2.0, price=math.nan, bandwidth=1.0, guarantee=0.5)
+        for offers, want in (
+            ([(5, bid), (3, bid), (4, bid)], 3),
+            ([(1, ruinous), (2, undefined)], None),
+            ([(1, ruinous), (2, undefined), (6, bid)], 6),
+            ([(2, undefined), (7, bid), (1, ruinous), (6, bid)], 6),
+            ([(3, NO_BID), (1, NoBid("x"))], None),
+        ):
+            for order in (offers, offers[::-1]):
+                assert select_wifi_sp(order, user, model) == want
+                assert reference_select_wifi_sp(order, user, model) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        offers=st.lists(st.tuples(st.integers(1, 6), _BIDS), max_size=8),
+        user=_USERS,
+        model=_MODELS,
+        order=st.randoms(use_true_random=False),
+    )
+    def test_shuffled_offers_equal_sorted_reference(self, offers, user, model, order):
+        want = reference_select_wifi_sp(offers, user, model)
+        shuffled = list(offers)
+        order.shuffle(shuffled)
+        assert select_wifi_sp(shuffled, user, model) == want
+        assert select_wifi_sp(offers, user, model) == want
 
 
 def test_floor_tolerance_constant_is_tight():

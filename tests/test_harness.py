@@ -2,12 +2,14 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hetnetsim import equilibrium, harness
 from hetnetsim.harness import (
     CSV_HEADER,
     DEFAULT_CONFIG,
@@ -141,6 +143,55 @@ class TestRunTrial:
             assert math.isfinite(s.sum_user_utility)
             assert math.isfinite(s.avg_bw_per_associated)
             assert 0.0 <= s.association_rate <= 1.0
+
+
+class TestCallContract:
+    """The calls a trial makes per user-SP pair and per user game, and the
+    module globals they go through: the benchmark's per-layer trace wraps
+    those names and fingerprints the counts, so a speed-only change must
+    keep both."""
+
+    def spy(self, monkeypatch, calls, module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def spied_trial(self, monkeypatch, n):
+        calls = Counter()
+        self.spy(monkeypatch, calls, harness, "link_state")
+        self.spy(monkeypatch, calls, harness, "resolve_user_game")
+        for name in (
+            "optimize_bid",
+            "expand_bw_pt",
+            "expansion_rebid",
+            "select_wifi_sp",
+            "best_response",
+        ):
+            self.spy(monkeypatch, calls, equilibrium, name)
+        return run_trial(DEFAULT_CONFIG, n, 0), calls
+
+    def test_per_pair_and_per_game_counts(self, monkeypatch):
+        n = 50
+        pairs = n * (1 + DEFAULT_CONFIG.n_wifi)
+        stats, calls = self.spied_trial(monkeypatch, n)
+        assert calls["link_state"] == 2 * pairs
+        assert calls["optimize_bid"] == pairs
+        # one game per user and scenario (no pool retry at this load), and
+        # one WiFi pre-selection per game
+        assert calls["resolve_user_game"] == len(Scenario) * n
+        assert calls["select_wifi_sp"] == calls["resolve_user_game"]
+        assert calls["best_response"] > 0
+        assert calls["expand_bw_pt"] > 0
+        monkeypatch.undo()
+        assert run_trial(DEFAULT_CONFIG, n, 0) == stats
+
+    def test_rate_conceding_rebid_goes_through_equilibrium(self, monkeypatch):
+        _, calls = self.spied_trial(monkeypatch, 500)
+        assert calls["expansion_rebid"] > 0
 
 
 class TestRunPoint:
