@@ -75,9 +75,14 @@ def classify_eut_symmetric(
     user: UserProfile,
     sp: SpProfile | None = None,
     rng=None,
+    sp_c: SpProfile | None = None,
+    wifi_index: int | None = None,
 ) -> GameOutcome:
     """Outcome when both leaders place the identical marginal bid and the
     follower weighs guarantees objectively.
+
+    sp prices both slots unless sp_c gives the cellular slot its own
+    profile; wifi_index is recorded on the outcome as given.
 
     Three regions in the price p = bid.price:
       * benefit of the rate floor below p       -> Reject00,
@@ -89,6 +94,8 @@ def classify_eut_symmetric(
     the realization.  Without an rng the deterministic branch is the
     follower's preferred tie order: the WiFi offer alone in force, accepted.
     """
+    if sp_c is None:
+        sp_c = sp
     p = bid.price
     h_floor = user_benefit(user.b_min, user)
     if h_floor < p:
@@ -99,17 +106,18 @@ def classify_eut_symmetric(
             u_sp_w=0.0,
             u_sp_c=0.0,
             bids=(WITHDRAWN, WITHDRAWN),
+            wifi_index=wifi_index,
         )
     if doubling_gap(user) >= p:
         u = user_utility((1, 1), bid, bid, user, bid.guarantee, bid.guarantee)
-        payoff = _sp_payoff(True, bid, sp)
         return GameOutcome(
             ne_class=NeClass.BOTH11,
             strategy_draw=(1, 1),
             u_user=u,
-            u_sp_w=payoff,
-            u_sp_c=payoff,
+            u_sp_w=_sp_payoff(True, bid, sp),
+            u_sp_c=_sp_payoff(True, bid, sp_c),
             bids=(bid, bid),
+            wifi_index=wifi_index,
         )
 
     if rng is None:
@@ -136,8 +144,9 @@ def classify_eut_symmetric(
         strategy_draw=strategy,
         u_user=u,
         u_sp_w=_sp_payoff(strategy[1] == 1, bid_w, sp),
-        u_sp_c=_sp_payoff(strategy[0] == 1, bid_c, sp),
+        u_sp_c=_sp_payoff(strategy[0] == 1, bid_c, sp_c),
         bids=(bid_c, bid_w),
+        wifi_index=wifi_index,
     )
 
 
@@ -147,6 +156,7 @@ def classify_eut_asymmetric(
     user: UserProfile,
     sp_w: SpProfile | None = None,
     sp_c: SpProfile | None = None,
+    wifi_index: int | None = None,
 ) -> GameOutcome:
     """Outcome for two distinct marginal bids under objective weighting.
 
@@ -171,6 +181,7 @@ def classify_eut_asymmetric(
             u_sp_w=0.0,
             u_sp_c=0.0,
             bids=(WITHDRAWN, WITHDRAWN),
+            wifi_index=wifi_index,
         )
     if doubling_gap(user) >= dear.price:
         u = user_utility((1, 1), bid_c, bid_w, user, bid_c.guarantee, bid_w.guarantee)
@@ -181,6 +192,7 @@ def classify_eut_asymmetric(
             u_sp_w=_sp_payoff(True, bid_w, sp_w),
             u_sp_c=_sp_payoff(True, bid_c, sp_c),
             bids=(bid_c, bid_w),
+            wifi_index=wifi_index,
         )
 
     u = user_benefit(cheap.rate * cheap.guarantee, user) - cheap.price
@@ -193,6 +205,7 @@ def classify_eut_asymmetric(
             u_sp_w=payoff_cheap,
             u_sp_c=0.0,
             bids=(WITHDRAWN, bid_w),
+            wifi_index=wifi_index,
         )
     return GameOutcome(
         ne_class=NeClass.CELL_ONLY10,
@@ -201,6 +214,7 @@ def classify_eut_asymmetric(
         u_sp_w=0.0,
         u_sp_c=payoff_cheap,
         bids=(bid_c, WITHDRAWN),
+        wifi_index=wifi_index,
     )
 
 
@@ -211,6 +225,7 @@ def classify_pt(
     model: DecisionModel,
     sp_w: SpProfile | None = None,
     sp_c: SpProfile | None = None,
+    wifi_index: int | None = None,
 ) -> GameOutcome:
     """Outcome under weighted perception, labeled from the follower's best
     response.
@@ -229,6 +244,7 @@ def classify_pt(
             u_sp_w=0.0,
             u_sp_c=0.0,
             bids=(bid_c, bid_w),
+            wifi_index=wifi_index,
         )
     strategy, u = best_response(bid_c, bid_w, user, model)
     p_c, p_w = strategy
@@ -241,6 +257,7 @@ def classify_pt(
         u_sp_w=_sp_payoff(p_w == 1, out_w, sp_w),
         u_sp_c=_sp_payoff(p_c == 1, out_c, sp_c),
         bids=(out_c, out_w),
+        wifi_index=wifi_index,
     )
 
 
@@ -323,27 +340,17 @@ def resolve_user_game(
         )
 
     if not model.is_pt and bids_symmetric(bid_c, bid_w):
-        outcome = classify_eut_symmetric(bid_w, user, sp=sp_w, rng=rng)
-        # the symmetric classifier prices both slots with one profile; redo
-        # the cellular payoff in case the two SPs' costs differ
-        u_sp_c = _sp_payoff(outcome.strategy_draw[0] == 1, outcome.bids[0], sp_c)
-    else:
-        if not model.is_pt and isinstance(bid_c, Bid) and isinstance(bid_w, Bid):
-            outcome = classify_eut_asymmetric(bid_w, bid_c, user, sp_w=sp_w, sp_c=sp_c)
-        else:
-            # weighted perception, or a lone offer under objective perception:
-            # label straight from the best response
-            outcome = classify_pt(bid_w, bid_c, user, model, sp_w=sp_w, sp_c=sp_c)
-        u_sp_c = outcome.u_sp_c
-
-    return GameOutcome(
-        ne_class=outcome.ne_class,
-        strategy_draw=outcome.strategy_draw,
-        u_user=outcome.u_user,
-        u_sp_w=outcome.u_sp_w,
-        u_sp_c=u_sp_c,
-        bids=outcome.bids,
-        wifi_index=wifi_idx,
+        return classify_eut_symmetric(
+            bid_w, user, sp=sp_w, rng=rng, sp_c=sp_c, wifi_index=wifi_idx
+        )
+    if not model.is_pt and isinstance(bid_c, Bid) and isinstance(bid_w, Bid):
+        return classify_eut_asymmetric(
+            bid_w, bid_c, user, sp_w=sp_w, sp_c=sp_c, wifi_index=wifi_idx
+        )
+    # weighted perception, or a lone offer under objective perception: label
+    # straight from the best response
+    return classify_pt(
+        bid_w, bid_c, user, model, sp_w=sp_w, sp_c=sp_c, wifi_index=wifi_idx
     )
 
 

@@ -144,7 +144,7 @@ class ScenarioConfig:
         try:
             for kind, params in ((SpKind.CELLULAR, self.cellular), (SpKind.WIFI, self.wifi)):
                 section = kind.value
-                SpProfile(kind=kind, **asdict(params))
+                SpProfile(kind=kind, **vars(params))
                 hata_path_loss(params.frequency_mhz, 1.0, params.antenna_height_m, USER_HEIGHT_M)
             section = "user"
             UserProfile(self.user.delta, self.user.theta, self.user.b_min)
@@ -233,12 +233,14 @@ class TrialStats:
 def build_sps(cfg: ScenarioConfig) -> list[SpProfile]:
     """The cellular BS (id 0) plus n_wifi APs (ids 1..n) on a regular ring."""
     center = (cfg.area_side_m / 2.0, cfg.area_side_m / 2.0)
+    # every SpParams field is a scalar, so its instance dict is a complete
+    # shallow copy; asdict would deep-copy it recursively
     sps = [
         SpProfile(
             kind=SpKind.CELLULAR,
             position=center,
             sp_id=0,
-            **asdict(cfg.cellular),
+            **vars(cfg.cellular),
         )
     ]
     ring = cfg.wifi_ring_fraction * cfg.area_side_m
@@ -250,7 +252,7 @@ def build_sps(cfg: ScenarioConfig) -> list[SpProfile]:
                 kind=SpKind.WIFI,
                 position=pos,
                 sp_id=k + 1,
-                **asdict(cfg.wifi),
+                **vars(cfg.wifi),
             )
         )
     return sps

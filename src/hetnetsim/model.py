@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InfeasibleError(ValueError):
@@ -149,11 +150,12 @@ BOTH: Strategy = (1, 1)
 ALL_STRATEGIES: tuple[Strategy, ...] = (REJECT_BOTH, WIFI_ONLY, CELL_ONLY, BOTH)
 
 
-@dataclass(frozen=True)
-class GameOutcome:
+class GameOutcome(NamedTuple):
     """Resolved per-user game: equilibrium label, the realized strategy (for a
-    mixed equilibrium, the sampled branch), the three players' utilities, and
-    the pair of bids in force (cellular, WiFi)."""
+    mixed equilibrium, the sampled branch), the three players' utilities, the
+    pair of bids in force (cellular, WiFi), and the index of the WiFi SP
+    pre-selected for the game.  Built once per game, so a named tuple: as
+    immutable as a frozen dataclass, and cheaper to build."""
 
     ne_class: NeClass
     strategy_draw: Strategy

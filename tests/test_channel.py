@@ -17,7 +17,6 @@ from hetnetsim import (
     hata_path_loss,
     link_state,
     service_guarantee,
-    with_budget_fraction,
 )
 from hetnetsim.channel import MIN_DISTANCE_M, USER_HEIGHT_M, LinkState
 from conftest import make_link
@@ -221,6 +220,17 @@ class TestAllocateBw:
 
 
 class TestLinkState:
+    def test_record_fields_and_immutability(self):
+        ln = make_link(10.0, bw_max=4.0)
+        assert LinkState._fields == ("path_loss_db", "mean_snr", "covered", "bw_max", "b_max")
+        assert ln == LinkState(0.0, 10.0, True, 4.0, 4.0 * math.log2(11.0))
+        for name in LinkState._fields:
+            with pytest.raises(AttributeError):
+                setattr(ln, name, 1.0)
+        with pytest.raises(AttributeError):
+            ln.extra = 1.0
+        assert ln.bw_max == 4.0
+
     def test_inactive_user_is_uncovered(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(100.0, 0.0), active=False)
         ln = link_state(user, make_sp())
@@ -401,19 +411,3 @@ class TestGuaranteeInverseBw:
         with pytest.raises(InfeasibleError):
             guarantee_inverse_bw(2.0, 0.5, make_link(0.0))
 
-
-class TestWithBudgetFraction:
-    def test_scales_budget_and_cap(self):
-        link = make_link(10.0, bw_max=8.0)
-        half = with_budget_fraction(link, 0.5)
-        assert half.bw_max == pytest.approx(4.0)
-        assert half.b_max == pytest.approx(4.0 * math.log2(11.0), rel=1e-12)
-        assert half.mean_snr == link.mean_snr
-        assert half.covered
-
-    def test_fraction_bounds(self):
-        link = make_link(10.0)
-        with pytest.raises(ValueError):
-            with_budget_fraction(link, 0.0)
-        with pytest.raises(ValueError):
-            with_budget_fraction(link, 1.5)

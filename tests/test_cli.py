@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,74 @@ class TestNeClassify:
         path = self.params(tmp_path, model="cpt")
         assert main(["ne-classify", "--params", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+# Fixed inputs for `game` and `ne-classify`, and their stdout stored in
+# tests/data/cli_golden.json: the printed JSON must not change when the
+# records behind it change shape.  Like golden_sweep.csv, the float text
+# depends on the platform's libm/numpy build.
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+GAME_CASES = {
+    # at n=500, expansion turns user 2's rejection into a WiFi association
+    "pt_expand_n500_user2": (500, ["--user-index", "2", "--model", "pt", "--expand"]),
+    "pt_n500_user2": (500, ["--user-index", "2", "--model", "pt"]),
+    "eut_n50_user0": (50, ["--user-index", "0", "--model", "eut"]),
+}
+
+_USER = {"delta": 3.0, "theta": 2.0, "b_min": 2.0}
+_CHEAP = {"rate": 4.0, "price": 0.5, "bandwidth": 1.0, "guarantee": 0.5}
+NE_CLASSIFY_CASES = {
+    "eut_symmetric_both": {"user": _USER, "bid_c": _CHEAP, "bid_w": _CHEAP},
+    "eut_symmetric_mixed": {
+        "user": _USER,
+        "bid_c": {**_CHEAP, "price": 3.0},
+        "bid_w": {**_CHEAP, "price": 3.0},
+    },
+    "eut_symmetric_reject": {
+        "user": _USER,
+        "bid_c": {**_CHEAP, "price": 5.0},
+        "bid_w": {**_CHEAP, "price": 5.0},
+    },
+    "eut_asymmetric_cell_only": {
+        "user": _USER,
+        "bid_c": {**_CHEAP, "price": 2.0},
+        "bid_w": {**_CHEAP, "price": 3.0},
+    },
+    "pt_both": {"user": _USER, "bid_c": _CHEAP, "bid_w": _CHEAP, "model": "pt"},
+    "pt_lone_wifi": {
+        "user": {**_USER, "delta": 20.0},
+        "bid_w": {"rate": 8.0, "price": 1.0, "bandwidth": 2.0, "guarantee": 0.3},
+        "model": "pt",
+        "prelec_alpha": 0.5,
+    },
+}
+
+
+def golden_stdout(capsys, tmp_path, command: str, case: str) -> str:
+    """What `hetnetsim <command>` prints for a named golden case."""
+    if command == "game":
+        n_users, args = GAME_CASES[case]
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(replace(DEFAULT_CONFIG, n_users=n_users).to_dict()), encoding="utf-8"
+        )
+        argv = ["game", "--config", str(config), *args]
+    else:
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(NE_CLASSIFY_CASES[case]), encoding="utf-8")
+        argv = ["ne-classify", "--params", str(params)]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("game", c) for c in GAME_CASES] + [("ne-classify", c) for c in NE_CLASSIFY_CASES],
+)
+def test_printed_json_matches_golden(capsys, tmp_path, command, case):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert golden_stdout(capsys, tmp_path, command, case) == golden[command][case]
 
 
 class TestExpandBw:

@@ -22,7 +22,7 @@ from hetnetsim.equilibrium import (
     resolve_user_game,
     solve_game,
 )
-from hetnetsim.follower import feasible_set
+from hetnetsim.follower import feasible_set, select_wifi_sp
 from hetnetsim.leader import optimize_bid, participation_check
 from hetnetsim.model import (
     Bid,
@@ -33,6 +33,7 @@ from hetnetsim.model import (
     UserProfile,
     doubling_gap,
     sp_cost,
+    sp_utility,
     user_benefit,
     user_utility,
 )
@@ -508,6 +509,38 @@ class TestSolveGame:
         assert out.strategy_draw == direct.strategy_draw
         assert out.u_user == pytest.approx(direct.u_user, rel=1e-12, abs=1e-12)
         assert out.wifi_index == 1
+
+    def test_symmetric_branch_records_selected_wifi_index_and_each_cost(self):
+        # one offer from the cellular SP and from the second AP, whose costs
+        # differ: each region of the symmetric classifier must record the
+        # AP that select_wifi_sp chose and charge each slot its own SP's cost
+        user = make_user(3.0)
+        sps = [
+            make_sp(SpKind.CELLULAR, cost_rate=0.3, cost_bw=0.9, sp_id=0),
+            make_sp(SpKind.WIFI, sp_id=1),
+            make_sp(SpKind.WIFI, cost_rate=0.05, cost_bw=0.2, sp_id=2),
+        ]
+        links = [reference_link()] * 3
+        model = DecisionModel.eut()
+        for price, label, draws, strategy in (
+            (0.5, NeClass.BOTH11, [], (1, 1)),
+            (3.0, NeClass.MIXED0110, [0.1, 0.1, 0.9], (1, 0)),
+            (5.0, NeClass.REJECT00, [], (0, 0)),
+        ):
+            bid = floor_bid(user, 0.5, price=price)
+            bids = [bid, NoBid("silent"), bid]
+            assert select_wifi_sp([(1, bids[1]), (2, bids[2])], user, model) == 2
+            out = resolve_user_game(user, sps, links, bids, model, rng=StubRng(draws))
+            assert out.ne_class is label
+            assert out.strategy_draw == strategy
+            assert out.wifi_index == 2
+            in_force = label is not NeClass.REJECT00
+            for u_sp, sp, accepted in (
+                (out.u_sp_c, sps[0], strategy[0] == 1),
+                (out.u_sp_w, sps[2], strategy[1] == 1),
+            ):
+                want = sp_utility(accepted, bid, sp) if in_force else 0.0
+                assert u_sp == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_lone_cellular_offer_classified_from_best_response(self):
         sps = self.two_sps()

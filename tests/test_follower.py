@@ -347,6 +347,39 @@ class TestSelectWifiSp:
         assert select_wifi_sp(offers, user, model) == want
 
 
+class TestFloorSlack:
+    """The relative slack on the rate floor is 1e-9: a lone offer whose
+    rate * guarantee falls short of b_min by a relative 5e-10 is feasible,
+    one short by 2e-9 is not, whichever slot carries it."""
+
+    user = UserProfile(delta=50.0, theta=2.0, b_min=2.0)
+
+    def slots(self, shortfall, slot):
+        # rate 4 and guarantee b_min/4 scaled by (1 - shortfall): scaling by
+        # powers of two is exact, so the product is b_min * (1 - shortfall)
+        bid = Bid(rate=4.0, price=0.1, bandwidth=1.0, guarantee=0.5 * (1.0 - shortfall))
+        assert bid.rate * bid.guarantee == self.user.b_min * (1.0 - shortfall)
+        return ((bid, NO_BID), (1, 0)) if slot == "cellular" else ((NO_BID, bid), (0, 1))
+
+    @pytest.mark.parametrize("slot", ["cellular", "wifi"])
+    @pytest.mark.parametrize("shortfall, feasible", [(2e-9, False), (5e-10, True)])
+    def test_feasible_set(self, slot, shortfall, feasible):
+        (bid_c, bid_w), lone = self.slots(shortfall, slot)
+        got = feasible_set(bid_c, bid_w, self.user, DecisionModel.eut())
+        assert got == ({(0, 0), lone} if feasible else {(0, 0)})
+
+    @pytest.mark.parametrize("slot", ["cellular", "wifi"])
+    @pytest.mark.parametrize("shortfall, feasible", [(2e-9, False), (5e-10, True)])
+    def test_best_response(self, slot, shortfall, feasible):
+        (bid_c, bid_w), lone = self.slots(shortfall, slot)
+        strategy, u = best_response(bid_c, bid_w, self.user, DecisionModel.eut())
+        if feasible:
+            assert strategy == lone
+            assert u > 0.0
+        else:
+            assert (strategy, u) == ((0, 0), 0.0)
+
+
 def test_floor_tolerance_constant_is_tight():
     # the slack exists for one-ulp rounding, not material shortfalls
     assert FLOOR_REL_TOL <= 1e-8

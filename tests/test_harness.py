@@ -1,15 +1,19 @@
 """Tests for topology generation, the sweep driver, and result emission."""
 
+import functools
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetnetsim import equilibrium, harness
+from hetnetsim.channel import LinkState
 from hetnetsim.harness import (
     CSV_HEADER,
     DEFAULT_CONFIG,
@@ -192,6 +196,95 @@ class TestCallContract:
     def test_rate_conceding_rebid_goes_through_equilibrium(self, monkeypatch):
         _, calls = self.spied_trial(monkeypatch, 500)
         assert calls["expansion_rebid"] > 0
+
+
+class TestRecords:
+    """Links and outcomes as the trial builds them: LinkState rows from
+    build_links and from the pool pass's widening, and outcomes that carry
+    the WiFi pre-selection they were resolved with."""
+
+    def test_build_links_rows_are_link_states(self):
+        users, sps = generate_topology(DEFAULT_CONFIG, np.random.default_rng(3), 40)
+        links = build_links(users, sps, DEFAULT_CONFIG)
+        assert len(links) == len(users)
+        assert all(len(row) == len(sps) for row in links)
+        assert all(type(ln) is LinkState for row in links for ln in row)
+
+    def test_pool_pass_widened_rows_are_link_states(self, monkeypatch):
+        original_pass = harness._pool_expansion_pass
+        original_resolve = harness.resolve_user_game
+        in_pass = {}
+        retried = []  # (the user's first-pass links, the row retried)
+
+        def pool_pass(users, sps, links, *rest):
+            in_pass.update(links=links, index={id(u): i for i, u in enumerate(users)})
+            try:
+                return original_pass(users, sps, links, *rest)
+            finally:
+                in_pass.clear()
+
+        def resolve(user, sps, links, *rest, **kwargs):
+            if in_pass:
+                retried.append((in_pass["links"][in_pass["index"][id(user)]], links))
+            return original_resolve(user, sps, links, *rest, **kwargs)
+
+        monkeypatch.setattr(harness, "_pool_expansion_pass", pool_pass)
+        monkeypatch.setattr(harness, "resolve_user_game", resolve)
+        run_trial(DEFAULT_CONFIG, 500, 0)
+        assert retried
+        for first, row in retried:
+            assert all(type(ln) is LinkState for ln in row)
+            widened = [(old, new) for old, new in zip(first, row, strict=True) if new != old]
+            assert widened
+            for old, new in widened:
+                assert new.covered and old.covered
+                assert (new.path_loss_db, new.mean_snr) == (old.path_loss_db, old.mean_snr)
+                assert new.bw_max > old.bw_max
+                assert new.b_max == new.bw_max * math.log2(1.0 + new.mean_snr)
+
+    def test_outcomes_carry_the_selected_wifi_index(self, monkeypatch):
+        original_select = equilibrium.select_wifi_sp
+        original_resolve = harness.resolve_user_game
+        chosen = []
+        recorded = []
+
+        def select(*args, **kwargs):
+            chosen.append(original_select(*args, **kwargs))
+            return chosen[-1]
+
+        def resolve(*args, **kwargs):
+            outcome = original_resolve(*args, **kwargs)
+            recorded.append(outcome.wifi_index)
+            return outcome
+
+        monkeypatch.setattr(equilibrium, "select_wifi_sp", select)
+        monkeypatch.setattr(harness, "resolve_user_game", resolve)
+        run_trial(DEFAULT_CONFIG, 500, 0)
+        assert recorded == chosen
+        assert None in chosen
+        assert len(set(chosen)) == 1 + DEFAULT_CONFIG.n_wifi
+
+
+# loads on both sides of the capacity knee, so the shuffled runs include
+# pool-pass retries
+ORDER_CONFIG = replace(DEFAULT_CONFIG, sweep=(8, 400), trials=2)
+ORDER_PAIRS = [(n, t) for n in ORDER_CONFIG.sweep for t in range(ORDER_CONFIG.trials)]
+
+
+@functools.cache
+def in_order_stats() -> dict:
+    return {pair: run_trial(ORDER_CONFIG, *pair) for pair in ORDER_PAIRS}
+
+
+@settings(max_examples=8, deadline=None)
+@given(order=st.permutations(ORDER_PAIRS))
+def test_trial_stats_do_not_depend_on_trial_order(order):
+    want = in_order_stats()
+    for pair in order:
+        got = run_trial(ORDER_CONFIG, *pair)
+        assert list(got) == list(Scenario)
+        for scenario in Scenario:
+            assert asdict(got[scenario]) == asdict(want[pair][scenario]), (pair, scenario)
 
 
 class TestRunPoint:

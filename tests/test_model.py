@@ -8,6 +8,8 @@ import pytest
 from hetnetsim import (
     NO_BID,
     Bid,
+    GameOutcome,
+    NeClass,
     NoBid,
     SpKind,
     SpProfile,
@@ -233,3 +235,52 @@ def test_benefit_dominates_price_calibration_shape():
     user = UserProfile(delta=350.0, theta=2.0, b_min=2.0)
     dearest = 0.6 * (math.e * 2.0) ** 1.3
     assert doubling_gap(user) > dearest
+
+
+class TestGameOutcome:
+    def outcome(self, **overrides):
+        bid = Bid(rate=4.0, price=1.5, bandwidth=2.0, guarantee=0.5)
+        fields = dict(
+            ne_class=NeClass.WIFI_ONLY01,
+            strategy_draw=(0, 1),
+            u_user=0.25,
+            u_sp_w=0.5,
+            u_sp_c=0.0,
+            bids=(NoBid("withdrawn"), bid),
+        )
+        fields.update(overrides)
+        return GameOutcome(**fields)
+
+    def test_fields_in_order_with_wifi_index_defaulting_to_none(self):
+        assert GameOutcome._fields == (
+            "ne_class",
+            "strategy_draw",
+            "u_user",
+            "u_sp_w",
+            "u_sp_c",
+            "bids",
+            "wifi_index",
+        )
+        assert self.outcome().wifi_index is None
+        assert self.outcome(wifi_index=3).wifi_index == 3
+
+    def test_assigning_a_field_raises(self):
+        out = self.outcome(wifi_index=3)
+        for name in GameOutcome._fields:
+            with pytest.raises(AttributeError):
+                setattr(out, name, None)
+        with pytest.raises(AttributeError):
+            out.extra = None
+        assert out.wifi_index == 3
+
+    def test_to_dict(self):
+        assert self.outcome(wifi_index=3).to_dict() == {
+            "ne_class": "WifiOnly01",
+            "strategy_draw": [0, 1],
+            "u_user": 0.25,
+            "u_sp_w": 0.5,
+            "u_sp_c": 0.0,
+            "bid_c": {"no_bid": True, "reason": "withdrawn"},
+            "bid_w": {"rate": 4.0, "price": 1.5, "bandwidth": 2.0, "guarantee": 0.5},
+            "wifi_index": 3,
+        }
