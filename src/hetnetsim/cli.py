@@ -18,25 +18,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .channel import LinkState, guarantee_inverse_bw
-from .equilibrium import (
-    bids_symmetric,
-    classify_eut_asymmetric,
-    classify_eut_symmetric,
-    classify_pt,
-    make_eut_bids,
-    resolve_user_game,
-)
+from .equilibrium import classify
 from .harness import (
-    DEFAULT_CONFIG,
-    Scenario,
-    ScenarioConfig,
-    build_links,
-    emit,
-    generate_topology,
-    run_sweep,
+    DEFAULT_CONFIG, Scenario, ScenarioConfig, build_sps, emit, run_sweep, solve_trial
 )
 from .model import Bid, NoBid, UserProfile, doubling_gap, user_benefit
 from .prospect import DecisionModel, weight, weight_inverse
@@ -71,52 +56,50 @@ def _cmd_game(args: argparse.Namespace) -> int:
     n = cfg.n_users
     if not 0 <= args.user_index < n:
         raise ValueError(f"user index {args.user_index} outside [0, {n})")
-
-    seq = np.random.SeedSequence([cfg.seed, n, 0])
-    streams = seq.spawn(1 + len(Scenario))
-    topo_rng = np.random.default_rng(streams[0])
-    users, sps = generate_topology(cfg, topo_rng, n)
-    links = build_links(users, sps, cfg)
-
-    scenario = _scenario_for(args.model, args.expand)
-    model = (
-        DecisionModel.eut()
-        if args.model == "eut"
-        else DecisionModel.pt(cfg.prelec_alpha)
-    )
-    rng = np.random.default_rng(streams[1 + list(Scenario).index(scenario)])
-
-    user = users[args.user_index]
-    bids = make_eut_bids(user, sps, links[args.user_index])
-    outcome = resolve_user_game(
-        user,
-        sps,
-        links[args.user_index],
-        bids,
-        model,
-        expansion_enabled=args.expand,
-        rng=rng,
-    )
+    outcome = solve_trial(cfg, n, 0)[_scenario_for(args.model, args.expand)][args.user_index]
     print(json.dumps(outcome.to_dict(), indent=2))
     return 0
 
 
-def _bid_from_dict(data: dict | None) -> Bid | NoBid:
-    if not data:
+_PARAMS_KEYS = ("user", "bid_c", "bid_w", "model", "prelec_alpha")
+_USER_KEYS = ("delta", "theta", "b_min")
+_BID_KEYS = ("rate", "price", "guarantee")
+
+
+def _checked(section: str, data, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """data as a JSON object holding every required key and no other key
+    than the optional ones; a violation is a one-line error naming the
+    section and the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section}: expected a JSON object")
+    for key in data:
+        if key not in required + optional:
+            raise ValueError(f"{section}: unknown key {key!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{section}: missing key {key!r}")
+    return data
+
+
+def _build(section: str, cls, data, required: tuple[str, ...], defaults: dict):
+    """cls built from the checked section, every value taken as a float."""
+    data = {**defaults, **_checked(section, data, required, tuple(defaults))}
+    try:
+        return cls(**{key: float(value) for key, value in data.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{section}: {exc}") from None
+
+
+def _bid(params: dict, slot: str) -> Bid | NoBid:
+    if params.get(slot) in (None, {}):
         return NoBid("not specified")
-    return Bid(
-        rate=float(data["rate"]),
-        price=float(data["price"]),
-        bandwidth=float(data.get("bandwidth", 0.0)),
-        guarantee=float(data["guarantee"]),
-    )
+    return _build(slot, Bid, params[slot], _BID_KEYS, {"bandwidth": 0.0})
 
 
 def _cmd_ne_classify(args: argparse.Namespace) -> int:
     with open(args.params, encoding="utf-8") as fh:
-        params = json.load(fh)
-
-    user = UserProfile(**params["user"])
+        params = _checked("params", json.load(fh), ("user",), _PARAMS_KEYS)
+    user = _build("user", UserProfile, params["user"], _USER_KEYS, {})
     model_name = params.get("model", "eut")
     if model_name == "pt":
         model = DecisionModel.pt(float(params.get("prelec_alpha", 0.7)))
@@ -125,17 +108,10 @@ def _cmd_ne_classify(args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"model must be 'eut' or 'pt', got {model_name!r}")
 
-    bid_w = _bid_from_dict(params.get("bid_w"))
-    bid_c = _bid_from_dict(params.get("bid_c"))
-    both_real = isinstance(bid_w, Bid) and isinstance(bid_c, Bid)
-
-    if not model.is_pt and both_real and bids_symmetric(bid_c, bid_w):
-        outcome = classify_eut_symmetric(bid_w, user)
-    elif not model.is_pt and both_real:
-        outcome = classify_eut_asymmetric(bid_w, bid_c, user)
-    else:
-        outcome = classify_pt(bid_w, bid_c, user, model)
-
+    bid_w, bid_c = _bid(params, "bid_w"), _bid(params, "bid_c")
+    # priced like the sweep's games: the default cellular BS and first AP
+    sps = build_sps(DEFAULT_CONFIG)
+    outcome = classify(bid_c, bid_w, user, model, sps[0], sps[1])
     thresholds = {
         "floor_benefit": user_benefit(user.b_min, user),
         "doubling_gap": doubling_gap(user),

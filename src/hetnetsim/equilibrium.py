@@ -1,15 +1,17 @@
 """Game resolution: equilibrium classification and the per-user pipeline.
 
-Leaders commit to marginal bids, the follower best-responds, and the outcome
-is labeled with one of six classes over the acceptance pair (p_c, p_w):
-Reject00, WifiOnly01, CellOnly10, Both11, the symmetric mixed equilibrium
-Mixed0110, or Infeasible when there is no game to classify.
+Leaders commit to marginal bids, the follower best-responds, and classify
+(the one classifier dispatch, shared by the sweep, `game` and `ne-classify`)
+labels the outcome over the acceptance pair (p_c, p_w): Reject00 (also when
+no bid is in force), WifiOnly01, CellOnly10, Both11, or the symmetric mixed
+equilibrium Mixed0110.  NeClass.INFEASIBLE is never produced.
 
-A rejected bid would strand its provisioning cost, so a leader that
-anticipates rejection withdraws and earns exactly zero.  The one place a
-bid can be rejected while in force is the realized branch of the mixed
-equilibrium, where both leaders bid with probability one half and the
-follower flips a fair coin between the two single-acceptance strategies.
+Leader payoffs are model.sp_utility, so a rejected bid strands its
+provisioning cost; a leader that anticipates rejection withdraws and earns
+exactly zero.  The one place a bid can be rejected while in force is the
+realized branch of the mixed equilibrium, where both leaders bid with
+probability one half and the follower flips a fair coin between the two
+single-acceptance strategies.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .model import (
     Strategy,
     UserProfile,
     doubling_gap,
+    sp_utility,
     user_benefit,
     user_utility,
 )
@@ -45,14 +48,9 @@ _LABEL_BY_STRATEGY: dict[Strategy, NeClass] = {
 }
 
 
-def _sp_payoff(accepted: bool, bid: Bid | NoBid, sp: SpProfile | None) -> float:
-    """Realized leader payoff; cost is only charged when the profile is known."""
-    if not isinstance(bid, Bid):
-        return 0.0
-    revenue = bid.price if accepted else 0.0
-    if sp is None:
-        return revenue
-    return revenue - (sp.cost_rate * bid.rate + sp.cost_bw * bid.bandwidth)
+def _rejected(bids: tuple[Bid | NoBid, Bid | NoBid], wifi_index: int | None) -> GameOutcome:
+    """Reject00 with every payoff zero."""
+    return GameOutcome(NeClass.REJECT00, (0, 0), 0.0, 0.0, 0.0, bids, wifi_index)
 
 
 def bids_symmetric(bid_a: Bid | NoBid, bid_b: Bid | NoBid, rtol: float = SYMMETRY_RTOL) -> bool:
@@ -73,16 +71,16 @@ def bids_symmetric(bid_a: Bid | NoBid, bid_b: Bid | NoBid, rtol: float = SYMMETR
 def classify_eut_symmetric(
     bid: Bid,
     user: UserProfile,
-    sp: SpProfile | None = None,
+    sp_w: SpProfile,
+    sp_c: SpProfile,
     rng=None,
-    sp_c: SpProfile | None = None,
     wifi_index: int | None = None,
 ) -> GameOutcome:
     """Outcome when both leaders place the identical marginal bid and the
     follower weighs guarantees objectively.
 
-    sp prices both slots unless sp_c gives the cellular slot its own
-    profile; wifi_index is recorded on the outcome as given.
+    sp_w and sp_c price the WiFi and cellular slots; wifi_index is recorded
+    on the outcome as given.
 
     Three regions in the price p = bid.price:
       * benefit of the rate floor below p       -> Reject00,
@@ -94,28 +92,18 @@ def classify_eut_symmetric(
     the realization.  Without an rng the deterministic branch is the
     follower's preferred tie order: the WiFi offer alone in force, accepted.
     """
-    if sp_c is None:
-        sp_c = sp
     p = bid.price
     h_floor = user_benefit(user.b_min, user)
     if h_floor < p:
-        return GameOutcome(
-            ne_class=NeClass.REJECT00,
-            strategy_draw=(0, 0),
-            u_user=0.0,
-            u_sp_w=0.0,
-            u_sp_c=0.0,
-            bids=(WITHDRAWN, WITHDRAWN),
-            wifi_index=wifi_index,
-        )
+        return _rejected((WITHDRAWN, WITHDRAWN), wifi_index)
     if doubling_gap(user) >= p:
         u = user_utility((1, 1), bid, bid, user, bid.guarantee, bid.guarantee)
         return GameOutcome(
             ne_class=NeClass.BOTH11,
             strategy_draw=(1, 1),
             u_user=u,
-            u_sp_w=_sp_payoff(True, bid, sp),
-            u_sp_c=_sp_payoff(True, bid, sp_c),
+            u_sp_w=sp_utility(True, bid, sp_w),
+            u_sp_c=sp_utility(True, bid, sp_c),
             bids=(bid, bid),
             wifi_index=wifi_index,
         )
@@ -143,8 +131,8 @@ def classify_eut_symmetric(
         ne_class=NeClass.MIXED0110,
         strategy_draw=strategy,
         u_user=u,
-        u_sp_w=_sp_payoff(strategy[1] == 1, bid_w, sp),
-        u_sp_c=_sp_payoff(strategy[0] == 1, bid_c, sp_c),
+        u_sp_w=sp_utility(strategy[1] == 1, bid_w, sp_w),
+        u_sp_c=sp_utility(strategy[0] == 1, bid_c, sp_c),
         bids=(bid_c, bid_w),
         wifi_index=wifi_index,
     )
@@ -154,8 +142,8 @@ def classify_eut_asymmetric(
     bid_w: Bid,
     bid_c: Bid,
     user: UserProfile,
-    sp_w: SpProfile | None = None,
-    sp_c: SpProfile | None = None,
+    sp_w: SpProfile,
+    sp_c: SpProfile,
     wifi_index: int | None = None,
 ) -> GameOutcome:
     """Outcome for two distinct marginal bids under objective weighting.
@@ -174,29 +162,21 @@ def classify_eut_asymmetric(
 
     h_floor = user_benefit(user.b_min, user)
     if h_floor < cheap.price:
-        return GameOutcome(
-            ne_class=NeClass.REJECT00,
-            strategy_draw=(0, 0),
-            u_user=0.0,
-            u_sp_w=0.0,
-            u_sp_c=0.0,
-            bids=(WITHDRAWN, WITHDRAWN),
-            wifi_index=wifi_index,
-        )
+        return _rejected((WITHDRAWN, WITHDRAWN), wifi_index)
     if doubling_gap(user) >= dear.price:
         u = user_utility((1, 1), bid_c, bid_w, user, bid_c.guarantee, bid_w.guarantee)
         return GameOutcome(
             ne_class=NeClass.BOTH11,
             strategy_draw=(1, 1),
             u_user=u,
-            u_sp_w=_sp_payoff(True, bid_w, sp_w),
-            u_sp_c=_sp_payoff(True, bid_c, sp_c),
+            u_sp_w=sp_utility(True, bid_w, sp_w),
+            u_sp_c=sp_utility(True, bid_c, sp_c),
             bids=(bid_c, bid_w),
             wifi_index=wifi_index,
         )
 
     u = user_benefit(cheap.rate * cheap.guarantee, user) - cheap.price
-    payoff_cheap = _sp_payoff(True, cheap, sp_cheap)
+    payoff_cheap = sp_utility(True, cheap, sp_cheap)
     if wifi_cheaper:
         return GameOutcome(
             ne_class=NeClass.WIFI_ONLY01,
@@ -223,29 +203,19 @@ def classify_pt(
     bid_c: Bid | NoBid,
     user: UserProfile,
     model: DecisionModel,
-    sp_w: SpProfile | None = None,
-    sp_c: SpProfile | None = None,
+    sp_w: SpProfile | None,
+    sp_c: SpProfile | None,
     wifi_index: int | None = None,
 ) -> GameOutcome:
-    """Outcome under weighted perception, labeled from the follower's best
-    response.
+    """Outcome labeled from the follower's best response, for at least one
+    bid in force (a silent slot's profile may be None).
 
     For unexpanded marginal bids with both guarantees above 1/e the single
-    strategies are infeasible (the perceived lone rate falls short of the
-    floor), so only Reject00 and Both11 can appear; expanded bids restore
-    the single strategies, and the label follows whatever the best response
-    turns out to be.  Two silent slots leave nothing to classify.
+    strategies are infeasible under weighted perception (the perceived lone
+    rate falls short of the floor), so only Reject00 and Both11 can appear;
+    expanded bids restore the single strategies, and the label follows
+    whatever the best response turns out to be.
     """
-    if not (isinstance(bid_w, Bid) or isinstance(bid_c, Bid)):
-        return GameOutcome(
-            ne_class=NeClass.INFEASIBLE,
-            strategy_draw=(0, 0),
-            u_user=0.0,
-            u_sp_w=0.0,
-            u_sp_c=0.0,
-            bids=(bid_c, bid_w),
-            wifi_index=wifi_index,
-        )
     strategy, u = best_response(bid_c, bid_w, user, model)
     p_c, p_w = strategy
     out_c = bid_c if (p_c and isinstance(bid_c, Bid)) else WITHDRAWN
@@ -254,11 +224,39 @@ def classify_pt(
         ne_class=_LABEL_BY_STRATEGY[strategy],
         strategy_draw=strategy,
         u_user=u,
-        u_sp_w=_sp_payoff(p_w == 1, out_w, sp_w),
-        u_sp_c=_sp_payoff(p_c == 1, out_c, sp_c),
+        u_sp_w=sp_utility(p_w == 1, out_w, sp_w),
+        u_sp_c=sp_utility(p_c == 1, out_c, sp_c),
         bids=(out_c, out_w),
         wifi_index=wifi_index,
     )
+
+
+def classify(
+    bid_c: Bid | NoBid,
+    bid_w: Bid | NoBid,
+    user: UserProfile,
+    model: DecisionModel,
+    sp_c: SpProfile | None,
+    sp_w: SpProfile | None,
+    rng=None,
+    wifi_index: int | None = None,
+) -> GameOutcome:
+    """Label one game from the bids in force and price it with each slot's
+    provider profile (None only where the slot has no provider).
+
+    No bid in force is Reject00.  An objective user gets the symmetric
+    classifier for identical offers and the asymmetric one for two distinct
+    offers; weighted perception, or a lone offer under objective
+    perception, is labeled straight from the best response.  rng drives the
+    mixed realization of the symmetric case.
+    """
+    if not (isinstance(bid_c, Bid) or isinstance(bid_w, Bid)):
+        return _rejected((bid_c, bid_w), wifi_index)
+    if not model.is_pt and bids_symmetric(bid_c, bid_w):
+        return classify_eut_symmetric(bid_w, user, sp_w, sp_c, rng=rng, wifi_index=wifi_index)
+    if not model.is_pt and isinstance(bid_c, Bid) and isinstance(bid_w, Bid):
+        return classify_eut_asymmetric(bid_w, bid_c, user, sp_w, sp_c, wifi_index=wifi_index)
+    return classify_pt(bid_w, bid_c, user, model, sp_w, sp_c, wifi_index=wifi_index)
 
 
 def make_eut_bids(
@@ -328,30 +326,7 @@ def resolve_user_game(
         if isinstance(bid_w, Bid):
             bid_w = _expand_in_force(bid_w, sp_w, links[wifi_idx], user, model)
 
-    if not (isinstance(bid_c, Bid) or isinstance(bid_w, Bid)):
-        return GameOutcome(
-            ne_class=NeClass.REJECT00,
-            strategy_draw=(0, 0),
-            u_user=0.0,
-            u_sp_w=0.0,
-            u_sp_c=0.0,
-            bids=(bid_c, bid_w),
-            wifi_index=wifi_idx,
-        )
-
-    if not model.is_pt and bids_symmetric(bid_c, bid_w):
-        return classify_eut_symmetric(
-            bid_w, user, sp=sp_w, rng=rng, sp_c=sp_c, wifi_index=wifi_idx
-        )
-    if not model.is_pt and isinstance(bid_c, Bid) and isinstance(bid_w, Bid):
-        return classify_eut_asymmetric(
-            bid_w, bid_c, user, sp_w=sp_w, sp_c=sp_c, wifi_index=wifi_idx
-        )
-    # weighted perception, or a lone offer under objective perception: label
-    # straight from the best response
-    return classify_pt(
-        bid_w, bid_c, user, model, sp_w=sp_w, sp_c=sp_c, wifi_index=wifi_idx
-    )
+    return classify(bid_c, bid_w, user, model, sp_c, sp_w, rng=rng, wifi_index=wifi_idx)
 
 
 def solve_game(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import USER_HEIGHT_M, LinkState, allocate_bw, hata_path_loss, link_state
 from .equilibrium import make_eut_bids, resolve_user_game
-from .model import Bid, SpKind, SpProfile, UserProfile
+from .model import Bid, GameOutcome, NoBid, SpKind, SpProfile, UserProfile
 from .prospect import FIXED_POINT, DecisionModel
 
 
@@ -442,7 +442,21 @@ def _pool_expansion_pass(
     return result
 
 
-def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, TrialStats]:
+@dataclass(frozen=True)
+class TrialSolution:
+    """One solved trial: the SPs, each user's committed bids (aligned with
+    sps), and each scenario's final per-user outcomes, pool pass included.
+    Indexing by a Scenario gives that scenario's outcomes."""
+
+    sps: list[SpProfile]
+    bids: list[list[Bid | NoBid]]
+    outcomes: dict[Scenario, list[GameOutcome]]
+
+    def __getitem__(self, scenario: Scenario) -> list[GameOutcome]:
+        return self.outcomes[scenario]
+
+
+def solve_trial(cfg: ScenarioConfig, n: int, trial: int) -> TrialSolution:
     """Solve all n per-user games once for each scenario.
 
     Topology, links, and committed bids are computed once and shared; the
@@ -457,33 +471,32 @@ def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, TrialSt
     links = build_links(users, sps, cfg)
     all_bids = [make_eut_bids(u, sps, links[i]) for i, u in enumerate(users)]
 
-    max_guarantee = 0.0
-    for per_user in all_bids:
-        for bid in per_user:
-            if isinstance(bid, Bid):
-                max_guarantee = max(max_guarantee, bid.guarantee)
-
-    out: dict[Scenario, TrialStats] = {}
+    outcomes: dict[Scenario, list[GameOutcome]] = {}
     for s_idx, scenario in enumerate(Scenario):
         model, expand = _scenario_model(scenario, cfg)
         rng = np.random.default_rng(streams[1 + s_idx])
-        outcomes = [
-            resolve_user_game(
-                user,
-                sps,
-                links[i],
-                all_bids[i],
-                model,
-                expansion_enabled=expand,
-                rng=rng,
-            )
-            for i, user in enumerate(users)
+        resolved = [
+            resolve_user_game(user, sps, ln, bids, model, expansion_enabled=expand, rng=rng)
+            for user, ln, bids in zip(users, links, all_bids)
         ]
         if expand:
-            outcomes = _pool_expansion_pass(users, sps, links, all_bids, outcomes, model)
+            resolved = _pool_expansion_pass(users, sps, links, all_bids, resolved, model)
+        outcomes[scenario] = resolved
+    return TrialSolution(sps, all_bids, outcomes)
 
-        stats = TrialStats(n_users=n, max_guarantee=max_guarantee)
-        stats.per_sp_accepted_bw = [0.0] * len(sps)
+
+def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, TrialStats]:
+    """Per-scenario tallies of solve_trial's outcomes."""
+    solved = solve_trial(cfg, n, trial)
+    max_guarantee = max(
+        (bid.guarantee for per_user in solved.bids for bid in per_user if isinstance(bid, Bid)),
+        default=0.0,
+    )
+    out: dict[Scenario, TrialStats] = {}
+    for scenario, outcomes in solved.outcomes.items():
+        stats = TrialStats(
+            n_users=n, max_guarantee=max_guarantee, per_sp_accepted_bw=[0.0] * len(solved.sps)
+        )
         for outcome in outcomes:
             p_c, p_w = outcome.strategy_draw
             if p_c or p_w:

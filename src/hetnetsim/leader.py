@@ -315,12 +315,3 @@ def expansion_rebid(
     if bw > link.bw_max * (1.0 + _BUDGET_SLACK):
         return _BUDGET_EXHAUSTED
     return Bid(rate=b_up, price=price, bandwidth=bw, guarantee=lam)
-
-
-def participation_check(bid: Bid, acceptance_prob: float, sp: SpProfile) -> bool:
-    """Whether bidding beats silence at the given acceptance probability:
-    expected revenue must cover the sunk provisioning cost."""
-    if not 0.0 <= acceptance_prob <= 1.0:
-        raise ValueError(f"acceptance probability must lie in [0, 1], got {acceptance_prob}")
-    cost = sp.cost_rate * bid.rate + sp.cost_bw * bid.bandwidth
-    return acceptance_prob * bid.price - cost >= 0.0

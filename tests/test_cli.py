@@ -1,7 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -9,8 +9,8 @@ import pytest
 from hetnetsim.channel import LinkState, guarantee_inverse_bw
 from hetnetsim import cli
 from hetnetsim.cli import main
-from hetnetsim.harness import CSV_HEADER, DEFAULT_CONFIG
-from hetnetsim.model import NeClass
+from hetnetsim.harness import CSV_HEADER, DEFAULT_CONFIG, Scenario, solve_trial
+from hetnetsim.model import Bid, NeClass
 from hetnetsim.prospect import DecisionModel, weight_inverse
 
 LABELS = {c.value for c in NeClass}
@@ -107,6 +107,45 @@ class TestGame:
         assert capsys.readouterr().err.startswith("error:")
 
 
+_GOOD_USER = {"delta": 6.0, "theta": 2.0, "b_min": 2.0}
+_GOOD_BID = {"rate": 3.0, "price": 1.0, "guarantee": 0.9}
+
+
+def _without(section: dict, key: str) -> dict:
+    return {k: v for k, v in section.items() if k != key}
+
+
+class TestGameMatchesSweep:
+    """`game` prints user i of trial 0 of the sweep's own solve, pool pass
+    and per-scenario mixed draws included.  At n=500 the pool pass changes
+    user 0's PT_EXPANSION label and user 2's payoff."""
+
+    N = 500
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return solve_trial(replace(DEFAULT_CONFIG, n_users=self.N), self.N, 0)
+
+    @pytest.mark.parametrize("user", [0, 2])
+    @pytest.mark.parametrize(
+        "scenario, flags",
+        [
+            (Scenario.EUT, ["--model", "eut"]),
+            (Scenario.PT, ["--model", "pt"]),
+            (Scenario.PT_EXPANSION, ["--model", "pt", "--expand"]),
+        ],
+    )
+    def test_prints_the_sweeps_outcome(self, solved, tmp_path, capsys, user, scenario, flags):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(replace(DEFAULT_CONFIG, n_users=self.N).to_dict()), encoding="utf-8"
+        )
+        rc = main(["game", "--config", str(config), "--user-index", str(user), *flags])
+        assert rc == 0
+        want = json.dumps(solved[scenario][user].to_dict(), indent=2) + "\n"
+        assert capsys.readouterr().out == want
+
+
 class TestNeClassify:
     def params(self, tmp_path, **overrides):
         payload = {
@@ -145,6 +184,58 @@ class TestNeClassify:
         path = self.params(tmp_path, model="cpt")
         assert main(["ne-classify", "--params", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    def test_matches_sweep_games_with_both_bids_in_force(self, tmp_path, capsys):
+        # each default n=50 trial-0 EUT game whose cellular and selected WiFi
+        # bids are both in force, handed to ne-classify as user and two bids
+        solved = solve_trial(DEFAULT_CONFIG, 50, 0)
+        path = tmp_path / "params.json"
+        checked = 0
+        for bids, outcome in zip(solved.bids, solved[Scenario.EUT], strict=True):
+            if outcome.wifi_index is None:
+                continue
+            bid_c, bid_w = bids[0], bids[outcome.wifi_index]
+            if not (isinstance(bid_c, Bid) and isinstance(bid_w, Bid)):
+                continue
+            params = {
+                "user": asdict(DEFAULT_CONFIG.user),
+                "bid_c": bid_c.to_dict(),
+                "bid_w": bid_w.to_dict(),
+            }
+            path.write_text(json.dumps(params), encoding="utf-8")
+            assert main(["ne-classify", "--params", str(path)]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["outcome"] == {**outcome.to_dict(), "wifi_index": None}
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "params: expected a JSON object"),
+            ({"bid_c": _GOOD_BID}, "params: missing key 'user'"),
+            ({"user": _GOOD_USER, "bids": {}}, "params: unknown key 'bids'"),
+            ({"user": _without(_GOOD_USER, "b_min")}, "user: missing key 'b_min'"),
+            ({"user": {**_GOOD_USER, "position": 5}}, "user: unknown key 'position'"),
+            ({"user": "alice"}, "user: expected a JSON object"),
+            ({"user": {**_GOOD_USER, "delta": -1.0}}, "user: delta must be positive, got -1.0"),
+            *[
+                ({"user": _GOOD_USER, slot: _without(_GOOD_BID, k)}, f"{slot}: missing key '{k}'")
+                for slot, k in (("bid_c", "rate"), ("bid_w", "price"), ("bid_c", "guarantee"))
+            ],
+            ({"user": _GOOD_USER, "bid_w": {**_GOOD_BID, "cost": 1}}, "bid_w: unknown key 'cost'"),
+            ({"user": _GOOD_USER, "bid_w": [3.0, 1.0, 0.9]}, "bid_w: expected a JSON object"),
+            ({"user": _GOOD_USER, "bid_c": 0}, "bid_c: expected a JSON object"),
+        ],
+    )
+    def test_bad_params_fail_with_one_line(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["ne-classify", "--params", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 # Fixed inputs for `game` and `ne-classify`, and their stdout stored in

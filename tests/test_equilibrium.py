@@ -15,6 +15,7 @@ from hetnetsim.channel import LinkState
 from hetnetsim.equilibrium import (
     WITHDRAWN,
     bids_symmetric,
+    classify,
     classify_eut_asymmetric,
     classify_eut_symmetric,
     classify_pt,
@@ -23,7 +24,7 @@ from hetnetsim.equilibrium import (
     solve_game,
 )
 from hetnetsim.follower import feasible_set, select_wifi_sp
-from hetnetsim.leader import optimize_bid, participation_check
+from hetnetsim.leader import optimize_bid
 from hetnetsim.model import (
     Bid,
     NeClass,
@@ -97,6 +98,9 @@ def oracle_strategy(bid_c, bid_w, user, model):
     return best, best_u
 
 
+# one provider profile for both slots, where the test is not about pricing
+SP = make_sp()
+
 STRATEGY_LABEL = {
     (0, 0): NeClass.REJECT00,
     (0, 1): NeClass.WIFI_ONLY01,
@@ -137,7 +141,7 @@ class TestClassifyEutSymmetric:
 
     def test_tiny_benefit_scale_rejects_both(self):
         user = make_user(1.0)
-        out = classify_eut_symmetric(floor_bid(user, 0.5, price=2.0), user)
+        out = classify_eut_symmetric(floor_bid(user, 0.5, price=2.0), user, SP, SP)
         assert out.ne_class is NeClass.REJECT00
         assert out.strategy_draw == (0, 0)
         assert out.u_user == 0.0 and out.u_sp_w == 0.0 and out.u_sp_c == 0.0
@@ -146,44 +150,44 @@ class TestClassifyEutSymmetric:
     def test_large_benefit_scale_accepts_both(self):
         user = make_user(10.0)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_eut_symmetric(bid, user)
+        out = classify_eut_symmetric(bid, user, SP, SP)
         assert out.ne_class is NeClass.BOTH11
         assert out.strategy_draw == (1, 1)
         assert out.u_user == pytest.approx(10.0 * 2.0 - 4.0, rel=1e-9)
-        assert out.u_sp_w == out.u_sp_c == bid.price
+        assert out.u_sp_w == out.u_sp_c == sp_utility(True, bid, SP)
 
     def test_middle_region_is_mixed(self):
         user = make_user(3.0)
-        out = classify_eut_symmetric(floor_bid(user, 0.5, price=2.0), user)
+        out = classify_eut_symmetric(floor_bid(user, 0.5, price=2.0), user, SP, SP)
         assert out.ne_class is NeClass.MIXED0110
 
     def test_floor_benefit_boundary_not_rejected(self):
         user = make_user(1.0)
         p = user_benefit(user.b_min, user)
-        out = classify_eut_symmetric(floor_bid(user, 0.5, price=p), user)
+        out = classify_eut_symmetric(floor_bid(user, 0.5, price=p), user, SP, SP)
         assert out.ne_class is NeClass.MIXED0110
 
     def test_doubling_gap_boundary_accepts_both(self):
         user = make_user(3.0)
         p = doubling_gap(user)
-        out = classify_eut_symmetric(floor_bid(user, 0.5, price=p), user)
+        out = classify_eut_symmetric(floor_bid(user, 0.5, price=p), user, SP, SP)
         assert out.ne_class is NeClass.BOTH11
 
     def test_mixed_deterministic_branch_is_lone_wifi(self):
         user = make_user(3.0)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_eut_symmetric(bid, user)
+        out = classify_eut_symmetric(bid, user, SP, SP)
         assert out.strategy_draw == (0, 1)
         assert isinstance(out.bids[0], NoBid)
         assert out.bids[1] is bid
-        assert out.u_sp_w == bid.price
+        assert out.u_sp_w == sp_utility(True, bid, SP)
         assert out.u_sp_c == 0.0
         assert out.u_user == pytest.approx(3.0 * math.sqrt(2.0) - 2.0, rel=1e-9)
 
     def test_mixed_draw_both_silent(self):
         user = make_user(3.0)
         out = classify_eut_symmetric(
-            floor_bid(user, 0.5, price=2.0), user, rng=StubRng([0.9, 0.9, 0.9])
+            floor_bid(user, 0.5, price=2.0), user, SP, SP, rng=StubRng([0.9, 0.9, 0.9])
         )
         assert out.strategy_draw == (0, 0)
         assert out.u_user == 0.0
@@ -192,9 +196,9 @@ class TestClassifyEutSymmetric:
     def test_mixed_draw_lone_cellular(self):
         user = make_user(3.0)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_eut_symmetric(bid, user, rng=StubRng([0.1, 0.9, 0.9]))
+        out = classify_eut_symmetric(bid, user, SP, SP, rng=StubRng([0.1, 0.9, 0.9]))
         assert out.strategy_draw == (1, 0)
-        assert out.u_sp_c == bid.price
+        assert out.u_sp_c == sp_utility(True, bid, SP)
         assert out.u_sp_w == 0.0
 
     def test_mixed_draw_coin_rejects_one_in_force_bid(self):
@@ -203,7 +207,7 @@ class TestClassifyEutSymmetric:
         user = make_user(3.0)
         sp = make_sp()
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_eut_symmetric(bid, user, sp=sp, rng=StubRng([0.1, 0.1, 0.1]))
+        out = classify_eut_symmetric(bid, user, sp, sp, rng=StubRng([0.1, 0.1, 0.1]))
         assert out.strategy_draw == (0, 1)
         assert out.bids[0] is bid
         cost = sp_cost(bid.rate, bid.bandwidth, sp)
@@ -217,7 +221,7 @@ class TestClassifyEutSymmetric:
         counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0}
         n = 4000
         for _ in range(n):
-            out = classify_eut_symmetric(bid, user, rng=rng)
+            out = classify_eut_symmetric(bid, user, SP, SP, rng=rng)
             counts[out.strategy_draw] += 1
         assert counts[(0, 0)] / n == pytest.approx(0.25, abs=0.03)
         assert counts[(0, 1)] / n == pytest.approx(0.375, abs=0.03)
@@ -229,7 +233,7 @@ class TestClassifyEutAsymmetric:
         user = make_user(3.0)
         bid_w = floor_bid(user, 0.5, price=1.5)
         bid_c = floor_bid(user, 0.4, price=2.5)
-        out = classify_eut_asymmetric(bid_w, bid_c, user)
+        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
         assert out.ne_class is NeClass.WIFI_ONLY01
         assert out.strategy_draw == (0, 1)
         assert out.bids == (WITHDRAWN, bid_w)
@@ -240,7 +244,7 @@ class TestClassifyEutAsymmetric:
         user = make_user(3.0)
         bid_w = floor_bid(user, 0.5, price=2.5)
         bid_c = floor_bid(user, 0.4, price=1.5)
-        out = classify_eut_asymmetric(bid_w, bid_c, user)
+        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
         assert out.ne_class is NeClass.CELL_ONLY10
         assert out.bids == (bid_c, WITHDRAWN)
         assert out.u_sp_w == 0.0
@@ -249,7 +253,7 @@ class TestClassifyEutAsymmetric:
         user = make_user(10.0)
         bid_w = floor_bid(user, 0.5, price=1.5)
         bid_c = floor_bid(user, 0.4, price=2.5)
-        out = classify_eut_asymmetric(bid_w, bid_c, user)
+        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
         assert out.ne_class is NeClass.BOTH11
         assert out.u_user == pytest.approx(10.0 * 2.0 - 4.0, rel=1e-9)
 
@@ -257,7 +261,7 @@ class TestClassifyEutAsymmetric:
         user = make_user(0.5)
         bid_w = floor_bid(user, 0.5, price=1.5)
         bid_c = floor_bid(user, 0.4, price=2.5)
-        out = classify_eut_asymmetric(bid_w, bid_c, user)
+        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
         assert out.ne_class is NeClass.REJECT00
         assert out.bids == (WITHDRAWN, WITHDRAWN)
 
@@ -268,29 +272,57 @@ class TestClassifyEutAsymmetric:
             h = user_benefit(user.b_min, user)
             bid_w = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
             bid_c = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
-            out = classify_eut_asymmetric(bid_w, bid_c, user)
+            out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
             assert out.ne_class is not NeClass.MIXED0110
 
     def test_equal_prices_prefer_wifi(self):
         user = make_user(3.0)
         bid_w = floor_bid(user, 0.5, price=2.0)
         bid_c = floor_bid(user, 0.4, price=2.0)
-        out = classify_eut_asymmetric(bid_w, bid_c, user)
+        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
         assert out.ne_class is NeClass.WIFI_ONLY01
 
 
-class TestClassifyPt:
-    def test_both_silent_is_infeasible(self):
-        user = make_user(3.0)
-        out = classify_pt(NoBid("a"), NoBid("b"), user, DecisionModel.pt(0.7))
-        assert out.ne_class is NeClass.INFEASIBLE
-        assert out.u_user == 0.0
+class TestClassify:
+    @pytest.mark.parametrize("model", [DecisionModel.eut(), DecisionModel.pt(0.7)])
+    def test_both_silent_rejects_as_in_the_sweep(self, model):
+        silent_c, silent_w = NoBid("a"), NoBid("b")
+        out = classify(silent_c, silent_w, make_user(3.0), model, None, None, wifi_index=4)
+        assert out.ne_class is NeClass.REJECT00
+        assert out.strategy_draw == (0, 0)
+        assert out.u_user == 0.0 and out.u_sp_w == 0.0 and out.u_sp_c == 0.0
+        assert out.bids == (silent_c, silent_w)
+        assert out.wifi_index == 4
 
+    def test_dispatch_matches_each_classifier(self):
+        # identical objective offers go to the symmetric classifier, distinct
+        # ones to the asymmetric one, everything else to the best response
+        user = make_user(3.0)
+        cell, wifi = make_sp(sp_id=0), make_sp(SpKind.WIFI, cost_rate=0.05, sp_id=1)
+        eut, pt = DecisionModel.eut(), DecisionModel.pt(0.7)
+        same = floor_bid(user, 0.5, price=3.0)  # mixed region: the rng decides
+        cheap = floor_bid(user, 0.5, price=1.5)
+        dear = floor_bid(user, 0.4, price=2.5)
+        silent = NoBid("quiet")
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        assert classify(same, same, user, eut, cell, wifi, rng=rng_a, wifi_index=2) == (
+            classify_eut_symmetric(same, user, wifi, cell, rng=rng_b, wifi_index=2)
+        )
+        assert classify(dear, cheap, user, eut, cell, wifi) == (
+            classify_eut_asymmetric(cheap, dear, user, wifi, cell)
+        )
+        for bid_c, bid_w, model in ((dear, cheap, pt), (same, same, pt), (cheap, silent, eut)):
+            assert classify(bid_c, bid_w, user, model, cell, wifi) == (
+                classify_pt(bid_w, bid_c, user, model, wifi, cell)
+            )
+
+
+class TestClassifyPt:
     def test_triggered_bids_accept_both_at_high_benefit_scale(self):
         user = make_user(20.0)
         model = DecisionModel.pt(0.7)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_pt(bid, bid, user, model)
+        out = classify_pt(bid, bid, user, model, SP, SP)
         assert out.ne_class is NeClass.BOTH11
         assert out.strategy_draw == (1, 1)
 
@@ -298,7 +330,7 @@ class TestClassifyPt:
         user = make_user(1.0)
         model = DecisionModel.pt(0.7)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_pt(bid, bid, user, model)
+        out = classify_pt(bid, bid, user, model, SP, SP)
         assert out.ne_class is NeClass.REJECT00
         assert out.bids == (WITHDRAWN, WITHDRAWN)
 
@@ -307,7 +339,7 @@ class TestClassifyPt:
         for delta in np.linspace(0.2, 30.0, 40):
             user = make_user(float(delta))
             bid = floor_bid(user, 0.5, price=2.0)
-            out = classify_pt(bid, bid, user, model)
+            out = classify_pt(bid, bid, user, model, SP, SP)
             assert out.ne_class in (NeClass.REJECT00, NeClass.BOTH11)
 
     def test_expanded_bids_restore_single_acceptance(self):
@@ -319,7 +351,7 @@ class TestClassifyPt:
         lam = weight_inverse(0.5, model)
         cheap = Bid(rate=user.b_min / 0.5, price=1.0, bandwidth=1.2, guarantee=lam)
         dear = Bid(rate=user.b_min / 0.5, price=3.5, bandwidth=1.2, guarantee=lam)
-        out = classify_pt(cheap, dear, user, model)
+        out = classify_pt(cheap, dear, user, model, SP, SP)
         assert out.ne_class is NeClass.WIFI_ONLY01
 
     def test_overweighting_accepts_what_objective_view_rejects(self):
@@ -328,8 +360,8 @@ class TestClassifyPt:
         user = make_user(10.0)
         bid = Bid(rate=0.98 * user.b_min / 0.2, price=1.0, bandwidth=1.0, guarantee=0.2)
         silent = NoBid("quiet")
-        eut = classify_pt(bid, silent, user, DecisionModel.eut())
-        pt = classify_pt(bid, silent, user, DecisionModel.pt(0.7))
+        eut = classify_pt(bid, silent, user, DecisionModel.eut(), SP, SP)
+        pt = classify_pt(bid, silent, user, DecisionModel.pt(0.7), SP, SP)
         assert eut.ne_class is NeClass.REJECT00
         assert pt.ne_class is NeClass.WIFI_ONLY01
 
@@ -347,7 +379,7 @@ class TestOracleAgreement:
             g = float(rng.uniform(0.05, 0.98))
             price = float(rng.uniform(0.05, 2.0)) * user_benefit(user.b_min, user)
             bid = floor_bid(user, g, price)
-            got = classify_eut_symmetric(bid, user).ne_class
+            got = classify_eut_symmetric(bid, user, SP, SP).ne_class
             strategy, _ = oracle_strategy(bid, bid, user, model)
             if got is NeClass.MIXED0110:
                 assert strategy in ((0, 1), (1, 0))
@@ -366,7 +398,7 @@ class TestOracleAgreement:
             h = user_benefit(user.b_min, user)
             bid_w = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
             bid_c = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
-            got = classify_eut_asymmetric(bid_w, bid_c, user).ne_class
+            got = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP).ne_class
             strategy, _ = oracle_strategy(bid_c, bid_w, user, model)
             assert got is STRATEGY_LABEL[strategy]
 
@@ -392,10 +424,7 @@ class TestOracleAgreement:
                 )
 
             bid_c, bid_w = draw_bid(), draw_bid()
-            out = classify_pt(bid_w, bid_c, user, model)
-            if not (isinstance(bid_c, Bid) or isinstance(bid_w, Bid)):
-                assert out.ne_class is NeClass.INFEASIBLE
-                continue
+            out = classify(bid_c, bid_w, user, model, SP, SP)
             strategy, best_u = oracle_strategy(bid_c, bid_w, user, model)
             assert out.ne_class is STRATEGY_LABEL[strategy]
             assert out.u_user == pytest.approx(best_u, rel=1e-9, abs=1e-12)
@@ -438,12 +467,12 @@ class TestRegionNesting:
             g = float(rng.uniform(FIXED_POINT + 1e-3, 0.98))
             price = float(rng.uniform(0.05, 1.5)) * user_benefit(user.b_min, user)
             bid = floor_bid(user, g, price)
-            out = classify_pt(bid, bid, user, model)
+            out = classify_pt(bid, bid, user, model, SP, SP)
             if out.ne_class is not NeClass.BOTH11:
                 continue
             hits += 1
             assert user_utility((1, 1), bid, bid, user, g, g) >= 0.0
-            assert classify_eut_symmetric(bid, user).ne_class is not NeClass.REJECT00
+            assert classify_eut_symmetric(bid, user, SP, SP).ne_class is not NeClass.REJECT00
         assert hits >= 100
 
     def test_minimum_benefit_scale_ordering(self):
@@ -454,7 +483,7 @@ class TestRegionNesting:
 
         def pt_both(d):
             user = make_user(float(d), 2.0, b_min)
-            return classify_pt(bid, bid, user, model).ne_class is NeClass.BOTH11
+            return classify_pt(bid, bid, user, model, SP, SP).ne_class is NeClass.BOTH11
 
         def eut_viable(d):
             user = make_user(float(d), 2.0, b_min)
@@ -463,21 +492,6 @@ class TestRegionNesting:
         pt_min = next(d for d in deltas if pt_both(d))
         eut_min = next(d for d in deltas if eut_viable(d))
         assert eut_min <= pt_min
-
-
-class TestMixedParticipation:
-    def test_half_acceptance_expectation_matches_check(self):
-        rng = np.random.default_rng(127)
-        sp = make_sp()
-        for _ in range(300):
-            bid = Bid(
-                rate=float(rng.uniform(0.5, 10.0)),
-                price=float(rng.uniform(0.0, 5.0)),
-                bandwidth=float(rng.uniform(0.1, 4.0)),
-                guarantee=float(rng.uniform(0.05, 0.95)),
-            )
-            expected = 0.5 * bid.price - sp_cost(bid.rate, bid.bandwidth, sp)
-            assert (expected >= 0.0) == participation_check(bid, 0.5, sp)
 
 
 def reference_link(snr=10.0, bw_max=5.0, b_max=10.0):
@@ -504,7 +518,7 @@ class TestSolveGame:
         links = [reference_link(), reference_link()]
         out = solve_game(user, sps, links, DecisionModel.eut())
         bid = optimize_bid(sps[1], links[1], user.b_min)
-        direct = classify_eut_symmetric(bid, user, sp=sps[1])
+        direct = classify_eut_symmetric(bid, user, sps[1], sps[0])
         assert out.ne_class is direct.ne_class
         assert out.strategy_draw == direct.strategy_draw
         assert out.u_user == pytest.approx(direct.u_user, rel=1e-12, abs=1e-12)

@@ -21,7 +21,6 @@ from hetnetsim.leader import (
     expansion_rebid,
     marginal_bw,
     optimize_bid,
-    participation_check,
 )
 from hetnetsim.model import (
     Bid,
@@ -292,6 +291,13 @@ class TestOptimizeBid:
                 continue
             perturbed = sp_price(b, sp) - sp_cost(b, bw, sp)
             assert base >= perturbed - 1e-9 * abs(base)
+
+    def test_full_acceptance_matches_profit_sign(self):
+        # a bid is only placed when full acceptance covers its cost
+        sp = make_sp()
+        bid = optimize_bid(sp, make_link(10.0, bw_max=5.0), 1.0)
+        assert isinstance(bid, Bid)
+        assert sp_utility(True, bid, sp) >= 0.0
 
     def test_uncovered_link(self):
         sp = make_sp()
@@ -613,24 +619,3 @@ class TestExpansionRebidOracle:
         out = expansion_rebid(make_sp(), link, b_min, model)
         assert out == reference_expansion_rebid(make_sp(), link, b_min, model)
         assert isinstance(out, Bid)
-
-
-class TestParticipationCheck:
-    def test_full_acceptance_matches_profit_sign(self):
-        sp = make_sp()
-        link = make_link(10.0, bw_max=5.0)
-        bid = optimize_bid(sp, link, 1.0)
-        assert participation_check(bid, 1.0, sp)
-
-    def test_zero_acceptance_fails_for_costly_bid(self):
-        sp = make_sp()
-        bid = Bid(rate=3.0, price=4.0, bandwidth=1.0, guarantee=0.5)
-        assert not participation_check(bid, 0.0, sp)
-
-    def test_half_acceptance_threshold(self):
-        sp = make_sp(cost_rate=0.1, cost_bw=0.5)
-        cost = sp_cost(3.0, 1.0, sp)
-        at = Bid(rate=3.0, price=2.0 * cost, bandwidth=1.0, guarantee=0.5)
-        below = Bid(rate=3.0, price=2.0 * cost * 0.999, bandwidth=1.0, guarantee=0.5)
-        assert participation_check(at, 0.5, sp)
-        assert not participation_check(below, 0.5, sp)

@@ -1,0 +1,31 @@
+"""The package's public surface: hetnetsim.__all__ names exactly what
+__init__ imports from the package's modules, and every name resolves."""
+
+import ast
+from pathlib import Path
+
+import hetnetsim
+
+
+def imported_public_names() -> set[str]:
+    tree = ast.parse(Path(hetnetsim.__file__).read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+
+
+def test_all_lists_exactly_the_imported_names():
+    assert sorted(hetnetsim.__all__) == sorted(imported_public_names())
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in hetnetsim.__all__ if not hasattr(hetnetsim, name)]
+    assert missing == []
+
+
+def test_trial_solver_and_classifier_are_exported():
+    assert {"classify", "solve_trial"} <= set(hetnetsim.__all__)
