@@ -20,9 +20,7 @@ from pathlib import Path
 
 from .channel import LinkState, guarantee_inverse_bw
 from .equilibrium import classify
-from .harness import (
-    DEFAULT_CONFIG, Scenario, ScenarioConfig, build_sps, emit, run_sweep, solve_trial
-)
+from .harness import DEFAULT_CONFIG, Scenario, ScenarioConfig, emit, run_sweep, solve_trial
 from .model import Bid, NoBid, UserProfile, doubling_gap, user_benefit
 from .prospect import DecisionModel, weight, weight_inverse
 
@@ -47,16 +45,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _scenario_for(model_name: str, expand: bool) -> Scenario:
     if model_name == "eut":
+        if expand:
+            raise ValueError("--expand requires --model pt")
         return Scenario.EUT
     return Scenario.PT_EXPANSION if expand else Scenario.PT
 
 
 def _cmd_game(args: argparse.Namespace) -> int:
+    scenario = _scenario_for(args.model, args.expand)
     cfg = _load_config(args.config, args.seed)
     n = cfg.n_users
     if not 0 <= args.user_index < n:
         raise ValueError(f"user index {args.user_index} outside [0, {n})")
-    outcome = solve_trial(cfg, n, 0)[_scenario_for(args.model, args.expand)][args.user_index]
+    outcome = solve_trial(cfg, n, 0)[scenario][args.user_index]
     print(json.dumps(outcome.to_dict(), indent=2))
     return 0
 
@@ -109,9 +110,8 @@ def _cmd_ne_classify(args: argparse.Namespace) -> int:
         raise ValueError(f"model must be 'eut' or 'pt', got {model_name!r}")
 
     bid_w, bid_c = _bid(params, "bid_w"), _bid(params, "bid_c")
-    # priced like the sweep's games: the default cellular BS and first AP
-    sps = build_sps(DEFAULT_CONFIG)
-    outcome = classify(bid_c, bid_w, user, model, sps[0], sps[1])
+    # priced like the sweep's games: the default cellular and WiFi classes
+    outcome = classify(bid_c, bid_w, user, model, DEFAULT_CONFIG.cellular, DEFAULT_CONFIG.wifi)
     thresholds = {
         "floor_benefit": user_benefit(user.b_min, user),
         "doubling_gap": doubling_gap(user),
@@ -185,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_game.add_argument("--config", help="JSON config file (defaults built in)")
     p_game.add_argument("--user-index", type=int, required=True)
     p_game.add_argument("--model", choices=("eut", "pt"), required=True)
-    p_game.add_argument("--expand", action="store_true", help="enable bandwidth expansion")
+    p_game.add_argument(
+        "--expand", action="store_true", help="enable bandwidth expansion (needs --model pt)"
+    )
     p_game.add_argument("--seed", type=int, help="override the config seed")
     p_game.set_defaults(func=_cmd_game)
 

@@ -25,6 +25,7 @@ from .model import (
     NeClass,
     NoBid,
     SpKind,
+    SpParams,
     SpProfile,
     Strategy,
     UserProfile,
@@ -71,8 +72,8 @@ def bids_symmetric(bid_a: Bid | NoBid, bid_b: Bid | NoBid, rtol: float = SYMMETR
 def classify_eut_symmetric(
     bid: Bid,
     user: UserProfile,
-    sp_w: SpProfile,
-    sp_c: SpProfile,
+    sp_w: SpParams,
+    sp_c: SpParams,
     rng=None,
     wifi_index: int | None = None,
 ) -> GameOutcome:
@@ -142,8 +143,8 @@ def classify_eut_asymmetric(
     bid_w: Bid,
     bid_c: Bid,
     user: UserProfile,
-    sp_w: SpProfile,
-    sp_c: SpProfile,
+    sp_w: SpParams,
+    sp_c: SpParams,
     wifi_index: int | None = None,
 ) -> GameOutcome:
     """Outcome for two distinct marginal bids under objective weighting.
@@ -203,8 +204,8 @@ def classify_pt(
     bid_c: Bid | NoBid,
     user: UserProfile,
     model: DecisionModel,
-    sp_w: SpProfile | None,
-    sp_c: SpProfile | None,
+    sp_w: SpParams | None,
+    sp_c: SpParams | None,
     wifi_index: int | None = None,
 ) -> GameOutcome:
     """Outcome labeled from the follower's best response, for at least one
@@ -236,8 +237,8 @@ def classify(
     bid_w: Bid | NoBid,
     user: UserProfile,
     model: DecisionModel,
-    sp_c: SpProfile | None,
-    sp_w: SpProfile | None,
+    sp_c: SpParams | None,
+    sp_w: SpParams | None,
     rng=None,
     wifi_index: int | None = None,
 ) -> GameOutcome:
@@ -271,7 +272,7 @@ def make_eut_bids(
 
 def _expand_in_force(
     bid: Bid,
-    sp: SpProfile,
+    sp: SpParams,
     link: LinkState,
     user: UserProfile,
     model: DecisionModel,
@@ -301,11 +302,10 @@ def resolve_user_game(
     expansion_enabled: bool = False,
     rng=None,
 ) -> GameOutcome:
-    """Resolve one user's game from precomputed marginal bids.
-
-    Split out from solve_game so a sweep can reuse the same bids across the
-    scenarios that share them.
-    """
+    """Resolve one user's game from make_eut_bids' marginal bids, which a
+    sweep reuses across the scenarios that share them: WiFi pre-selection,
+    optional expansion, withdrawal of bids that would be rejected, the
+    follower's best response, and classification."""
     cell_idx = None
     wifi_offers = []
     for i, sp in enumerate(sps):
@@ -327,30 +327,3 @@ def resolve_user_game(
             bid_w = _expand_in_force(bid_w, sp_w, links[wifi_idx], user, model)
 
     return classify(bid_c, bid_w, user, model, sp_c, sp_w, rng=rng, wifi_index=wifi_idx)
-
-
-def solve_game(
-    user: UserProfile,
-    sps: list[SpProfile],
-    links: list[LinkState],
-    model: DecisionModel,
-    expansion_enabled: bool = False,
-    rng=None,
-) -> GameOutcome:
-    """Full per-user pipeline: marginal bids from every covering leader,
-    WiFi pre-selection, optional expansion, withdrawal of bids that would be
-    rejected, the follower's best response, and classification.
-
-    Exactly one cellular SP is expected in sps; a missing one simply leaves
-    the cellular slot silent.
-    """
-    eut_bids = make_eut_bids(user, sps, links)
-    return resolve_user_game(
-        user,
-        sps,
-        links,
-        eut_bids,
-        model,
-        expansion_enabled=expansion_enabled,
-        rng=rng,
-    )

@@ -122,17 +122,17 @@ def select_wifi_sp(
 ) -> int | None:
     """The WiFi SP whose lone acceptance gives the highest perceived utility.
 
-    Entries without a real bid are skipped; ties go to the lowest SP id, so
+    Entries without a real bid are skipped; ties go to the lowest SP index, so
     the result does not depend on the order of offers.  An offer whose
     utility is -inf or NaN never wins.  Returns None when no real offer
     exists.
     """
-    best_id: int | None = None
+    best: int | None = None
     best_u = -float("inf")
-    for sp_id, bid in offers:
+    for index, bid in offers:
         if not isinstance(bid, Bid):
             continue
         u = user_benefit(bid.rate * weight(bid.guarantee, model), user) - bid.price
-        if u > best_u or (u == best_u and best_id is not None and sp_id < best_id):
-            best_id, best_u = sp_id, u
-    return best_id
+        if u > best_u or (u == best_u and best is not None and index < best):
+            best, best_u = index, u
+    return best

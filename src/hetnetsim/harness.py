@@ -28,14 +28,15 @@ import csv
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channel import USER_HEIGHT_M, LinkState, allocate_bw, hata_path_loss, link_state
 from .equilibrium import make_eut_bids, resolve_user_game
-from .model import Bid, GameOutcome, NoBid, SpKind, SpProfile, UserProfile
+from .model import Bid, GameOutcome, NoBid, SpKind, SpParams, SpProfile, UserParams, UserProfile
 from .prospect import FIXED_POINT, DecisionModel
 
 
@@ -43,61 +44,6 @@ class Scenario(enum.Enum):
     EUT = "EUT"
     PT = "PT"
     PT_EXPANSION = "PT_EXPANSION"
-
-
-@dataclass(frozen=True)
-class SpParams:
-    """Config-level parameters of one provider class."""
-
-    alpha: float
-    beta: float
-    cost_rate: float
-    cost_bw: float
-    bw_total: float
-    tx_power_dbm: float
-    g_ba: float = 0.9
-    frequency_mhz: float = 900.0
-    antenna_height_m: float = 30.0
-    coverage_snr_threshold_db: float = 0.0
-    coverage_radius: float | None = None
-
-
-@dataclass(frozen=True)
-class UserParams:
-    # delta is large enough that the doubling gap delta*(2^(1/theta)-1)*b_min^(1/theta)
-    # dominates the dearest feasible price, so lightly loaded users accept both
-    # offers under every decision model (keeps the low-load scenarios comparable).
-    delta: float = 350.0
-    theta: float = 2.0
-    b_min: float = 2.0
-
-
-DEFAULT_CELLULAR = SpParams(
-    alpha=0.6,
-    beta=1.3,
-    cost_rate=0.12,
-    cost_bw=1.0,
-    bw_total=20.0,
-    tx_power_dbm=43.0,
-    frequency_mhz=900.0,
-    antenna_height_m=30.0,
-)
-
-# 300 ft ~ 91.44 m small-cell radius; the per-AP budget is deliberately small
-# enough that guarantees cross the 1/e perception threshold, and the capacity
-# knee lands inside the swept load range (see the calibration notes in the
-# README).
-DEFAULT_WIFI = SpParams(
-    alpha=0.25,
-    beta=1.15,
-    cost_rate=0.08,
-    cost_bw=0.4,
-    bw_total=10.0,
-    tx_power_dbm=23.0,
-    frequency_mhz=2400.0,
-    antenna_height_m=6.0,
-    coverage_radius=91.44,
-)
 
 
 @dataclass(frozen=True)
@@ -117,9 +63,32 @@ class ScenarioConfig:
     prelec_alpha: float = 0.7
     noise_density_dbm_hz: float = -174.0
     activity_prob: float = 1.0
-    user: UserParams = field(default_factory=UserParams)
-    cellular: SpParams = field(default_factory=lambda: DEFAULT_CELLULAR)
-    wifi: SpParams = field(default_factory=lambda: DEFAULT_WIFI)
+    user: UserParams = UserParams()
+    cellular: SpParams = SpParams(
+        alpha=0.6,
+        beta=1.3,
+        cost_rate=0.12,
+        cost_bw=1.0,
+        bw_total=20.0,
+        tx_power_dbm=43.0,
+        frequency_mhz=900.0,
+        antenna_height_m=30.0,
+    )
+    # 300 ft ~ 91.44 m small-cell radius; the per-AP budget is deliberately
+    # small enough that guarantees cross the 1/e perception threshold, and the
+    # capacity knee lands inside the swept load range (see the calibration
+    # notes in the README).
+    wifi: SpParams = SpParams(
+        alpha=0.25,
+        beta=1.15,
+        cost_rate=0.08,
+        cost_bw=0.4,
+        bw_total=10.0,
+        tx_power_dbm=23.0,
+        frequency_mhz=2400.0,
+        antenna_height_m=6.0,
+        coverage_radius=91.44,
+    )
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
@@ -138,18 +107,14 @@ class ScenarioConfig:
             raise ValueError("activity_prob must lie in [0, 1]")
         if self.n_wifi < 0:
             raise ValueError(f"n_wifi must be nonnegative, got {self.n_wifi}")
-        # the checks the first trial would run (provider and user fields,
-        # the Hata frequency window and antenna heights), so a bad field
-        # fails here; section names the config key at fault
-        try:
-            for kind, params in ((SpKind.CELLULAR, self.cellular), (SpKind.WIFI, self.wifi)):
-                section = kind.value
-                SpProfile(kind=kind, **vars(params))
+        # the Hata frequency window and antenna heights, which the first trial
+        # would check, so a bad section fails here
+        for section in ("cellular", "wifi"):
+            params = getattr(self, section)
+            try:
                 hata_path_loss(params.frequency_mhz, 1.0, params.antenna_height_m, USER_HEIGHT_M)
-            section = "user"
-            UserProfile(self.user.delta, self.user.theta, self.user.b_min)
-        except ValueError as exc:
-            raise ValueError(f"{section}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{section}: {exc}") from None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -158,23 +123,56 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        data = dict(data)
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "sweep" in data:
-            data["sweep"] = tuple(int(n) for n in data["sweep"])
-        if "user" in data and isinstance(data["user"], dict):
-            data["user"] = UserParams(**data["user"])
-        for key in ("cellular", "wifi"):
-            if key in data and isinstance(data[key], dict):
-                data[key] = SpParams(**data[key])
-        return cls(**data)
+        return _from_json(cls, data)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _json_is(hint, value) -> bool:
+    """Whether a JSON value has the declared scalar type: a JSON integer is
+    a valid float, a bool is no number."""
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def _from_json(cls, data, section: str | None = None):
+    """cls built from a JSON object, every value checked against its field's
+    declared type: a dataclass field is a section, loaded the same way, and
+    a tuple field a JSON array.  A violation is a one-line error naming the
+    section and the key."""
+    where = f"{section}: " if section else ""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section or 'config'}: expected a JSON object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ValueError(f"{where}unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"{where}missing config keys: {missing}")
+    values = {}
+    for key, value in data.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = _from_json(hint, value, key)
+        elif typing.get_origin(hint) is tuple:
+            item = typing.get_args(hint)[0]
+            if not isinstance(value, (list, tuple)) or not all(_json_is(item, v) for v in value):
+                raise ValueError(f"{where}{key}: expected a list of {item.__name__}, got {value!r}")
+            value = tuple(value)
+        elif not _json_is(hint, value):
+            declared = cls.__dataclass_fields__[key].type
+            raise ValueError(f"{where}{key}: expected {declared}, got {value!r}")
+        values[key] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
 
 
 DEFAULT_CONFIG = ScenarioConfig()
@@ -217,7 +215,6 @@ class TrialStats:
     sum_user_utility: float = 0.0
     sum_accepted_bw: float = 0.0
     max_guarantee: float = 0.0
-    per_sp_accepted_bw: list[float] = field(default_factory=list)
 
     @property
     def association_rate(self) -> float:
@@ -231,30 +228,16 @@ class TrialStats:
 
 
 def build_sps(cfg: ScenarioConfig) -> list[SpProfile]:
-    """The cellular BS (id 0) plus n_wifi APs (ids 1..n) on a regular ring."""
+    """The cellular BS (index 0) plus n_wifi APs (indices 1..n) on a regular ring."""
     center = (cfg.area_side_m / 2.0, cfg.area_side_m / 2.0)
     # every SpParams field is a scalar, so its instance dict is a complete
     # shallow copy; asdict would deep-copy it recursively
-    sps = [
-        SpProfile(
-            kind=SpKind.CELLULAR,
-            position=center,
-            sp_id=0,
-            **vars(cfg.cellular),
-        )
-    ]
+    sps = [SpProfile(kind=SpKind.CELLULAR, position=center, **vars(cfg.cellular))]
     ring = cfg.wifi_ring_fraction * cfg.area_side_m
     for k in range(cfg.n_wifi):
         angle = 2.0 * math.pi * k / cfg.n_wifi
         pos = (center[0] + ring * math.cos(angle), center[1] + ring * math.sin(angle))
-        sps.append(
-            SpProfile(
-                kind=SpKind.WIFI,
-                position=pos,
-                sp_id=k + 1,
-                **vars(cfg.wifi),
-            )
-        )
+        sps.append(SpProfile(kind=SpKind.WIFI, position=pos, **vars(cfg.wifi)))
     return sps
 
 
@@ -269,14 +252,9 @@ def generate_topology(
     n = cfg.n_users if n_users is None else n_users
     positions = rng.random((n, 2)) * cfg.area_side_m
     activity = rng.random(n) < cfg.activity_prob
+    params = vars(cfg.user)
     users = [
-        UserProfile(
-            delta=cfg.user.delta,
-            theta=cfg.user.theta,
-            b_min=cfg.user.b_min,
-            position=(float(x), float(y)),
-            active=bool(a),
-        )
+        UserProfile(position=(float(x), float(y)), active=bool(a), **params)
         for (x, y), a in zip(positions, activity, strict=True)
     ]
     return users, build_sps(cfg)
@@ -494,9 +472,7 @@ def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, TrialSt
     )
     out: dict[Scenario, TrialStats] = {}
     for scenario, outcomes in solved.outcomes.items():
-        stats = TrialStats(
-            n_users=n, max_guarantee=max_guarantee, per_sp_accepted_bw=[0.0] * len(solved.sps)
-        )
+        stats = TrialStats(n_users=n, max_guarantee=max_guarantee)
         for outcome in outcomes:
             p_c, p_w = outcome.strategy_draw
             if p_c or p_w:
@@ -506,10 +482,8 @@ def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, TrialSt
             bid_c, bid_w = outcome.bids
             if p_c and isinstance(bid_c, Bid):
                 stats.sum_accepted_bw += bid_c.bandwidth
-                stats.per_sp_accepted_bw[0] += bid_c.bandwidth
             if p_w and isinstance(bid_w, Bid):
                 stats.sum_accepted_bw += bid_w.bandwidth
-                stats.per_sp_accepted_bw[outcome.wifi_index] += bid_w.bandwidth
         out[scenario] = stats
     return out
 

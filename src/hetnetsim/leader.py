@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .channel import LinkState, guarantee_inverse_bw
-from .model import Bid, InfeasibleError, NoBid, SpProfile, sp_price
+from .model import Bid, InfeasibleError, NoBid, SpParams, sp_price
 from .prospect import FIXED_POINT, DecisionModel, weight_inverse
 
 GRID_POINTS = 1024
@@ -100,7 +100,7 @@ def _log_grid(lo: float, hi: float, num: int) -> np.ndarray:
 
 
 def optimize_bid(
-    sp: SpProfile,
+    sp: SpParams,
     link: LinkState,
     b_min: float,
     grid_points: int = GRID_POINTS,
@@ -214,7 +214,7 @@ def _expanded_bw(b: float, b_min: float, link: LinkState, model: DecisionModel) 
 
 
 def expansion_rebid(
-    sp: SpProfile,
+    sp: SpParams,
     link: LinkState,
     b_min: float,
     model: DecisionModel,

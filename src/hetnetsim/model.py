@@ -38,18 +38,19 @@ class NeClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class UserProfile:
-    """Payoff and demand parameters of one end user.
+class UserParams:
+    """Payoff and demand parameters shared by a class of end users.
 
     delta scales the benefit of data rate, theta > 1 controls its concavity,
     b_min is the minimum acceptable aggregate rate in Mbps.
     """
 
-    delta: float
-    theta: float
-    b_min: float
-    position: tuple[float, float] = (0.0, 0.0)
-    active: bool = True
+    # delta is large enough that the doubling gap delta*(2^(1/theta)-1)*b_min^(1/theta)
+    # dominates the dearest feasible price, so lightly loaded users accept both
+    # offers under every decision model (keeps the low-load scenarios comparable).
+    delta: float = 350.0
+    theta: float = 2.0
+    b_min: float = 2.0
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
@@ -60,9 +61,17 @@ class UserProfile:
             raise ValueError(f"b_min must be positive, got {self.b_min}")
 
 
+@dataclass(frozen=True, kw_only=True)
+class UserProfile(UserParams):
+    """One placed end user."""
+
+    position: tuple[float, float] = (0.0, 0.0)
+    active: bool = True
+
+
 @dataclass(frozen=True)
-class SpProfile:
-    """Pricing, cost, radio, and coverage parameters of one service provider.
+class SpParams:
+    """Pricing, cost, radio, and coverage parameters of a provider class.
 
     Pricing is convex in the advertised rate: price = alpha * b**beta with
     beta > 1.  Costs are linear: cost_rate per Mbps offered plus cost_bw per
@@ -70,7 +79,6 @@ class SpProfile:
     of the SNR threshold test (used for small-cell APs).
     """
 
-    kind: SpKind
     alpha: float
     beta: float
     cost_rate: float
@@ -78,12 +86,10 @@ class SpProfile:
     bw_total: float
     tx_power_dbm: float
     g_ba: float = 0.9
-    position: tuple[float, float] = (0.0, 0.0)
     frequency_mhz: float = 900.0
+    antenna_height_m: float = 30.0
     coverage_snr_threshold_db: float = 0.0
     coverage_radius: float | None = None
-    antenna_height_m: float = 30.0
-    sp_id: int = 0
 
     def __post_init__(self) -> None:
         if self.beta <= 1:
@@ -93,6 +99,14 @@ class SpProfile:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.g_ba <= 1:
             raise ValueError(f"g_ba must lie in (0, 1], got {self.g_ba}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SpProfile(SpParams):
+    """One placed service provider of the given kind."""
+
+    kind: SpKind
+    position: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -136,8 +150,6 @@ class NoBid:
     def to_dict(self) -> dict:
         return {"no_bid": True, "reason": self.reason}
 
-
-NO_BID = NoBid()
 
 # A strategy is the acceptance pair (p_c, p_w): cellular first, WiFi second.
 Strategy = tuple[int, int]
@@ -218,7 +230,7 @@ def user_utility(
     return user_benefit(b_joint, user) - paid
 
 
-def sp_price(b: float, sp: SpProfile) -> float:
+def sp_price(b: float, sp: SpParams) -> float:
     """Convex price alpha * b**beta charged for an advertised rate b >= 0."""
     if b < 0:
         raise ValueError(f"rate must be nonnegative, got {b}")
@@ -227,14 +239,14 @@ def sp_price(b: float, sp: SpProfile) -> float:
     return sp.alpha * b**sp.beta
 
 
-def sp_cost(b: float, bw: float, sp: SpProfile) -> float:
+def sp_cost(b: float, bw: float, sp: SpParams) -> float:
     """Linear provisioning cost cost_rate * b + cost_bw * bw."""
     if b < 0 or bw < 0:
         raise ValueError("rate and bandwidth must be nonnegative")
     return sp.cost_rate * b + sp.cost_bw * bw
 
 
-def sp_utility(accepted: bool, bid: Bid | NoBid, sp: SpProfile) -> float:
+def sp_utility(accepted: bool, bid: Bid | NoBid, sp: SpParams) -> float:
     """Provider payoff: price if accepted, minus provisioning cost.
 
     The cost is sunk once the bid is placed, so a rejected bid yields a

@@ -70,6 +70,29 @@ class TestSimulate:
         assert err.startswith("error: output directory")
         assert "/nonexistent-dir-xyz" in err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("user", 5, "user: expected a JSON object"),
+            ("sweep", [50.7], "sweep: expected a list of int"),
+            ("cellular", {"bogus": 1}, "cellular: unknown config keys"),
+        ],
+    )
+    def test_malformed_config_fails_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        def never(cfg):
+            raise AssertionError("the sweep ran on a malformed config")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
 
 class TestGame:
     @pytest.mark.parametrize("model", ["eut", "pt"])
@@ -98,6 +121,28 @@ class TestGame:
         )
         assert rc == 0
         json.loads(capsys.readouterr().out)
+
+    def test_expansion_needs_weighting_model(self, tiny_config, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a trial ran for a rejected flag pair")
+
+        monkeypatch.setattr(cli, "solve_trial", never)
+        rc = main(
+            [
+                "game",
+                "--config",
+                str(tiny_config),
+                "--user-index",
+                "0",
+                "--model",
+                "eut",
+                "--expand",
+            ]
+        )
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --expand requires --model pt\n"
 
     def test_out_of_range_index(self, tiny_config, capsys):
         rc = main(

@@ -21,7 +21,6 @@ from hetnetsim.equilibrium import (
     classify_pt,
     make_eut_bids,
     resolve_user_game,
-    solve_game,
 )
 from hetnetsim.follower import feasible_set, select_wifi_sp
 from hetnetsim.leader import optimize_bid
@@ -45,7 +44,7 @@ def make_user(delta, theta=2.0, b_min=2.0):
     return UserProfile(delta=delta, theta=theta, b_min=b_min)
 
 
-def make_sp(kind=SpKind.CELLULAR, alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.5, sp_id=0):
+def make_sp(kind=SpKind.CELLULAR, alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.5):
     return SpProfile(
         kind=kind,
         alpha=alpha,
@@ -54,7 +53,6 @@ def make_sp(kind=SpKind.CELLULAR, alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.
         cost_bw=cost_bw,
         bw_total=40.0,
         tx_power_dbm=40.0,
-        sp_id=sp_id,
     )
 
 
@@ -298,7 +296,7 @@ class TestClassify:
         # identical objective offers go to the symmetric classifier, distinct
         # ones to the asymmetric one, everything else to the best response
         user = make_user(3.0)
-        cell, wifi = make_sp(sp_id=0), make_sp(SpKind.WIFI, cost_rate=0.05, sp_id=1)
+        cell, wifi = make_sp(), make_sp(SpKind.WIFI, cost_rate=0.05)
         eut, pt = DecisionModel.eut(), DecisionModel.pt(0.7)
         same = floor_bid(user, 0.5, price=3.0)  # mixed region: the rng decides
         cheap = floor_bid(user, 0.5, price=1.5)
@@ -498,9 +496,16 @@ def reference_link(snr=10.0, bw_max=5.0, b_max=10.0):
     return LinkState(path_loss_db=0.0, mean_snr=snr, covered=True, bw_max=bw_max, b_max=b_max)
 
 
+def solve_game(user, sps, links, model, expansion_enabled=False):
+    """The full per-user pipeline as a trial runs it: every leader's marginal
+    bid, then the resolved game."""
+    bids = make_eut_bids(user, sps, links)
+    return resolve_user_game(user, sps, links, bids, model, expansion_enabled=expansion_enabled)
+
+
 class TestSolveGame:
     def two_sps(self):
-        return [make_sp(SpKind.CELLULAR, sp_id=0), make_sp(SpKind.WIFI, sp_id=1)]
+        return [make_sp(SpKind.CELLULAR), make_sp(SpKind.WIFI)]
 
     def test_no_covering_sp_rejects_with_zero_utilities(self):
         user = make_user(3.0)
@@ -530,9 +535,9 @@ class TestSolveGame:
         # AP that select_wifi_sp chose and charge each slot its own SP's cost
         user = make_user(3.0)
         sps = [
-            make_sp(SpKind.CELLULAR, cost_rate=0.3, cost_bw=0.9, sp_id=0),
-            make_sp(SpKind.WIFI, sp_id=1),
-            make_sp(SpKind.WIFI, cost_rate=0.05, cost_bw=0.2, sp_id=2),
+            make_sp(SpKind.CELLULAR, cost_rate=0.3, cost_bw=0.9),
+            make_sp(SpKind.WIFI),
+            make_sp(SpKind.WIFI, cost_rate=0.05, cost_bw=0.2),
         ]
         links = [reference_link()] * 3
         model = DecisionModel.eut()
@@ -568,7 +573,7 @@ class TestSolveGame:
 
     def test_asymmetric_configuration_labels_cheaper_side(self):
         user = make_user(4.0)
-        sps = [make_sp(SpKind.CELLULAR, alpha=1.0, sp_id=0), make_sp(SpKind.WIFI, alpha=0.5, sp_id=1)]
+        sps = [make_sp(SpKind.CELLULAR, alpha=1.0), make_sp(SpKind.WIFI, alpha=0.5)]
         links = [reference_link(), reference_link()]
         out = solve_game(user, sps, links, DecisionModel.eut())
         bids = make_eut_bids(user, sps, links)

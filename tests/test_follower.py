@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetnetsim import (
-    NO_BID,
     Bid,
     DecisionModel,
     NoBid,
@@ -161,7 +160,7 @@ def marginal_bid(rate: float, b_min: float, price: float) -> Bid:
 
 class TestPerceivedGuarantee:
     def test_silent_slot_is_zero(self):
-        assert perceived_guarantee(NO_BID, DecisionModel.pt(0.7)) == 0.0
+        assert perceived_guarantee(NoBid(), DecisionModel.pt(0.7)) == 0.0
 
     def test_weighting_applied(self):
         bid = Bid(rate=2.0, price=1.0, bandwidth=1.0, guarantee=0.8)
@@ -174,7 +173,7 @@ class TestPerceivedGuarantee:
 class TestFeasibleSet:
     def test_both_silent(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
-        assert feasible_set(NO_BID, NO_BID, user, DecisionModel.eut()) == {(0, 0)}
+        assert feasible_set(NoBid(), NoBid(), user, DecisionModel.eut()) == {(0, 0)}
 
     def test_floor_bids_under_objective_perception(self):
         # floor-tight offers keep every strategy rate-feasible; the price
@@ -197,19 +196,19 @@ class TestFeasibleSet:
         user = UserProfile(delta=50.0, theta=2.0, b_min=2.0)
         shy = Bid(rate=4.0, price=0.1, bandwidth=1.0, guarantee=0.5 * (1.0 - 1e-10))
         short = Bid(rate=4.0, price=0.1, bandwidth=1.0, guarantee=0.5 * (1.0 - 1e-6))
-        assert (0, 1) in feasible_set(NO_BID, shy, user, DecisionModel.eut())
-        assert (0, 1) not in feasible_set(NO_BID, short, user, DecisionModel.eut())
+        assert (0, 1) in feasible_set(NoBid(), shy, user, DecisionModel.eut())
+        assert (0, 1) not in feasible_set(NoBid(), short, user, DecisionModel.eut())
 
     def test_benefit_must_cover_price(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
         dear = Bid(rate=4.0, price=100.0, bandwidth=1.0, guarantee=0.9)
-        assert feasible_set(NO_BID, dear, user, DecisionModel.eut()) == {(0, 0)}
+        assert feasible_set(NoBid(), dear, user, DecisionModel.eut()) == {(0, 0)}
 
 
 class TestBestResponse:
     def test_both_silent(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
-        assert best_response(NO_BID, NO_BID, user, DecisionModel.eut()) == ((0, 0), 0.0)
+        assert best_response(NoBid(), NoBid(), user, DecisionModel.eut()) == ((0, 0), 0.0)
 
     def test_symmetric_floor_bids_multihome_when_gap_covers_price(self):
         user = UserProfile(delta=10.0, theta=2.0, b_min=2.0)
@@ -230,7 +229,7 @@ class TestBestResponse:
         # at utility exactly zero the outside option wins
         user = UserProfile(delta=1.0, theta=2.0, b_min=0.5)
         zero = Bid(rate=2.0, price=1.0, bandwidth=1.0, guarantee=0.5)
-        strategy, u = best_response(NO_BID, zero, user, DecisionModel.eut())
+        strategy, u = best_response(NoBid(), zero, user, DecisionModel.eut())
         assert strategy == (0, 0)
         assert u == 0.0
 
@@ -293,7 +292,7 @@ class TestSelectWifiSp:
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
         model = DecisionModel.eut()
         assert select_wifi_sp([], user, model) is None
-        assert select_wifi_sp([(1, NO_BID), (2, NoBid("x"))], user, model) is None
+        assert select_wifi_sp([(1, NoBid()), (2, NoBid("x"))], user, model) is None
 
     def test_identical_offers_tie_to_lowest_id(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
@@ -326,7 +325,7 @@ class TestSelectWifiSp:
             ([(1, ruinous), (2, undefined)], None),
             ([(1, ruinous), (2, undefined), (6, bid)], 6),
             ([(2, undefined), (7, bid), (1, ruinous), (6, bid)], 6),
-            ([(3, NO_BID), (1, NoBid("x"))], None),
+            ([(3, NoBid()), (1, NoBid("x"))], None),
         ):
             for order in (offers, offers[::-1]):
                 assert select_wifi_sp(order, user, model) == want
@@ -359,7 +358,7 @@ class TestFloorSlack:
         # powers of two is exact, so the product is b_min * (1 - shortfall)
         bid = Bid(rate=4.0, price=0.1, bandwidth=1.0, guarantee=0.5 * (1.0 - shortfall))
         assert bid.rate * bid.guarantee == self.user.b_min * (1.0 - shortfall)
-        return ((bid, NO_BID), (1, 0)) if slot == "cellular" else ((NO_BID, bid), (0, 1))
+        return ((bid, NoBid()), (1, 0)) if slot == "cellular" else ((NoBid(), bid), (0, 1))
 
     @pytest.mark.parametrize("slot", ["cellular", "wifi"])
     @pytest.mark.parametrize("shortfall, feasible", [(2e-9, False), (5e-10, True)])

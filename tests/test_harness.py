@@ -28,6 +28,7 @@ from hetnetsim.harness import (
     run_point,
     run_sweep,
     run_trial,
+    solve_trial,
 )
 from hetnetsim.model import SpKind
 
@@ -52,7 +53,6 @@ class TestTopology:
         assert sps[0].kind is SpKind.CELLULAR
         center = (DEFAULT_CONFIG.area_side_m / 2.0,) * 2
         assert sps[0].position == center
-        assert [sp.sp_id for sp in sps] == list(range(9))
         assert all(sp.kind is SpKind.WIFI for sp in sps[1:])
 
     def test_access_points_sit_on_a_disjoint_ring(self):
@@ -128,11 +128,18 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("n,trial", [(400, 0), (500, 1)])
     def test_budget_conservation(self, n, trial):
-        stats = run_trial(DEFAULT_CONFIG, n, trial)
-        sps = build_sps(DEFAULT_CONFIG)
-        for s in stats.values():
-            for sp, used in zip(sps, s.per_sp_accepted_bw):
-                assert used <= sp.g_ba * sp.bw_total + 1e-9
+        solved = solve_trial(DEFAULT_CONFIG, n, trial)
+        for scenario in Scenario:
+            used = [0.0] * len(solved.sps)
+            for outcome in solved[scenario]:
+                p_c, p_w = outcome.strategy_draw
+                bid_c, bid_w = outcome.bids
+                if p_c:
+                    used[0] += bid_c.bandwidth
+                if p_w:
+                    used[outcome.wifi_index] += bid_w.bandwidth
+            for sp, bw in zip(solved.sps, used, strict=True):
+                assert bw <= sp.g_ba * sp.bw_total + 1e-9
 
     def test_expansion_never_loses_users_to_plain_weighting(self):
         stats = run_trial(DEFAULT_CONFIG, 400, 0)
@@ -417,19 +424,64 @@ class TestScenarioConfig:
             ("wifi", "antenna_height_m", 0.0, "wifi: antenna heights"),
             ("user", "b_min", 0.0, "user: b_min"),
             (None, "n_wifi", -2, "n_wifi"),
+            # the declared field types: a section is an object, an int field
+            # takes no fraction, a float field no string or bool, and a
+            # section knows its keys
+            (None, "user", 5, "user: expected a JSON object"),
+            (None, "cellular", [1], "cellular: expected a JSON object"),
+            (None, "trials", 2.5, "trials: expected int"),
+            (None, "n_wifi", 2.5, "n_wifi: expected int"),
+            (None, "sweep", [50.7], "sweep: expected a list of int"),
+            (None, "sweep", [50.0], "sweep: expected a list of int"),
+            (None, "sweep", "abc", "sweep: expected a list of int"),
+            ("wifi", "tx_power_dbm", "23", "wifi: tx_power_dbm: expected float"),
+            ("wifi", "coverage_radius", "91", "wifi: coverage_radius: expected float | None"),
+            (None, "noise_density_dbm_hz", "x", "noise_density_dbm_hz: expected float"),
+            ("user", "delta", True, "user: delta: expected float"),
+            ("cellular", "bogus", 1, r"cellular: unknown config keys: \['bogus'\]"),
         ],
     )
     def test_invalid_field_rejected_at_load(self, section, key, value, message):
         # through the JSON path, before any trial runs
         payload = DEFAULT_CONFIG.to_dict()
         (payload[section] if section else payload)[key] = value
-        with pytest.raises(ValueError, match=message) as err:
+        with pytest.raises(ValueError, match=f"^{message}") as err:
             ScenarioConfig.from_dict(payload)
-        assert "\n" not in str(err.value)
+        text = str(err.value)
+        assert "\n" not in text
+        # the section and the key are named once
+        assert text.count(section or key) == 1
+
+    def test_partial_section_names_missing_keys(self):
+        payload = DEFAULT_CONFIG.to_dict()
+        del payload["wifi"]["alpha"]
+        with pytest.raises(ValueError, match=r"^wifi: missing config keys: \['alpha'\]$"):
+            ScenarioConfig.from_dict(payload)
+
+    def test_json_numbers_and_null_load_as_declared(self):
+        payload = DEFAULT_CONFIG.to_dict()
+        payload["area_side_m"] = 600
+        payload["cellular"]["tx_power_dbm"] = 43
+        payload["wifi"]["coverage_radius"] = None
+        payload["user"] = {"b_min": 2}
+        cfg = ScenarioConfig.from_dict(payload)
+        assert cfg.area_side_m == 600 and cfg.cellular.tx_power_dbm == 43
+        assert cfg.wifi.coverage_radius is None
+        assert cfg.user == DEFAULT_CONFIG.user
 
     def test_shipped_default_file_matches_builtin(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
         assert ScenarioConfig.from_json_file(path) == DEFAULT_CONFIG
+
+    def test_shipped_default_file_is_the_schema(self):
+        # every key written out, in declaration order, at its default
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+        shipped = json.loads(path.read_text(encoding="utf-8"))
+        schema = DEFAULT_CONFIG.to_dict()
+        assert shipped == schema
+        assert list(shipped) == list(schema)
+        for section in ("user", "cellular", "wifi"):
+            assert list(shipped[section]) == list(schema[section])
 
 
 class TestGoldenOutput:

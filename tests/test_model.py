@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hetnetsim import (
-    NO_BID,
     Bid,
     GameOutcome,
     NeClass,
@@ -90,15 +89,15 @@ class TestUserUtility:
     def test_wifi_only_hand_case(self):
         user = make_user(delta=1.0, theta=2.0, b_min=0.5)
         bid_w = Bid(rate=2.0, price=1.0, bandwidth=1.0, guarantee=0.5)
-        got = user_utility((0, 1), NO_BID, bid_w, user, 0.0, 0.5)
+        got = user_utility((0, 1), NoBid(), bid_w, user, 0.0, 0.5)
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_accepting_silent_slot_rejected(self):
         bid = Bid(rate=2.0, price=1.0, bandwidth=1.0, guarantee=0.5)
         with pytest.raises(ValueError):
-            user_utility((1, 0), NO_BID, bid, make_user(), 0.0, 0.5)
+            user_utility((1, 0), NoBid(), bid, make_user(), 0.0, 0.5)
         with pytest.raises(ValueError):
-            user_utility((0, 1), bid, NO_BID, make_user(), 0.5, 0.0)
+            user_utility((0, 1), bid, NoBid(), make_user(), 0.5, 0.0)
 
 
 class TestSpPrice:
@@ -152,7 +151,7 @@ class TestSpUtility:
         assert sp_utility(False, bid, make_sp()) < 0.0
 
     def test_no_bid_is_exactly_zero(self):
-        assert sp_utility(True, NO_BID, make_sp()) == 0.0
+        assert sp_utility(True, NoBid(), make_sp()) == 0.0
         assert sp_utility(False, NoBid("quiet"), make_sp()) == 0.0
 
     def test_accepted_arithmetic(self):
@@ -214,7 +213,7 @@ class TestValidation:
 
     def test_truthiness(self):
         assert Bid(rate=1.0, price=0.0, bandwidth=0.0, guarantee=0.5)
-        assert not NO_BID
+        assert not NoBid()
         assert not NoBid("reasoned")
 
 
