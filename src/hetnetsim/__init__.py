@@ -11,9 +11,6 @@ from .channel import (
 )
 from .equilibrium import (
     classify,
-    classify_eut_asymmetric,
-    classify_eut_symmetric,
-    classify_pt,
     make_eut_bids,
     resolve_user_game,
 )
@@ -76,9 +73,6 @@ __all__ = [
     "allocate_bw",
     "best_response",
     "classify",
-    "classify_eut_asymmetric",
-    "classify_eut_symmetric",
-    "classify_pt",
     "emit",
     "expand_bw_pt",
     "expansion_rebid",

@@ -21,6 +21,7 @@ from pathlib import Path
 from .channel import LinkState, guarantee_inverse_bw
 from .equilibrium import classify
 from .harness import DEFAULT_CONFIG, Scenario, ScenarioConfig, emit, run_sweep, solve_trial
+from .harness import _json_is
 from .model import Bid, NoBid, UserProfile, doubling_gap, user_benefit
 from .prospect import DecisionModel, weight, weight_inverse
 
@@ -82,12 +83,20 @@ def _checked(section: str, data, required: tuple[str, ...], optional: tuple[str,
     return data
 
 
+def _number(section: str, key: str, value):
+    """value, checked to be a JSON number as the config loader checks one."""
+    if not _json_is(float, value):
+        raise ValueError(f"{section}: {key}: expected float, got {value!r}")
+    return value
+
+
 def _build(section: str, cls, data, required: tuple[str, ...], defaults: dict):
-    """cls built from the checked section, every value taken as a float."""
+    """cls built from the checked section, every value a JSON number."""
     data = {**defaults, **_checked(section, data, required, tuple(defaults))}
+    values = {key: _number(section, key, value) for key, value in data.items()}
     try:
-        return cls(**{key: float(value) for key, value in data.items()})
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         raise ValueError(f"{section}: {exc}") from None
 
 
@@ -103,7 +112,7 @@ def _cmd_ne_classify(args: argparse.Namespace) -> int:
     user = _build("user", UserProfile, params["user"], _USER_KEYS, {})
     model_name = params.get("model", "eut")
     if model_name == "pt":
-        model = DecisionModel.pt(float(params.get("prelec_alpha", 0.7)))
+        model = DecisionModel.pt(_number("params", "prelec_alpha", params.get("prelec_alpha", 0.7)))
     elif model_name == "eut":
         model = DecisionModel.eut()
     else:

@@ -1,10 +1,11 @@
 """Game resolution: equilibrium classification and the per-user pipeline.
 
-Leaders commit to marginal bids, the follower best-responds, and classify
-(the one classifier dispatch, shared by the sweep, `game` and `ne-classify`)
-labels the outcome over the acceptance pair (p_c, p_w): Reject00 (also when
-no bid is in force), WifiOnly01, CellOnly10, Both11, or the symmetric mixed
-equilibrium Mixed0110.  NeClass.INFEASIBLE is never produced.
+Leaders commit to marginal bids, the follower best-responds, and classify,
+the one function that labels a game (shared by the sweep, `game` and
+`ne-classify`), labels the outcome over the acceptance pair (p_c, p_w):
+Reject00 (also when no bid is in force), WifiOnly01, CellOnly10, Both11,
+or the symmetric mixed equilibrium Mixed0110.  NeClass.INFEASIBLE is never
+produced.
 
 Leader payoffs are model.sp_utility, so a rejected bid strands its
 provisioning cost; a leader that anticipates rejection withdraws and earns
@@ -49,11 +50,6 @@ _LABEL_BY_STRATEGY: dict[Strategy, NeClass] = {
 }
 
 
-def _rejected(bids: tuple[Bid | NoBid, Bid | NoBid], wifi_index: int | None) -> GameOutcome:
-    """Reject00 with every payoff zero."""
-    return GameOutcome(NeClass.REJECT00, (0, 0), 0.0, 0.0, 0.0, bids, wifi_index)
-
-
 def bids_symmetric(bid_a: Bid | NoBid, bid_b: Bid | NoBid, rtol: float = SYMMETRY_RTOL) -> bool:
     """Whether the two slots carry the same offer, field by field."""
     if not (isinstance(bid_a, Bid) and isinstance(bid_b, Bid)):
@@ -69,166 +65,27 @@ def bids_symmetric(bid_a: Bid | NoBid, bid_b: Bid | NoBid, rtol: float = SYMMETR
     return True
 
 
-def classify_eut_symmetric(
-    bid: Bid,
-    user: UserProfile,
-    sp_w: SpParams,
-    sp_c: SpParams,
-    rng=None,
-    wifi_index: int | None = None,
-) -> GameOutcome:
-    """Outcome when both leaders place the identical marginal bid and the
-    follower weighs guarantees objectively.
-
-    sp_w and sp_c price the WiFi and cellular slots; wifi_index is recorded
-    on the outcome as given.
-
-    Three regions in the price p = bid.price:
-      * benefit of the rate floor below p       -> Reject00,
-      * doubling gap at the floor at least p    -> Both11,
-      * otherwise                               -> Mixed0110.
-
-    In the mixed region each leader bids with probability one half and a
-    lone offer is accepted; rng (anything with a .random() method) drives
-    the realization.  Without an rng the deterministic branch is the
-    follower's preferred tie order: the WiFi offer alone in force, accepted.
-    """
-    p = bid.price
-    h_floor = user_benefit(user.b_min, user)
-    if h_floor < p:
-        return _rejected((WITHDRAWN, WITHDRAWN), wifi_index)
-    if doubling_gap(user) >= p:
-        u = user_utility((1, 1), bid, bid, user, bid.guarantee, bid.guarantee)
-        return GameOutcome(
-            ne_class=NeClass.BOTH11,
-            strategy_draw=(1, 1),
-            u_user=u,
-            u_sp_w=sp_utility(True, bid, sp_w),
-            u_sp_c=sp_utility(True, bid, sp_c),
-            bids=(bid, bid),
-            wifi_index=wifi_index,
-        )
-
-    if rng is None:
-        c_in, w_in, coin = False, True, True
-    else:
-        c_in = rng.random() < 0.5
-        w_in = rng.random() < 0.5
-        coin = rng.random() < 0.5
-
-    bid_c: Bid | NoBid = bid if c_in else NoBid("mixed draw: silent")
-    bid_w: Bid | NoBid = bid if w_in else NoBid("mixed draw: silent")
-    if c_in and w_in:
-        strategy: Strategy = (0, 1) if coin else (1, 0)
-    elif w_in:
-        strategy = (0, 1)
-    elif c_in:
-        strategy = (1, 0)
-    else:
-        strategy = (0, 0)
-
-    u = user_utility(strategy, bid_c, bid_w, user, bid.guarantee, bid.guarantee)
-    return GameOutcome(
-        ne_class=NeClass.MIXED0110,
-        strategy_draw=strategy,
-        u_user=u,
-        u_sp_w=sp_utility(strategy[1] == 1, bid_w, sp_w),
-        u_sp_c=sp_utility(strategy[0] == 1, bid_c, sp_c),
-        bids=(bid_c, bid_w),
-        wifi_index=wifi_index,
-    )
-
-
-def classify_eut_asymmetric(
-    bid_w: Bid,
-    bid_c: Bid,
-    user: UserProfile,
-    sp_w: SpParams,
-    sp_c: SpParams,
-    wifi_index: int | None = None,
-) -> GameOutcome:
-    """Outcome for two distinct marginal bids under objective weighting.
-
-    With the cheaper offer's price p_lo and the dearer one's p_hi:
-      * benefit of the rate floor below p_lo    -> Reject00,
-      * doubling gap at the floor at least p_hi -> Both11,
-      * otherwise accept only the cheaper offer.
-
-    When the WiFi offer is not the cheaper one the roles are swapped
-    internally and the single-acceptance label comes out as CellOnly10.
-    """
-    wifi_cheaper = bid_w.price <= bid_c.price
-    cheap, dear = (bid_w, bid_c) if wifi_cheaper else (bid_c, bid_w)
-    sp_cheap, sp_dear = (sp_w, sp_c) if wifi_cheaper else (sp_c, sp_w)
-
-    h_floor = user_benefit(user.b_min, user)
-    if h_floor < cheap.price:
-        return _rejected((WITHDRAWN, WITHDRAWN), wifi_index)
-    if doubling_gap(user) >= dear.price:
-        u = user_utility((1, 1), bid_c, bid_w, user, bid_c.guarantee, bid_w.guarantee)
-        return GameOutcome(
-            ne_class=NeClass.BOTH11,
-            strategy_draw=(1, 1),
-            u_user=u,
-            u_sp_w=sp_utility(True, bid_w, sp_w),
-            u_sp_c=sp_utility(True, bid_c, sp_c),
-            bids=(bid_c, bid_w),
-            wifi_index=wifi_index,
-        )
-
-    u = user_benefit(cheap.rate * cheap.guarantee, user) - cheap.price
-    payoff_cheap = sp_utility(True, cheap, sp_cheap)
-    if wifi_cheaper:
-        return GameOutcome(
-            ne_class=NeClass.WIFI_ONLY01,
-            strategy_draw=(0, 1),
-            u_user=u,
-            u_sp_w=payoff_cheap,
-            u_sp_c=0.0,
-            bids=(WITHDRAWN, bid_w),
-            wifi_index=wifi_index,
-        )
-    return GameOutcome(
-        ne_class=NeClass.CELL_ONLY10,
-        strategy_draw=(1, 0),
-        u_user=u,
-        u_sp_w=0.0,
-        u_sp_c=payoff_cheap,
-        bids=(bid_c, WITHDRAWN),
-        wifi_index=wifi_index,
-    )
-
-
-def classify_pt(
-    bid_w: Bid | NoBid,
+def _outcome(
+    strategy: Strategy,
+    u: float,
     bid_c: Bid | NoBid,
-    user: UserProfile,
-    model: DecisionModel,
-    sp_w: SpParams | None,
+    bid_w: Bid | NoBid,
     sp_c: SpParams | None,
-    wifi_index: int | None = None,
+    sp_w: SpParams | None,
+    wifi_index: int | None,
+    label: NeClass | None = None,
 ) -> GameOutcome:
-    """Outcome labeled from the follower's best response, for at least one
-    bid in force (a silent slot's profile may be None).
-
-    For unexpanded marginal bids with both guarantees above 1/e the single
-    strategies are infeasible under weighted perception (the perceived lone
-    rate falls short of the floor), so only Reject00 and Both11 can appear;
-    expanded bids restore the single strategies, and the label follows
-    whatever the best response turns out to be.
-    """
-    strategy, u = best_response(bid_c, bid_w, user, model)
-    p_c, p_w = strategy
-    out_c = bid_c if (p_c and isinstance(bid_c, Bid)) else WITHDRAWN
-    out_w = bid_w if (p_w and isinstance(bid_w, Bid)) else WITHDRAWN
+    """The outcome with the given slots in force, each provider priced by
+    whether its slot is accepted, labeled by the strategy unless a label is
+    given."""
     return GameOutcome(
-        ne_class=_LABEL_BY_STRATEGY[strategy],
-        strategy_draw=strategy,
-        u_user=u,
-        u_sp_w=sp_utility(p_w == 1, out_w, sp_w),
-        u_sp_c=sp_utility(p_c == 1, out_c, sp_c),
-        bids=(out_c, out_w),
-        wifi_index=wifi_index,
+        label or _LABEL_BY_STRATEGY[strategy],
+        strategy,
+        u,
+        sp_utility(strategy[1] == 1, bid_w, sp_w),
+        sp_utility(strategy[0] == 1, bid_c, sp_c),
+        (bid_c, bid_w),
+        wifi_index,
     )
 
 
@@ -245,19 +102,57 @@ def classify(
     """Label one game from the bids in force and price it with each slot's
     provider profile (None only where the slot has no provider).
 
-    No bid in force is Reject00.  An objective user gets the symmetric
-    classifier for identical offers and the asymmetric one for two distinct
-    offers; weighted perception, or a lone offer under objective
-    perception, is labeled straight from the best response.  rng drives the
-    mixed realization of the symmetric case.
+    No bid in force is Reject00, with the slots as given.  Weighted
+    perception, or a lone offer, is labeled from the follower's best
+    response.  Two offers under objective perception fall in one of three
+    regions of the cheaper price p_lo and the dearer one p_hi:
+      * benefit of the rate floor below p_lo    -> Reject00,
+      * doubling gap at the floor at least p_hi -> Both11,
+      * otherwise the cheaper offer alone (WiFi on a price tie), or
+        Mixed0110 when the offers are the same (bids_symmetric; both slots
+        then carry the WiFi bid).
+    Outside the mixed equilibrium a slot that is not accepted is WITHDRAWN.
+
+    In the mixed region each leader bids with probability one half and a
+    lone offer is accepted; with both in force the follower flips a fair
+    coin, so the rejected bid strands its cost.  rng (anything with a
+    .random() method) drives the realization.  Without an rng the
+    deterministic branch is the follower's preferred tie order: the WiFi
+    offer alone in force, accepted.
     """
     if not (isinstance(bid_c, Bid) or isinstance(bid_w, Bid)):
-        return _rejected((bid_c, bid_w), wifi_index)
-    if not model.is_pt and bids_symmetric(bid_c, bid_w):
-        return classify_eut_symmetric(bid_w, user, sp_w, sp_c, rng=rng, wifi_index=wifi_index)
-    if not model.is_pt and isinstance(bid_c, Bid) and isinstance(bid_w, Bid):
-        return classify_eut_asymmetric(bid_w, bid_c, user, sp_w, sp_c, wifi_index=wifi_index)
-    return classify_pt(bid_w, bid_c, user, model, sp_w, sp_c, wifi_index=wifi_index)
+        return _outcome((0, 0), 0.0, bid_c, bid_w, sp_c, sp_w, wifi_index)
+    if model.is_pt or not (isinstance(bid_c, Bid) and isinstance(bid_w, Bid)):
+        strategy, u = best_response(bid_c, bid_w, user, model)
+    else:
+        symmetric = bids_symmetric(bid_c, bid_w)
+        if symmetric:
+            bid_c = bid_w
+        wifi_cheaper = bid_w.price <= bid_c.price
+        p_lo, p_hi = sorted((bid_w.price, bid_c.price))
+        if user_benefit(user.b_min, user) < p_lo:
+            strategy = (0, 0)
+        elif doubling_gap(user) >= p_hi:
+            strategy = (1, 1)
+        elif not symmetric:
+            strategy = (0, 1) if wifi_cheaper else (1, 0)
+        else:
+            if rng is None:
+                c_in, w_in, coin = False, True, True
+            else:
+                c_in = rng.random() < 0.5
+                w_in = rng.random() < 0.5
+                coin = rng.random() < 0.5
+            p_w = int(w_in and (coin or not c_in))
+            strategy = (int(c_in and not p_w), p_w)
+            u = user_utility(strategy, bid_c, bid_w, user, bid_w.guarantee, bid_w.guarantee)
+            silent = NoBid("mixed draw: silent")
+            out_c, out_w = bid_c if c_in else silent, bid_w if w_in else silent
+            return _outcome(strategy, u, out_c, out_w, sp_c, sp_w, wifi_index, NeClass.MIXED0110)
+        u = user_utility(strategy, bid_c, bid_w, user, bid_c.guarantee, bid_w.guarantee)
+    out_c = bid_c if strategy[0] else WITHDRAWN
+    out_w = bid_w if strategy[1] else WITHDRAWN
+    return _outcome(strategy, u, out_c, out_w, sp_c, sp_w, wifi_index)
 
 
 def make_eut_bids(

@@ -274,13 +274,7 @@ def build_links(
         for u, ref in zip(users, reference, strict=True):
             ln = link_state(u, sp, noise, bw_max=bw_each)
             if ln.covered and not ref.covered:
-                ln = LinkState(
-                    path_loss_db=ln.path_loss_db,
-                    mean_snr=ln.mean_snr,
-                    covered=False,
-                    bw_max=ln.bw_max,
-                    b_max=0.0,
-                )
+                ln = ln._replace(covered=False, b_max=0.0)
             final.append(ln)
         links_by_sp.append(final)
     if not links_by_sp:
@@ -346,13 +340,7 @@ def _pool_expansion_pass(
         for j in sanctioned:
             ln = row[j]
             if ln.covered and caps[j] > ln.bw_max:
-                row[j] = LinkState(
-                    path_loss_db=ln.path_loss_db,
-                    mean_snr=ln.mean_snr,
-                    covered=True,
-                    bw_max=caps[j],
-                    b_max=caps[j] * math.log2(1.0 + ln.mean_snr),
-                )
+                row[j] = ln._replace(bw_max=caps[j], b_max=caps[j] * math.log2(1.0 + ln.mean_snr))
                 changed = True
         return row, changed
 

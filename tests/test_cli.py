@@ -272,6 +272,35 @@ class TestNeClassify:
             ({"user": _GOOD_USER, "bid_w": {**_GOOD_BID, "cost": 1}}, "bid_w: unknown key 'cost'"),
             ({"user": _GOOD_USER, "bid_w": [3.0, 1.0, 0.9]}, "bid_w: expected a JSON object"),
             ({"user": _GOOD_USER, "bid_c": 0}, "bid_c: expected a JSON object"),
+            # values are JSON numbers, as in the config loader: no bool,
+            # string or null is coerced
+            ({"user": {**_GOOD_USER, "delta": True}}, "user: delta: expected float, got True"),
+            ({"user": {**_GOOD_USER, "theta": "2"}}, "user: theta: expected float, got '2'"),
+            ({"user": {**_GOOD_USER, "b_min": None}}, "user: b_min: expected float, got None"),
+            (
+                {"user": _GOOD_USER, "bid_c": {**_GOOD_BID, "rate": False}},
+                "bid_c: rate: expected float, got False",
+            ),
+            (
+                {"user": _GOOD_USER, "bid_w": {**_GOOD_BID, "price": "1.0"}},
+                "bid_w: price: expected float, got '1.0'",
+            ),
+            (
+                {"user": _GOOD_USER, "bid_w": {**_GOOD_BID, "bandwidth": None}},
+                "bid_w: bandwidth: expected float, got None",
+            ),
+            (
+                {"user": _GOOD_USER, "model": "pt", "prelec_alpha": True},
+                "params: prelec_alpha: expected float, got True",
+            ),
+            (
+                {"user": _GOOD_USER, "model": "pt", "prelec_alpha": "0.7"},
+                "params: prelec_alpha: expected float, got '0.7'",
+            ),
+            (
+                {"user": _GOOD_USER, "model": "pt", "prelec_alpha": None},
+                "params: prelec_alpha: expected float, got None",
+            ),
         ],
     )
     def test_bad_params_fail_with_one_line(self, tmp_path, capsys, payload, message):

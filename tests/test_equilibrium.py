@@ -1,14 +1,18 @@
 """Tests for outcome classification and the per-user game pipeline.
 
 The enumeration oracle below re-derives the follower's best response from
-scratch (own weighting, own floor check) so the analytic classifiers are
-validated against independent arithmetic.
+scratch (own weighting, own floor check) so the analytic classifier is
+validated against independent arithmetic.  The reference_* classifiers are
+the first-written per-case classifiers and their dispatch, kept verbatim as
+the oracle that classify is checked against field for field.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_link
 from hetnetsim.channel import LinkState
@@ -16,16 +20,14 @@ from hetnetsim.equilibrium import (
     WITHDRAWN,
     bids_symmetric,
     classify,
-    classify_eut_asymmetric,
-    classify_eut_symmetric,
-    classify_pt,
     make_eut_bids,
     resolve_user_game,
 )
-from hetnetsim.follower import feasible_set, select_wifi_sp
+from hetnetsim.follower import best_response, feasible_set, select_wifi_sp
 from hetnetsim.leader import optimize_bid
 from hetnetsim.model import (
     Bid,
+    GameOutcome,
     NeClass,
     NoBid,
     SpKind,
@@ -106,6 +108,123 @@ STRATEGY_LABEL = {
     (1, 1): NeClass.BOTH11,
 }
 
+def reference_rejected(bids, wifi_index):
+    return GameOutcome(NeClass.REJECT00, (0, 0), 0.0, 0.0, 0.0, bids, wifi_index)
+
+
+def reference_eut_symmetric(bid, user, sp_w, sp_c, rng=None, wifi_index=None):
+    """Identical offers, objective weighting: Reject00 below the floor
+    benefit, Both11 up to the doubling gap, Mixed0110 in between."""
+    p = bid.price
+    h_floor = user_benefit(user.b_min, user)
+    if h_floor < p:
+        return reference_rejected((WITHDRAWN, WITHDRAWN), wifi_index)
+    if doubling_gap(user) >= p:
+        u = user_utility((1, 1), bid, bid, user, bid.guarantee, bid.guarantee)
+        return GameOutcome(
+            NeClass.BOTH11,
+            (1, 1),
+            u,
+            sp_utility(True, bid, sp_w),
+            sp_utility(True, bid, sp_c),
+            (bid, bid),
+            wifi_index,
+        )
+
+    if rng is None:
+        c_in, w_in, coin = False, True, True
+    else:
+        c_in = rng.random() < 0.5
+        w_in = rng.random() < 0.5
+        coin = rng.random() < 0.5
+
+    bid_c = bid if c_in else NoBid("mixed draw: silent")
+    bid_w = bid if w_in else NoBid("mixed draw: silent")
+    if c_in and w_in:
+        strategy = (0, 1) if coin else (1, 0)
+    elif w_in:
+        strategy = (0, 1)
+    elif c_in:
+        strategy = (1, 0)
+    else:
+        strategy = (0, 0)
+
+    u = user_utility(strategy, bid_c, bid_w, user, bid.guarantee, bid.guarantee)
+    return GameOutcome(
+        NeClass.MIXED0110,
+        strategy,
+        u,
+        sp_utility(strategy[1] == 1, bid_w, sp_w),
+        sp_utility(strategy[0] == 1, bid_c, sp_c),
+        (bid_c, bid_w),
+        wifi_index,
+    )
+
+
+def reference_eut_asymmetric(bid_w, bid_c, user, sp_w, sp_c, wifi_index=None):
+    """Distinct offers, objective weighting: Reject00 below the cheaper
+    price, Both11 when the doubling gap covers the dearer one, otherwise the
+    cheaper offer alone."""
+    wifi_cheaper = bid_w.price <= bid_c.price
+    cheap, dear = (bid_w, bid_c) if wifi_cheaper else (bid_c, bid_w)
+    sp_cheap = sp_w if wifi_cheaper else sp_c
+
+    h_floor = user_benefit(user.b_min, user)
+    if h_floor < cheap.price:
+        return reference_rejected((WITHDRAWN, WITHDRAWN), wifi_index)
+    if doubling_gap(user) >= dear.price:
+        u = user_utility((1, 1), bid_c, bid_w, user, bid_c.guarantee, bid_w.guarantee)
+        return GameOutcome(
+            NeClass.BOTH11,
+            (1, 1),
+            u,
+            sp_utility(True, bid_w, sp_w),
+            sp_utility(True, bid_c, sp_c),
+            (bid_c, bid_w),
+            wifi_index,
+        )
+
+    u = user_benefit(cheap.rate * cheap.guarantee, user) - cheap.price
+    payoff_cheap = sp_utility(True, cheap, sp_cheap)
+    if wifi_cheaper:
+        return GameOutcome(
+            NeClass.WIFI_ONLY01, (0, 1), u, payoff_cheap, 0.0, (WITHDRAWN, bid_w), wifi_index
+        )
+    return GameOutcome(
+        NeClass.CELL_ONLY10, (1, 0), u, 0.0, payoff_cheap, (bid_c, WITHDRAWN), wifi_index
+    )
+
+
+def reference_pt(bid_w, bid_c, user, model, sp_w, sp_c, wifi_index=None):
+    """Label straight from the follower's best response."""
+    strategy, u = best_response(bid_c, bid_w, user, model)
+    p_c, p_w = strategy
+    out_c = bid_c if (p_c and isinstance(bid_c, Bid)) else WITHDRAWN
+    out_w = bid_w if (p_w and isinstance(bid_w, Bid)) else WITHDRAWN
+    return GameOutcome(
+        STRATEGY_LABEL[strategy],
+        strategy,
+        u,
+        sp_utility(p_w == 1, out_w, sp_w),
+        sp_utility(p_c == 1, out_c, sp_c),
+        (out_c, out_w),
+        wifi_index,
+    )
+
+
+def reference_classify(bid_c, bid_w, user, model, sp_c, sp_w, rng=None, wifi_index=None):
+    """The first-written dispatch over the three per-case classifiers."""
+    if not (isinstance(bid_c, Bid) or isinstance(bid_w, Bid)):
+        return reference_rejected((bid_c, bid_w), wifi_index)
+    if not model.is_pt and bids_symmetric(bid_c, bid_w):
+        return reference_eut_symmetric(bid_w, user, sp_w, sp_c, rng=rng, wifi_index=wifi_index)
+    if not model.is_pt and isinstance(bid_c, Bid) and isinstance(bid_w, Bid):
+        return reference_eut_asymmetric(bid_w, bid_c, user, sp_w, sp_c, wifi_index=wifi_index)
+    return reference_pt(bid_w, bid_c, user, model, sp_w, sp_c, wifi_index=wifi_index)
+
+
+EUT = DecisionModel.eut()
+
 
 class StubRng:
     def __init__(self, values):
@@ -139,7 +258,8 @@ class TestClassifyEutSymmetric:
 
     def test_tiny_benefit_scale_rejects_both(self):
         user = make_user(1.0)
-        out = classify_eut_symmetric(floor_bid(user, 0.5, price=2.0), user, SP, SP)
+        bid = floor_bid(user, 0.5, price=2.0)
+        out = classify(bid, bid, user, EUT, SP, SP)
         assert out.ne_class is NeClass.REJECT00
         assert out.strategy_draw == (0, 0)
         assert out.u_user == 0.0 and out.u_sp_w == 0.0 and out.u_sp_c == 0.0
@@ -148,7 +268,7 @@ class TestClassifyEutSymmetric:
     def test_large_benefit_scale_accepts_both(self):
         user = make_user(10.0)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_eut_symmetric(bid, user, SP, SP)
+        out = classify(bid, bid, user, EUT, SP, SP)
         assert out.ne_class is NeClass.BOTH11
         assert out.strategy_draw == (1, 1)
         assert out.u_user == pytest.approx(10.0 * 2.0 - 4.0, rel=1e-9)
@@ -156,25 +276,28 @@ class TestClassifyEutSymmetric:
 
     def test_middle_region_is_mixed(self):
         user = make_user(3.0)
-        out = classify_eut_symmetric(floor_bid(user, 0.5, price=2.0), user, SP, SP)
+        bid = floor_bid(user, 0.5, price=2.0)
+        out = classify(bid, bid, user, EUT, SP, SP)
         assert out.ne_class is NeClass.MIXED0110
 
     def test_floor_benefit_boundary_not_rejected(self):
         user = make_user(1.0)
         p = user_benefit(user.b_min, user)
-        out = classify_eut_symmetric(floor_bid(user, 0.5, price=p), user, SP, SP)
+        bid = floor_bid(user, 0.5, price=p)
+        out = classify(bid, bid, user, EUT, SP, SP)
         assert out.ne_class is NeClass.MIXED0110
 
     def test_doubling_gap_boundary_accepts_both(self):
         user = make_user(3.0)
         p = doubling_gap(user)
-        out = classify_eut_symmetric(floor_bid(user, 0.5, price=p), user, SP, SP)
+        bid = floor_bid(user, 0.5, price=p)
+        out = classify(bid, bid, user, EUT, SP, SP)
         assert out.ne_class is NeClass.BOTH11
 
     def test_mixed_deterministic_branch_is_lone_wifi(self):
         user = make_user(3.0)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_eut_symmetric(bid, user, SP, SP)
+        out = classify(bid, bid, user, EUT, SP, SP)
         assert out.strategy_draw == (0, 1)
         assert isinstance(out.bids[0], NoBid)
         assert out.bids[1] is bid
@@ -184,9 +307,8 @@ class TestClassifyEutSymmetric:
 
     def test_mixed_draw_both_silent(self):
         user = make_user(3.0)
-        out = classify_eut_symmetric(
-            floor_bid(user, 0.5, price=2.0), user, SP, SP, rng=StubRng([0.9, 0.9, 0.9])
-        )
+        bid = floor_bid(user, 0.5, price=2.0)
+        out = classify(bid, bid, user, EUT, SP, SP, rng=StubRng([0.9, 0.9, 0.9]))
         assert out.strategy_draw == (0, 0)
         assert out.u_user == 0.0
         assert out.u_sp_w == 0.0 and out.u_sp_c == 0.0
@@ -194,7 +316,7 @@ class TestClassifyEutSymmetric:
     def test_mixed_draw_lone_cellular(self):
         user = make_user(3.0)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_eut_symmetric(bid, user, SP, SP, rng=StubRng([0.1, 0.9, 0.9]))
+        out = classify(bid, bid, user, EUT, SP, SP, rng=StubRng([0.1, 0.9, 0.9]))
         assert out.strategy_draw == (1, 0)
         assert out.u_sp_c == sp_utility(True, bid, SP)
         assert out.u_sp_w == 0.0
@@ -205,7 +327,7 @@ class TestClassifyEutSymmetric:
         user = make_user(3.0)
         sp = make_sp()
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_eut_symmetric(bid, user, sp, sp, rng=StubRng([0.1, 0.1, 0.1]))
+        out = classify(bid, bid, user, EUT, sp, sp, rng=StubRng([0.1, 0.1, 0.1]))
         assert out.strategy_draw == (0, 1)
         assert out.bids[0] is bid
         cost = sp_cost(bid.rate, bid.bandwidth, sp)
@@ -219,7 +341,7 @@ class TestClassifyEutSymmetric:
         counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0}
         n = 4000
         for _ in range(n):
-            out = classify_eut_symmetric(bid, user, SP, SP, rng=rng)
+            out = classify(bid, bid, user, EUT, SP, SP, rng=rng)
             counts[out.strategy_draw] += 1
         assert counts[(0, 0)] / n == pytest.approx(0.25, abs=0.03)
         assert counts[(0, 1)] / n == pytest.approx(0.375, abs=0.03)
@@ -231,7 +353,7 @@ class TestClassifyEutAsymmetric:
         user = make_user(3.0)
         bid_w = floor_bid(user, 0.5, price=1.5)
         bid_c = floor_bid(user, 0.4, price=2.5)
-        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
+        out = classify(bid_c, bid_w, user, EUT, SP, SP)
         assert out.ne_class is NeClass.WIFI_ONLY01
         assert out.strategy_draw == (0, 1)
         assert out.bids == (WITHDRAWN, bid_w)
@@ -242,7 +364,7 @@ class TestClassifyEutAsymmetric:
         user = make_user(3.0)
         bid_w = floor_bid(user, 0.5, price=2.5)
         bid_c = floor_bid(user, 0.4, price=1.5)
-        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
+        out = classify(bid_c, bid_w, user, EUT, SP, SP)
         assert out.ne_class is NeClass.CELL_ONLY10
         assert out.bids == (bid_c, WITHDRAWN)
         assert out.u_sp_w == 0.0
@@ -251,7 +373,7 @@ class TestClassifyEutAsymmetric:
         user = make_user(10.0)
         bid_w = floor_bid(user, 0.5, price=1.5)
         bid_c = floor_bid(user, 0.4, price=2.5)
-        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
+        out = classify(bid_c, bid_w, user, EUT, SP, SP)
         assert out.ne_class is NeClass.BOTH11
         assert out.u_user == pytest.approx(10.0 * 2.0 - 4.0, rel=1e-9)
 
@@ -259,7 +381,7 @@ class TestClassifyEutAsymmetric:
         user = make_user(0.5)
         bid_w = floor_bid(user, 0.5, price=1.5)
         bid_c = floor_bid(user, 0.4, price=2.5)
-        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
+        out = classify(bid_c, bid_w, user, EUT, SP, SP)
         assert out.ne_class is NeClass.REJECT00
         assert out.bids == (WITHDRAWN, WITHDRAWN)
 
@@ -270,14 +392,14 @@ class TestClassifyEutAsymmetric:
             h = user_benefit(user.b_min, user)
             bid_w = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
             bid_c = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
-            out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
+            out = classify(bid_c, bid_w, user, EUT, SP, SP)
             assert out.ne_class is not NeClass.MIXED0110
 
     def test_equal_prices_prefer_wifi(self):
         user = make_user(3.0)
         bid_w = floor_bid(user, 0.5, price=2.0)
         bid_c = floor_bid(user, 0.4, price=2.0)
-        out = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP)
+        out = classify(bid_c, bid_w, user, EUT, SP, SP)
         assert out.ne_class is NeClass.WIFI_ONLY01
 
 
@@ -292,27 +414,60 @@ class TestClassify:
         assert out.bids == (silent_c, silent_w)
         assert out.wifi_index == 4
 
-    def test_dispatch_matches_each_classifier(self):
-        # identical objective offers go to the symmetric classifier, distinct
-        # ones to the asymmetric one, everything else to the best response
-        user = make_user(3.0)
-        cell, wifi = make_sp(), make_sp(SpKind.WIFI, cost_rate=0.05)
-        eut, pt = DecisionModel.eut(), DecisionModel.pt(0.7)
-        same = floor_bid(user, 0.5, price=3.0)  # mixed region: the rng decides
-        cheap = floor_bid(user, 0.5, price=1.5)
-        dear = floor_bid(user, 0.4, price=2.5)
-        silent = NoBid("quiet")
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        assert classify(same, same, user, eut, cell, wifi, rng=rng_a, wifi_index=2) == (
-            classify_eut_symmetric(same, user, wifi, cell, rng=rng_b, wifi_index=2)
-        )
-        assert classify(dear, cheap, user, eut, cell, wifi) == (
-            classify_eut_asymmetric(cheap, dear, user, wifi, cell)
-        )
-        for bid_c, bid_w, model in ((dear, cheap, pt), (same, same, pt), (cheap, silent, eut)):
-            assert classify(bid_c, bid_w, user, model, cell, wifi) == (
-                classify_pt(bid_w, bid_c, user, model, wifi, cell)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        delta=st.floats(0.2, 20.0),
+        theta=st.floats(1.2, 4.0),
+        b_min=st.floats(0.5, 5.0),
+        alpha=st.none() | st.floats(0.3, 0.95),
+        pair=st.sampled_from(("identical", "near", "distinct", "silent_c", "silent_w", "silent")),
+        g_c=st.floats(0.05, 0.98),
+        g_w=st.floats(0.05, 0.98),
+        scale_c=st.floats(0.05, 2.0),
+        scale_w=st.floats(0.05, 2.0),
+        nudge=st.floats(1e-12, 4e-10) | st.floats(-4e-10, -1e-12),
+        seed=st.integers(0, 2**32 - 1),
+        wifi_index=st.none() | st.integers(0, 4),
+    )
+    def test_matches_reference_classifiers(
+        self, delta, theta, b_min, alpha, pair, g_c, g_w, scale_c, scale_w, nudge, seed, wifi_index
+    ):
+        # objective (alpha None) and weighted users; identical offers, offers
+        # equal only within SYMMETRY_RTOL, distinct offers and silent slots;
+        # prices span the three regions of the floor benefit
+        user = make_user(delta, theta, b_min)
+        model = EUT if alpha is None else DecisionModel.pt(alpha)
+        h = user_benefit(user.b_min, user)
+        bid_w = floor_bid(user, g_w, scale_w * h)
+        bid_c = floor_bid(user, g_c, scale_c * h)
+        if pair == "identical":
+            bid_c = bid_w
+        elif pair == "near":
+            bid_c = Bid(
+                rate=bid_w.rate * (1.0 + nudge),
+                price=bid_w.price * (1.0 - nudge),
+                bandwidth=bid_w.bandwidth,
+                guarantee=bid_w.guarantee,
             )
+            assert bid_c != bid_w and bids_symmetric(bid_c, bid_w)
+        if pair in ("silent_c", "silent"):
+            bid_c = NoBid("quiet cellular")
+        if pair in ("silent_w", "silent"):
+            bid_w = NoBid("quiet WiFi")
+        cell, wifi = make_sp(), make_sp(SpKind.WIFI, cost_rate=0.05)
+        # no rng, then eight pairs of identically seeded ones, so that every
+        # realization of the mixed draws comes up
+        pairs = [(None, None)] + [
+            (np.random.default_rng([seed, k]), np.random.default_rng([seed, k])) for k in range(8)
+        ]
+        for rng_a, rng_b in pairs:
+            got = classify(bid_c, bid_w, user, model, cell, wifi, rng=rng_a, wifi_index=wifi_index)
+            want = reference_classify(
+                bid_c, bid_w, user, model, cell, wifi, rng=rng_b, wifi_index=wifi_index
+            )
+            assert got == want
+            if rng_a is not None:  # the same number of draws
+                assert rng_a.random() == rng_b.random()
 
 
 class TestClassifyPt:
@@ -320,7 +475,7 @@ class TestClassifyPt:
         user = make_user(20.0)
         model = DecisionModel.pt(0.7)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_pt(bid, bid, user, model, SP, SP)
+        out = classify(bid, bid, user, model, SP, SP)
         assert out.ne_class is NeClass.BOTH11
         assert out.strategy_draw == (1, 1)
 
@@ -328,7 +483,7 @@ class TestClassifyPt:
         user = make_user(1.0)
         model = DecisionModel.pt(0.7)
         bid = floor_bid(user, 0.5, price=2.0)
-        out = classify_pt(bid, bid, user, model, SP, SP)
+        out = classify(bid, bid, user, model, SP, SP)
         assert out.ne_class is NeClass.REJECT00
         assert out.bids == (WITHDRAWN, WITHDRAWN)
 
@@ -337,7 +492,7 @@ class TestClassifyPt:
         for delta in np.linspace(0.2, 30.0, 40):
             user = make_user(float(delta))
             bid = floor_bid(user, 0.5, price=2.0)
-            out = classify_pt(bid, bid, user, model, SP, SP)
+            out = classify(bid, bid, user, model, SP, SP)
             assert out.ne_class in (NeClass.REJECT00, NeClass.BOTH11)
 
     def test_expanded_bids_restore_single_acceptance(self):
@@ -349,7 +504,7 @@ class TestClassifyPt:
         lam = weight_inverse(0.5, model)
         cheap = Bid(rate=user.b_min / 0.5, price=1.0, bandwidth=1.2, guarantee=lam)
         dear = Bid(rate=user.b_min / 0.5, price=3.5, bandwidth=1.2, guarantee=lam)
-        out = classify_pt(cheap, dear, user, model, SP, SP)
+        out = classify(dear, cheap, user, model, SP, SP)
         assert out.ne_class is NeClass.WIFI_ONLY01
 
     def test_overweighting_accepts_what_objective_view_rejects(self):
@@ -358,8 +513,8 @@ class TestClassifyPt:
         user = make_user(10.0)
         bid = Bid(rate=0.98 * user.b_min / 0.2, price=1.0, bandwidth=1.0, guarantee=0.2)
         silent = NoBid("quiet")
-        eut = classify_pt(bid, silent, user, DecisionModel.eut(), SP, SP)
-        pt = classify_pt(bid, silent, user, DecisionModel.pt(0.7), SP, SP)
+        eut = classify(silent, bid, user, DecisionModel.eut(), SP, SP)
+        pt = classify(silent, bid, user, DecisionModel.pt(0.7), SP, SP)
         assert eut.ne_class is NeClass.REJECT00
         assert pt.ne_class is NeClass.WIFI_ONLY01
 
@@ -377,7 +532,7 @@ class TestOracleAgreement:
             g = float(rng.uniform(0.05, 0.98))
             price = float(rng.uniform(0.05, 2.0)) * user_benefit(user.b_min, user)
             bid = floor_bid(user, g, price)
-            got = classify_eut_symmetric(bid, user, SP, SP).ne_class
+            got = classify(bid, bid, user, EUT, SP, SP).ne_class
             strategy, _ = oracle_strategy(bid, bid, user, model)
             if got is NeClass.MIXED0110:
                 assert strategy in ((0, 1), (1, 0))
@@ -396,7 +551,7 @@ class TestOracleAgreement:
             h = user_benefit(user.b_min, user)
             bid_w = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
             bid_c = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
-            got = classify_eut_asymmetric(bid_w, bid_c, user, SP, SP).ne_class
+            got = classify(bid_c, bid_w, user, EUT, SP, SP).ne_class
             strategy, _ = oracle_strategy(bid_c, bid_w, user, model)
             assert got is STRATEGY_LABEL[strategy]
 
@@ -465,12 +620,12 @@ class TestRegionNesting:
             g = float(rng.uniform(FIXED_POINT + 1e-3, 0.98))
             price = float(rng.uniform(0.05, 1.5)) * user_benefit(user.b_min, user)
             bid = floor_bid(user, g, price)
-            out = classify_pt(bid, bid, user, model, SP, SP)
+            out = classify(bid, bid, user, model, SP, SP)
             if out.ne_class is not NeClass.BOTH11:
                 continue
             hits += 1
             assert user_utility((1, 1), bid, bid, user, g, g) >= 0.0
-            assert classify_eut_symmetric(bid, user, SP, SP).ne_class is not NeClass.REJECT00
+            assert classify(bid, bid, user, EUT, SP, SP).ne_class is not NeClass.REJECT00
         assert hits >= 100
 
     def test_minimum_benefit_scale_ordering(self):
@@ -481,7 +636,7 @@ class TestRegionNesting:
 
         def pt_both(d):
             user = make_user(float(d), 2.0, b_min)
-            return classify_pt(bid, bid, user, model, SP, SP).ne_class is NeClass.BOTH11
+            return classify(bid, bid, user, model, SP, SP).ne_class is NeClass.BOTH11
 
         def eut_viable(d):
             user = make_user(float(d), 2.0, b_min)
@@ -523,7 +678,7 @@ class TestSolveGame:
         links = [reference_link(), reference_link()]
         out = solve_game(user, sps, links, DecisionModel.eut())
         bid = optimize_bid(sps[1], links[1], user.b_min)
-        direct = classify_eut_symmetric(bid, user, sps[1], sps[0])
+        direct = classify(bid, bid, user, EUT, sps[0], sps[1])
         assert out.ne_class is direct.ne_class
         assert out.strategy_draw == direct.strategy_draw
         assert out.u_user == pytest.approx(direct.u_user, rel=1e-12, abs=1e-12)
@@ -579,7 +734,7 @@ class TestSolveGame:
         bids = make_eut_bids(user, sps, links)
         assert bids[1].price < bids[0].price
         assert out.ne_class in (NeClass.WIFI_ONLY01, NeClass.BOTH11, NeClass.REJECT00)
-        direct = classify_eut_asymmetric(bids[1], bids[0], user, sp_w=sps[1], sp_c=sps[0])
+        direct = classify(bids[0], bids[1], user, EUT, sps[0], sps[1])
         assert out.ne_class is direct.ne_class
 
     def test_injected_triggered_bids_expand_to_retention(self):

@@ -30,7 +30,7 @@ from hetnetsim.harness import (
     run_trial,
     solve_trial,
 )
-from hetnetsim.model import SpKind
+from hetnetsim.model import NeClass, NoBid, SpKind, sp_utility
 
 TINY = replace(DEFAULT_CONFIG, sweep=(5, 10), trials=2, n_users=6)
 
@@ -141,6 +141,28 @@ class TestRunTrial:
             for sp, bw in zip(solved.sps, used, strict=True):
                 assert bw <= sp.g_ba * sp.bw_total + 1e-9
 
+    def test_colocated_ap_reaches_the_mixed_equilibrium(self):
+        # one AP of the cellular class on the BS site: each user's two links,
+        # and so its two committed bids, are identical, and an objective game
+        # between the floor benefit and the doubling gap is Mixed0110
+        cfg = replace(
+            DEFAULT_CONFIG, wifi=DEFAULT_CONFIG.cellular, n_wifi=1, wifi_ring_fraction=0.0
+        )
+        solved = solve_trial(cfg, 5, 0)
+        eut = solved[Scenario.EUT]
+        assert Counter(o.ne_class for o in eut) == {NeClass.BOTH11: 4, NeClass.MIXED0110: 1}
+        for bids, outcome in zip(solved.bids, eut, strict=True):
+            assert bids[0] == bids[1]
+            if outcome.ne_class is not NeClass.MIXED0110:
+                continue
+            # each slot holds the committed bid or a silent draw, and each
+            # provider is paid sp_utility of its drawn slot
+            p_c, p_w = outcome.strategy_draw
+            bid_c, bid_w = outcome.bids
+            assert all(b == bids[0] or isinstance(b, NoBid) for b in outcome.bids)
+            assert outcome.u_sp_c == sp_utility(p_c == 1, bid_c, solved.sps[0])
+            assert outcome.u_sp_w == sp_utility(p_w == 1, bid_w, solved.sps[1])
+
     def test_expansion_never_loses_users_to_plain_weighting(self):
         stats = run_trial(DEFAULT_CONFIG, 400, 0)
         assert stats[Scenario.PT_EXPANSION].n_associated >= stats[Scenario.PT].n_associated
@@ -195,8 +217,11 @@ class TestCallContract:
         # one WiFi pre-selection per game
         assert calls["resolve_user_game"] == len(Scenario) * n
         assert calls["select_wifi_sp"] == calls["resolve_user_game"]
-        assert calls["best_response"] > 0
-        assert calls["expand_bw_pt"] > 0
+        # the counts the default n=50 trial 0 made when they were pinned: a
+        # classifier change that reroutes games through the best response,
+        # or an expansion change, moves them
+        assert calls["best_response"] == 125
+        assert calls["expand_bw_pt"] == 75
         monkeypatch.undo()
         assert run_trial(DEFAULT_CONFIG, n, 0) == stats
 

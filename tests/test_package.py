@@ -1,10 +1,15 @@
 """The package's public surface: hetnetsim.__all__ names exactly what
-__init__ imports from the package's modules, and every name resolves."""
+__init__ imports from the package's modules, and every name resolves; and
+every module attribute the benchmark's tracer patches exists."""
 
 import ast
+import sys
 from pathlib import Path
 
 import hetnetsim
+from hetnetsim import Bid, cli, equilibrium, harness
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def imported_public_names() -> set[str]:
@@ -29,3 +34,17 @@ def test_every_exported_name_resolves():
 
 def test_trial_solver_and_classifier_are_exported():
     assert {"classify", "solve_trial"} <= set(hetnetsim.__all__)
+
+
+def test_benchmark_patch_targets_resolve():
+    # perfbench/spans.py wraps these (module, name) attributes for a traced
+    # run; a name a refactor drops would only fail there
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    targets = spans.Tracer(Bid).targets(harness, equilibrium, cli)
+    targets += spans.TrialTimer().targets(harness)
+    missing = [f"{m.__name__}.{name}" for m, name, _ in targets if not hasattr(m, name)]
+    assert targets and missing == []
