@@ -214,7 +214,6 @@ class TrialStats:
     sum_sp_utility: float = 0.0
     sum_user_utility: float = 0.0
     sum_accepted_bw: float = 0.0
-    max_guarantee: float = 0.0
 
     @property
     def association_rate(self) -> float:
@@ -321,89 +320,69 @@ def _pool_expansion_pass(
     cell_idx = next((i for i, sp in enumerate(sps) if sp.kind is SpKind.CELLULAR), None)
     pools = [sp.g_ba * sp.bw_total for sp in sps]
 
-    def slots(outcome) -> list[tuple[int, bool]]:
-        p_c, p_w = outcome.strategy_draw
-        pairs = []
-        if cell_idx is not None:
-            pairs.append((cell_idx, bool(p_c)))
-        if outcome.wifi_index is not None:
-            pairs.append((outcome.wifi_index, bool(p_w)))
-        return pairs
+    def slots(i: int, outcome) -> tuple[set[int], set[int]]:
+        """User i's accepted slots, and its triggered ones: the slots whose
+        committed bid guarantees more than the weighting fixed point."""
+        accepted, triggered = set(), set()
+        for j, p in zip((cell_idx, outcome.wifi_index), outcome.strategy_draw):
+            if j is None:
+                continue
+            if p:
+                accepted.add(j)
+            bid = all_bids[i][j]
+            if isinstance(bid, Bid) and bid.guarantee > FIXED_POINT:
+                triggered.add(j)
+        return accepted, triggered
 
-    def triggered(i: int, j: int) -> bool:
-        bid = all_bids[i][j]
-        return isinstance(bid, Bid) and bid.guarantee > FIXED_POINT
+    def retry(i: int, widen: set[int], heads: list[int]):
+        """User i's game resolved again with each covered link in widen
+        widened to the share pools[j] / heads[j], or None when no link
+        widens.  Every slot in widen is counted in heads, so no share
+        divides by zero."""
+        row = None
+        for j in widen:
+            ln, share = links[i][j], pools[j] / heads[j]
+            if ln.covered and share > ln.bw_max:
+                row = row or list(links[i])
+                row[j] = ln._replace(bw_max=share, b_max=share * math.log2(1.0 + ln.mean_snr))
+        if row is None:
+            return None
+        return resolve_user_game(users[i], sps, row, all_bids[i], model, expansion_enabled=True)
 
-    def rescale(i: int, sanctioned: set[int], caps: list[float]):
-        row = list(links[i])
-        changed = False
-        for j in sanctioned:
-            ln = row[j]
-            if ln.covered and caps[j] > ln.bw_max:
-                row[j] = ln._replace(bw_max=caps[j], b_max=caps[j] * math.log2(1.0 + ln.mean_snr))
-                changed = True
-        return row, changed
-
-    def accepted_set(outcome) -> set[int]:
-        return {j for j, accepted in slots(outcome) if accepted}
-
+    # per user, the (accepted, triggered) slots of its current outcome;
+    # heads[j] counts the users who accept slot j or are triggered on it
+    pairs = [slots(i, outcome) for i, outcome in enumerate(outcomes)]
     served = [0] * len(sps)
-    candidates = [0] * len(sps)
-    sanctioned: list[set[int]] = [set() for _ in outcomes]
-    for i, outcome in enumerate(outcomes):
-        for j, accepted in slots(outcome):
-            if accepted:
-                served[j] += 1
-                sanctioned[i].add(j)
-            elif triggered(i, j):
-                candidates[j] += 1
-
-    def caps_for(counts: list[int]) -> list[float]:
-        return [
-            pools[j] / counts[j] if counts[j] else 0.0 for j in range(len(sps))
-        ]
-
-    # Rescue at the conservative share.  Only the failed slots are scaled,
-    # so already-accepted offers keep their first-pass pricing; a retry is
-    # adopted only when it strictly adds slots from the wanted set, which
-    # keeps the served head counts exact and monotone.
-    caps = caps_for([served[j] + candidates[j] for j in range(len(sps))])
-    result = list(outcomes)
-    for i, outcome in enumerate(outcomes):
-        wanted = {j for j, accepted in slots(outcome) if not accepted and triggered(i, j)}
-        if not wanted:
-            continue
-        row, changed = rescale(i, wanted, caps)
-        if not changed:
-            continue
-        retried = resolve_user_game(
-            users[i], sps, row, all_bids[i], model, expansion_enabled=True
-        )
-        gained = accepted_set(retried) - sanctioned[i]
-        if not gained or not gained <= wanted:
-            continue
-        if not sanctioned[i] <= accepted_set(retried):
-            continue
-        result[i] = retried
-        for j in gained:
+    heads = [0] * len(sps)
+    for accepted, triggered in pairs:
+        for j in accepted:
             served[j] += 1
-        sanctioned[i] |= gained
+        for j in accepted | triggered:
+            heads[j] += 1
+
+    # Rescue at the conservative share.  Only the failed slots are widened,
+    # so already-accepted offers keep their first-pass pricing; a retry is
+    # adopted only when it keeps every accepted slot and adds at least one,
+    # all of them wanted, which keeps the served head counts exact and
+    # monotone.
+    result = list(outcomes)
+    for i, (accepted, triggered) in enumerate(pairs):
+        wanted = triggered - accepted
+        retried = retry(i, wanted, heads)
+        if retried is None:
+            continue
+        now, now_triggered = slots(i, retried)
+        if accepted < now <= accepted | wanted:
+            result[i], pairs[i] = retried, (now, now_triggered)
+            for j in now - accepted:
+                served[j] += 1
 
     # Re-expand everything served at the final share.  Adopt the retry only
     # when the acceptance pattern is unchanged; otherwise the prior outcome
-    # stands, whose allocations were priced at caps no larger than these.
-    caps = caps_for(served)
-    for i, outcome in enumerate(result):
-        grown = {j for j in sanctioned[i] if triggered(i, j)}
-        if not grown:
-            continue
-        row, changed = rescale(i, grown, caps)
-        if not changed:
-            continue
-        retried = resolve_user_game(
-            users[i], sps, row, all_bids[i], model, expansion_enabled=True
-        )
-        if accepted_set(retried) == accepted_set(outcome):
+    # stands, whose allocations were priced at shares no larger than these.
+    for i, (accepted, triggered) in enumerate(pairs):
+        retried = retry(i, accepted & triggered, served)
+        if retried is not None and slots(i, retried)[0] == accepted:
             result[i] = retried
     return result
 
@@ -454,13 +433,9 @@ def solve_trial(cfg: ScenarioConfig, n: int, trial: int) -> TrialSolution:
 def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, TrialStats]:
     """Per-scenario tallies of solve_trial's outcomes."""
     solved = solve_trial(cfg, n, trial)
-    max_guarantee = max(
-        (bid.guarantee for per_user in solved.bids for bid in per_user if isinstance(bid, Bid)),
-        default=0.0,
-    )
     out: dict[Scenario, TrialStats] = {}
     for scenario, outcomes in solved.outcomes.items():
-        stats = TrialStats(n_users=n, max_guarantee=max_guarantee)
+        stats = TrialStats(n_users=n)
         for outcome in outcomes:
             p_c, p_w = outcome.strategy_draw
             if p_c or p_w:
@@ -476,9 +451,7 @@ def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, TrialSt
     return out
 
 
-def run_point(
-    cfg: ScenarioConfig, n: int
-) -> tuple[list[SweepRow], list[dict[Scenario, TrialStats]]]:
+def run_point(cfg: ScenarioConfig, n: int) -> list[SweepRow]:
     """Aggregate cfg.trials independent trials at load n into three rows."""
     trials = [run_trial(cfg, n, t) for t in range(cfg.trials)]
     rows = []
@@ -503,7 +476,7 @@ def run_point(
                 stderr_user=stderr_user,
             )
         )
-    return rows, trials
+    return rows
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
@@ -511,8 +484,7 @@ def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
     scenarios in EUT, PT, PT_EXPANSION order within each load."""
     rows: list[SweepRow] = []
     for n in cfg.sweep:
-        point_rows, _ = run_point(cfg, n)
-        rows.extend(point_rows)
+        rows.extend(run_point(cfg, n))
     return rows
 
 

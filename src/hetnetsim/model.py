@@ -125,9 +125,6 @@ class Bid:
         if not 0.0 <= self.guarantee <= 1.0:
             raise ValueError(f"guarantee must lie in [0, 1], got {self.guarantee}")
 
-    def __bool__(self) -> bool:
-        return True
-
     def to_dict(self) -> dict:
         return {
             "rate": self.rate,

@@ -1,8 +1,10 @@
 """The package's public surface: hetnetsim.__all__ names exactly what
 __init__ imports from the package's modules, and every name resolves; and
-every module attribute the benchmark's tracer patches exists."""
+every module attribute the benchmark's tracer patches exists, with the
+arguments it reads at the positions it reads them from."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -48,3 +50,11 @@ def test_benchmark_patch_targets_resolve():
     targets += spans.TrialTimer().targets(harness)
     missing = [f"{m.__name__}.{name}" for m, name, _ in targets if not hasattr(m, name)]
     assert targets and missing == []
+    # the positions the wrappers read their arguments from: a reordering
+    # would only mislabel a traced run
+    def params(fn):
+        return tuple(inspect.signature(fn).parameters)
+
+    assert params(harness._pool_expansion_pass)[4:6] == ("outcomes", "model")
+    assert params(harness.resolve_user_game)[4:6] == ("model", "expansion_enabled")
+    assert params(harness.run_trial)[:2] == ("cfg", "n")
