@@ -112,7 +112,8 @@ def _cmd_ne_classify(args: argparse.Namespace) -> int:
     user = _build("user", UserProfile, params["user"], _USER_KEYS, {})
     model_name = params.get("model", "eut")
     if model_name == "pt":
-        model = DecisionModel.pt(_number("params", "prelec_alpha", params.get("prelec_alpha", 0.7)))
+        alpha = params.get("prelec_alpha", DEFAULT_CONFIG.prelec_alpha)
+        model = DecisionModel.pt(_number("params", "prelec_alpha", alpha))
     elif model_name == "eut":
         model = DecisionModel.eut()
     else:

@@ -50,7 +50,7 @@ _LABEL_BY_STRATEGY: dict[Strategy, NeClass] = {
 }
 
 
-def bids_symmetric(bid_a: Bid | NoBid, bid_b: Bid | NoBid, rtol: float = SYMMETRY_RTOL) -> bool:
+def bids_symmetric(bid_a: Bid | NoBid, bid_b: Bid | NoBid) -> bool:
     """Whether the two slots carry the same offer, field by field."""
     if not (isinstance(bid_a, Bid) and isinstance(bid_b, Bid)):
         return False
@@ -60,7 +60,7 @@ def bids_symmetric(bid_a: Bid | NoBid, bid_b: Bid | NoBid, rtol: float = SYMMETR
         (bid_a.bandwidth, bid_b.bandwidth),
         (bid_a.guarantee, bid_b.guarantee),
     ):
-        if abs(x - y) > rtol * max(abs(x), abs(y), 1e-300):
+        if abs(x - y) > SYMMETRY_RTOL * max(abs(x), abs(y), 1e-300):
             return False
     return True
 

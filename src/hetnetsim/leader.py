@@ -29,7 +29,10 @@ from .channel import LinkState, guarantee_inverse_bw
 from .model import Bid, InfeasibleError, NoBid, SpParams, sp_price
 from .prospect import FIXED_POINT, DecisionModel, weight_inverse
 
+# rate grid sizes of the bid search and of the rate-conceding rebid's scan,
+# and the rate width both searches refine their bracket to
 GRID_POINTS = 1024
+REBID_POINTS = 256
 RATE_TOL = 1e-9
 # multiplicative offset opening the interval at b_min, where the required
 # bandwidth diverges
@@ -87,8 +90,6 @@ def _log_grid(lo: float, hi: float, num: int) -> np.ndarray:
     are numpy's, not math.log10, which differs from it in the last bit on
     some inputs.  Every call returns a fresh array the caller may modify.
     """
-    if num < 2:
-        return np.geomspace(lo, hi, num)
     log_lo = np.log10(np.float64(lo))
     log_hi = np.log10(np.float64(hi))
     grid = _ladder(num) * ((log_hi - log_lo) / (num - 1))
@@ -99,13 +100,7 @@ def _log_grid(lo: float, hi: float, num: int) -> np.ndarray:
     return grid
 
 
-def optimize_bid(
-    sp: SpParams,
-    link: LinkState,
-    b_min: float,
-    grid_points: int = GRID_POINTS,
-    tol: float = RATE_TOL,
-) -> Bid | NoBid:
+def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     """Best marginal bid of one SP toward one user, or NoBid.
 
     NoBid is returned when the link is uncovered, when no rate in
@@ -129,7 +124,7 @@ def optimize_bid(
     # bw = grid / log2(1 + snr * log(grid / b_min)) and
     # profit = alpha * grid**beta - cost_rate * grid - cost_bw * bw,
     # evaluated in place in that operation order
-    grid = _log_grid(b_min * (1.0 + _LOW_EDGE), link.b_max, grid_points)
+    grid = _log_grid(b_min * (1.0 + _LOW_EDGE), link.b_max, GRID_POINTS)
     bw_grid = np.divide(grid, b_min)
     np.log(bw_grid, out=bw_grid)
     np.multiply(bw_grid, snr, out=bw_grid)
@@ -152,12 +147,12 @@ def optimize_bid(
     # golden-section refinement around the winning grid point; the -inf
     # penalty keeps the search on the feasible side of a budget corner
     lo = float(grid[best - 1] if best > 0 else grid[0])
-    hi = float(grid[best + 1] if best < grid_points - 1 else grid[-1])
+    hi = float(grid[best + 1] if best < GRID_POINTS - 1 else grid[-1])
     golden = _GOLDEN
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
+    while hi - lo > RATE_TOL:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - golden * (hi - lo)
@@ -195,31 +190,28 @@ def expand_bw_pt(bid: Bid, model: DecisionModel, link: LinkState) -> Bid | NoBid
     if bid.guarantee <= FIXED_POINT:
         return bid
     lam = weight_inverse(bid.guarantee, model)
-    if lam >= 1.0:
+    try:
+        new_bw = guarantee_inverse_bw(bid.rate, lam, link)
+    except InfeasibleError:
         return _UNEXPANDABLE
-    new_bw = guarantee_inverse_bw(bid.rate, lam, link)
     if new_bw > link.bw_max * (1.0 + _BUDGET_SLACK):
         return _BUDGET_EXHAUSTED
     return Bid(rate=bid.rate, price=bid.price, bandwidth=new_bw, guarantee=lam)
 
 
-def _expanded_bw(b: float, b_min: float, link: LinkState, model: DecisionModel) -> float:
+def _expanded_bw(b: float, b_min: float, snr: float, inv_alpha: float) -> float:
     """Bandwidth a floor-tight rate-b bid needs once expanded for a weighting
-    user, or inf when no finite bandwidth reaches the expansion target (for
-    small Prelec exponents the target rounds to 1 just above b_min)."""
-    try:
-        return guarantee_inverse_bw(b, weight_inverse(b_min / b, model), link)
-    except InfeasibleError:
-        return math.inf
+    user with Prelec exponent 1 / inv_alpha: guarantee_inverse_bw of
+    weight_inverse(b_min / b), in their operation order.  inf when no finite
+    bandwidth reaches the expansion target: a target that rounds to 1 (small
+    exponents just above b_min) or an SNR of 0 leaves no positive logarithm."""
+    target = math.exp(-((-math.log(b_min / b)) ** inv_alpha))
+    denom = math.log2(1.0 - snr * math.log(target))
+    return b / denom if denom > 0.0 else math.inf
 
 
 def expansion_rebid(
-    sp: SpParams,
-    link: LinkState,
-    b_min: float,
-    model: DecisionModel,
-    grid_points: int = 256,
-    tol: float = RATE_TOL,
+    sp: SpParams, link: LinkState, b_min: float, model: DecisionModel
 ) -> Bid | NoBid:
     """Highest-rate bid whose post-expansion bandwidth still fits the budget.
 
@@ -232,14 +224,13 @@ def expansion_rebid(
     expandable bids and spends the whole budget, matching what an
     unexpanded bid would have consumed.
 
-    The coarse scan evaluates the closed-form expanded bandwidth (the Prelec
-    inverse of the guarantee b_min / b, then the Rayleigh bandwidth inverse)
-    over the whole log-spaced rate grid as one array pass, in the scalar
-    path's operation order.  Array and scalar results agree to about 1e-12
-    relative, so a grid point whose array bandwidth lies within a relative
-    _GUARD_BAND of the budget is re-judged by the scalar formula; the
-    bracket is therefore the one a point-by-point scalar scan would pick.
-    The bisection and the final bid stay scalar.
+    _expanded_bw is the one scalar formula for the expanded bandwidth.  The
+    coarse scan evaluates it over the whole log-spaced rate grid as one
+    array pass, in the same operation order.  Array and scalar results
+    agree to about 1e-12 relative, so a grid point whose array bandwidth
+    lies within a relative _GUARD_BAND of the budget is re-judged by
+    _expanded_bw; the bracket is therefore the one a point-by-point scalar
+    scan would pick.  The bisection and the final bid call _expanded_bw.
 
     Returns NoBid when the link is down, no rate admits an expansion within
     budget, or the crossing bid loses money once the expanded bandwidth is
@@ -257,52 +248,41 @@ def expansion_rebid(
     if cap <= lo_edge:
         return _NO_HEADROOM
 
-    grid = _log_grid(lo_edge, cap, grid_points)
-    lam = np.exp(-((-np.log(b_min / grid)) ** (1.0 / model.prelec_alpha)))
+    inv_alpha = 1.0 / model.prelec_alpha
+    snr, bw_max = link.mean_snr, link.bw_max
+    grid = _log_grid(lo_edge, cap, REBID_POINTS)
+    lam = np.exp(-((-np.log(b_min / grid)) ** inv_alpha))
     with np.errstate(divide="ignore"):
-        bw_grid = grid / np.log2(1.0 - link.mean_snr * np.log(lam))
-    feasible = bw_grid <= link.bw_max
-    for k in np.flatnonzero(np.abs(bw_grid - link.bw_max) <= _GUARD_BAND * link.bw_max):
-        feasible[k] = _expanded_bw(float(grid[k]), b_min, link, model) <= link.bw_max
+        bw_grid = grid / np.log2(1.0 - snr * np.log(lam))
+    feasible = bw_grid <= bw_max
+    for k in np.flatnonzero(np.abs(bw_grid - bw_max) <= _GUARD_BAND * bw_max):
+        feasible[k] = _expanded_bw(float(grid[k]), b_min, snr, inv_alpha) <= bw_max
     feasible_at = np.flatnonzero(feasible)
     if not feasible_at.size:
         return _NO_EXPANDABLE_RATE
 
     j = int(feasible_at[-1])
     b_up = float(grid[j])
-    if j + 1 < grid_points:
-        # _expanded_bw(mid, ...) <= bw_max, inlined: mid > b_min keeps the
-        # guarantee inside (0, 1), and an unreachable target (one rounding
-        # to 1, or a logarithm that is not positive) is infeasible
-        inv_alpha = 1.0 / model.prelec_alpha
-        snr, bw_max = link.mean_snr, link.bw_max
+    if j + 1 < REBID_POINTS:
         lo, hi = b_up, float(grid[j + 1])
-        while hi - lo > tol:
+        while hi - lo > RATE_TOL:
             mid = 0.5 * (lo + hi)
-            target = math.exp(-((-math.log(b_min / mid)) ** inv_alpha))
-            if (
-                target < 1.0
-                and snr > 0.0
-                and (denom := math.log2(1.0 - snr * math.log(target))) > 0.0
-                and mid / denom <= bw_max
-            ):
+            if _expanded_bw(mid, b_min, snr, inv_alpha) <= bw_max:
                 lo = mid
             else:
                 hi = mid
         b_up = lo
 
-    # _expanded_bw(b_up, ...) with its expansion target kept: the crossing
-    # bid is then expanded as expand_bw_pt would expand the floor-tight bid
-    # at b_up, reusing the bandwidth instead of computing it again
-    guarantee = b_min / b_up
-    lam = weight_inverse(guarantee, model)
-    try:
-        bw = guarantee_inverse_bw(b_up, lam, link)
-    except InfeasibleError:
-        bw = math.inf
+    # b_up passed the budget test, so bw is finite and within bw_max and the
+    # expansion target weight_inverse(guarantee) lies below 1
+    bw = _expanded_bw(b_up, b_min, snr, inv_alpha)
     price = sp_price(b_up, sp)
     if price - sp.cost_rate * b_up - sp.cost_bw * bw < 0:
         return _UNPROFITABLE_EXPANSION
+    guarantee = b_min / b_up
+    # at the scan cap b_min / b_up can land on or just below the fixed point,
+    # where the bid needs no expansion: it stays floor-tight, as expand_bw_pt
+    # would leave it
     if guarantee <= FIXED_POINT:
         return Bid(
             rate=b_up,
@@ -310,8 +290,4 @@ def expansion_rebid(
             bandwidth=marginal_bw(b_up, b_min, link),
             guarantee=guarantee,
         )
-    if lam >= 1.0:
-        return _UNEXPANDABLE
-    if bw > link.bw_max * (1.0 + _BUDGET_SLACK):
-        return _BUDGET_EXHAUSTED
-    return Bid(rate=b_up, price=price, bandwidth=bw, guarantee=lam)
+    return Bid(rate=b_up, price=price, bandwidth=bw, guarantee=weight_inverse(guarantee, model))

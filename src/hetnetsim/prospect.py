@@ -39,7 +39,7 @@ class DecisionModel:
         return cls(kind=EUT)
 
     @classmethod
-    def pt(cls, alpha: float = 0.7) -> "DecisionModel":
+    def pt(cls, alpha: float) -> "DecisionModel":
         return cls(kind=PT, prelec_alpha=alpha)
 
     @property

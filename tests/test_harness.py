@@ -425,7 +425,9 @@ class TestCallContract:
 
         def counted(*args, **kwargs):
             calls[name] += 1
-            return original(*args, **kwargs)
+            out = original(*args, **kwargs)
+            calls[f"{name} Bid"] += isinstance(out, Bid)
+            return out
 
         monkeypatch.setattr(module, name, counted)
 
@@ -462,8 +464,14 @@ class TestCallContract:
         assert run_trial(DEFAULT_CONFIG, n, 0) == stats
 
     def test_rate_conceding_rebid_goes_through_equilibrium(self, monkeypatch):
+        # the expansion layer of the default n=500 trial 0 as it was pinned:
+        # calls to expand_bw_pt and to the rate-conceding rebid, and how
+        # many of each returned a Bid; a change to either moves them
         _, calls = self.spied_trial(monkeypatch, 500)
-        assert calls["expansion_rebid"] > 0
+        assert calls["expand_bw_pt"] == 348
+        assert calls["expand_bw_pt Bid"] == 179
+        assert calls["expansion_rebid"] == 169
+        assert calls["expansion_rebid Bid"] == 131
 
 
 class TestRecords:
