@@ -91,6 +91,8 @@ class ScenarioConfig:
     )
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_users < 1:
             raise ValueError("n_users must be at least 1")
         if self.trials < 1:

@@ -90,8 +90,8 @@ def _log_grid(lo: float, hi: float, num: int) -> np.ndarray:
     are numpy's, not math.log10, which differs from it in the last bit on
     some inputs.  Every call returns a fresh array the caller may modify.
     """
-    log_lo = np.log10(np.float64(lo))
-    log_hi = np.log10(np.float64(hi))
+    log_lo = np.log10(lo)
+    log_hi = np.log10(hi)
     grid = _ladder(num) * ((log_hi - log_lo) / (num - 1))
     grid += log_lo
     np.power(10.0, grid, out=grid)
@@ -114,12 +114,7 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     budget = link.bw_max * (1.0 + _BUDGET_SLACK)
     snr = link.mean_snr
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
-
-    def objective(b: float) -> float:
-        bw = b / math.log2(1.0 + snr * math.log(b / b_min))
-        if bw > budget:
-            return -math.inf
-        return alpha * b**beta - cost_rate * b - cost_bw * bw
+    log, log2 = math.log, math.log2
 
     # bw = grid / log2(1 + snr * log(grid / b_min)) and
     # profit = alpha * grid**beta - cost_rate * grid - cost_bw * bw,
@@ -144,23 +139,29 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     if not math.isfinite(best_profit):
         return _NO_FEASIBLE_RATE
 
-    # golden-section refinement around the winning grid point; the -inf
+    # golden-section refinement around the winning grid point of the profit
+    # alpha * b**beta - cost_rate * b - cost_bw * bw, inlined; the -inf
     # penalty keeps the search on the feasible side of a budget corner
     lo = float(grid[best - 1] if best > 0 else grid[0])
     hi = float(grid[best + 1] if best < GRID_POINTS - 1 else grid[-1])
     golden = _GOLDEN
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
+    bw = x1 / log2(1.0 + snr * log(x1 / b_min))
+    f1 = -math.inf if bw > budget else alpha * x1**beta - cost_rate * x1 - cost_bw * bw
+    bw = x2 / log2(1.0 + snr * log(x2 / b_min))
+    f2 = -math.inf if bw > budget else alpha * x2**beta - cost_rate * x2 - cost_bw * bw
     while hi - lo > RATE_TOL:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - golden * (hi - lo)
-            f1 = objective(x1)
+            bw = x1 / log2(1.0 + snr * log(x1 / b_min))
+            f1 = -math.inf if bw > budget else alpha * x1**beta - cost_rate * x1 - cost_bw * bw
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + golden * (hi - lo)
-            f2 = objective(x2)
+            bw = x2 / log2(1.0 + snr * log(x2 / b_min))
+            f2 = -math.inf if bw > budget else alpha * x2**beta - cost_rate * x2 - cost_bw * bw
 
     candidates = [(best_profit, float(grid[best])), (f1, x1), (f2, x2)]
     best_profit, b_star = max(candidates, key=lambda item: item[0])
@@ -225,12 +226,14 @@ def expansion_rebid(
     unexpanded bid would have consumed.
 
     _expanded_bw is the one scalar formula for the expanded bandwidth.  The
-    coarse scan evaluates it over the whole log-spaced rate grid as one
-    array pass, in the same operation order.  Array and scalar results
-    agree to about 1e-12 relative, so a grid point whose array bandwidth
-    lies within a relative _GUARD_BAND of the budget is re-judged by
-    _expanded_bw; the bracket is therefore the one a point-by-point scalar
-    scan would pick.  The bisection and the final bid call _expanded_bw.
+    coarse scan evaluates its denominator over the whole log-spaced rate
+    grid as one array pass, in the same operation order, and tests
+    grid <= bw_max * denom.  Array and scalar results agree to about 1e-12
+    relative, so a grid point within _GUARD_BAND * cap of that bound (a
+    band of about _GUARD_BAND or more relative to the budget) is re-judged
+    by _expanded_bw; the bracket is therefore the one a point-by-point
+    scalar scan would pick.  The bisection and the final bid call
+    _expanded_bw.
 
     Returns NoBid when the link is down, no rate admits an expansion within
     budget, or the crossing bid loses money once the expanded bandwidth is
@@ -252,10 +255,12 @@ def expansion_rebid(
     snr, bw_max = link.mean_snr, link.bw_max
     grid = _log_grid(lo_edge, cap, REBID_POINTS)
     lam = np.exp(-((-np.log(b_min / grid)) ** inv_alpha))
-    with np.errstate(divide="ignore"):
-        bw_grid = grid / np.log2(1.0 - snr * np.log(lam))
-    feasible = bw_grid <= bw_max
-    for k in np.flatnonzero(np.abs(bw_grid - bw_max) <= _GUARD_BAND * bw_max):
+    # the budget test grid / denom <= bw_max, multiplied out: a zero
+    # denominator (target rounding to 1) fails it with no division by zero
+    limit = np.log2(1.0 - snr * np.log(lam))
+    limit *= bw_max
+    feasible = grid <= limit
+    for k in np.flatnonzero(np.abs(limit - grid) <= _GUARD_BAND * cap):
         feasible[k] = _expanded_bw(float(grid[k]), b_min, snr, inv_alpha) <= bw_max
     feasible_at = np.flatnonzero(feasible)
     if not feasible_at.size:

@@ -252,7 +252,8 @@ def sp_utility(accepted: bool, bid: Bid | NoBid, sp: SpParams) -> float:
     if isinstance(bid, NoBid):
         return 0.0
     revenue = bid.price if accepted else 0.0
-    return revenue - sp_cost(bid.rate, bid.bandwidth, sp)
+    # sp_cost's arithmetic, without re-checking fields every Bid has checked
+    return revenue - (sp.cost_rate * bid.rate + sp.cost_bw * bid.bandwidth)
 
 
 def doubling_gap(user: UserProfile) -> float:

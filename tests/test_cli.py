@@ -76,6 +76,7 @@ class TestSimulate:
             ("user", 5, "user: expected a JSON object"),
             ("sweep", [50.7], "sweep: expected a list of int"),
             ("cellular", {"bogus": 1}, "cellular: unknown config keys"),
+            ("seed", -3, "seed must be nonnegative, got -3"),
         ],
     )
     def test_malformed_config_fails_before_the_sweep(
@@ -92,6 +93,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--seed", "-3"],
+        ["game", "--seed", "-3", "--user-index", "0", "--model", "eut"],
+    ],
+)
+def test_negative_seed_fails_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    def never(*args):
+        raise AssertionError("a trial ran with a negative seed")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "solve_trial", never)
+    out = ["--out", str(tmp_path / "o.csv")] if command[0] == "simulate" else []
+    assert main(command + out) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -3\n"
 
 
 class TestGame:

@@ -18,6 +18,7 @@ from conftest import make_link
 from hetnetsim.channel import LinkState
 from hetnetsim.equilibrium import (
     WITHDRAWN,
+    _expand_in_force,
     bids_symmetric,
     classify,
     make_eut_bids,
@@ -656,6 +657,88 @@ def solve_game(user, sps, links, model, expansion_enabled=False):
     bid, then the resolved game."""
     bids = make_eut_bids(user, sps, links)
     return resolve_user_game(user, sps, links, bids, model, expansion_enabled=expansion_enabled)
+
+
+def reference_resolve_user_game(
+    user, sps, links, eut_bids, model, expansion_enabled=False, rng=None
+):
+    """resolve_user_game with its provider scan as first written: one walk
+    over sps by kind, every WiFi slot offered to select_wifi_sp, and a fresh
+    NoBid for an empty slot."""
+    cell_idx = None
+    wifi_offers = []
+    for i, sp in enumerate(sps):
+        if sp.kind is SpKind.WIFI:
+            wifi_offers.append((i, eut_bids[i]))
+        elif cell_idx is None:
+            cell_idx = i
+    wifi_idx = select_wifi_sp(wifi_offers, user, model)
+
+    bid_c = eut_bids[cell_idx] if cell_idx is not None else NoBid("no cellular SP")
+    bid_w = eut_bids[wifi_idx] if wifi_idx is not None else NoBid("no WiFi offer")
+    sp_c = sps[cell_idx] if cell_idx is not None else None
+    sp_w = sps[wifi_idx] if wifi_idx is not None else None
+
+    if expansion_enabled and model.is_pt:
+        if isinstance(bid_c, Bid):
+            bid_c = _expand_in_force(bid_c, sp_c, links[cell_idx], user, model)
+        if isinstance(bid_w, Bid):
+            bid_w = _expand_in_force(bid_w, sp_w, links[wifi_idx], user, model)
+
+    return classify(bid_c, bid_w, user, model, sp_c, sp_w, rng=rng, wifi_index=wifi_idx)
+
+
+# one provider slot: its kind, its cost profile and its committed bid (a
+# floor bid, so PT can trigger expansion, or a NoBid)
+_SLOT = st.tuples(
+    st.sampled_from(list(SpKind)),
+    st.sampled_from([(0.1, 0.5), (0.3, 0.9), (0.05, 0.2)]),
+    st.none() | st.tuples(st.sampled_from([0.3, 0.5, 0.8, 0.95]), st.sampled_from([0.5, 3.0, 8.0])),
+)
+
+
+class TestProviderScan:
+    """resolve_user_game's provider scan against the reference walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        slots=st.lists(_SLOT, max_size=6),
+        delta=st.sampled_from([3.0, 6.0, 20.0]),
+        model=st.sampled_from([EUT, DecisionModel.pt(0.7)]),
+        expansion_enabled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_for_any_provider_order(
+        self, slots, delta, model, expansion_enabled, seed
+    ):
+        # lists of kinds in any order: no cellular SP, several (the first
+        # takes the cellular slot), no WiFi SP or no WiFi bid
+        user = make_user(delta)
+        sps = [
+            make_sp(kind, cost_rate=cost_rate, cost_bw=cost_bw)
+            for kind, (cost_rate, cost_bw), _ in slots
+        ]
+        bids = [
+            NoBid("silent") if offer is None else floor_bid(user, *offer)
+            for _, _, offer in slots
+        ]
+        links = [make_link(50.0, bw_max=10.0)] * len(slots)
+        got = resolve_user_game(
+            user, sps, links, bids, model, expansion_enabled, rng=np.random.default_rng(seed)
+        )
+        want = reference_resolve_user_game(
+            user, sps, links, bids, model, expansion_enabled, rng=np.random.default_rng(seed)
+        )
+        assert got == want
+
+    def test_first_cellular_sp_takes_the_slot(self):
+        user = make_user(20.0)
+        sps = [make_sp(SpKind.WIFI), make_sp(SpKind.CELLULAR), make_sp(SpKind.CELLULAR)]
+        bids = [NoBid("silent"), floor_bid(user, 0.5, 1.0), floor_bid(user, 0.5, 2.0)]
+        links = [reference_link()] * 3
+        out = resolve_user_game(user, sps, links, bids, EUT)
+        assert out.bids[0] is bids[1]
+        assert out == reference_resolve_user_game(user, sps, links, bids, EUT)
 
 
 class TestSolveGame:

@@ -692,6 +692,7 @@ class TestScenarioConfig:
             ("wifi", "antenna_height_m", 0.0, "wifi: antenna heights"),
             ("user", "b_min", 0.0, "user: b_min"),
             (None, "n_wifi", -2, "n_wifi"),
+            (None, "seed", -3, "seed must be nonnegative, got -3"),
             # the declared field types: a section is an object, an int field
             # takes no fraction, a float field no string or bool, and a
             # section knows its keys

@@ -1,14 +1,29 @@
 """Prelec probability weighting and its inverse."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hetnetsim import DecisionModel, weight, weight_inverse
 from hetnetsim.prospect import FIXED_POINT
 
 ALPHAS = [round(0.1 * k, 1) for k in range(1, 10)]
+
+# Relative tolerance of a Prelec round trip.  The inverse raises -ln w(p) to
+# the power 1/alpha, which multiplies its relative rounding error by up to
+# 1/alpha = 20, and the final exp turns the error of -ln p (up to ~708 for a
+# normal p) into a relative error of p: about 20 * 708 * 1.1e-16 = 1.6e-12.
+# A random probe over the domains below found 1.39e-12 (p = 2.1e-305,
+# alpha = 0.05).
+ROUND_TRIP_RTOL = 2e-12
+PRELEC_ALPHAS = st.floats(0.05, 0.95)
+# normal probabilities: a subnormal p carries too few significant bits for
+# a relative round trip
+NORMAL_P = st.floats(sys.float_info.min, 1.0, exclude_max=True)
 
 
 def bisect_weight_inverse(q: float, alpha: float) -> float:
@@ -119,6 +134,36 @@ class TestWeightInverse:
         model = DecisionModel.pt(0.5)
         with pytest.raises(ValueError):
             weight_inverse(-0.5, model)
+
+
+class TestPrelecRoundTrips:
+    @given(p=NORMAL_P, alpha=PRELEC_ALPHAS)
+    def test_inverse_undoes_weight(self, p, alpha):
+        model = DecisionModel.pt(alpha)
+        got = weight_inverse(weight(p, model), model)
+        assert abs(got - p) <= ROUND_TRIP_RTOL * p
+
+    @given(q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), alpha=PRELEC_ALPHAS)
+    def test_weight_undoes_inverse(self, q, alpha):
+        model = DecisionModel.pt(alpha)
+        p = weight_inverse(q, model)
+        # below, the pre-image underflows (test_extreme_tail_underflows_to_zero)
+        assume(p >= sys.float_info.min)
+        # Near 1 the weight is so steep for small alpha that adjacent doubles
+        # map far apart (alpha = 0.05: 1 and the double below it map to 1
+        # and 0.854), so q is pinned only between the weights of p's float
+        # neighbours, widened by the tolerance for the rounding of p and of
+        # weight itself.
+        below = weight(math.nextafter(p, 0.0), model)
+        above = weight(min(math.nextafter(p, 1.0), 1.0), model)
+        assert below * (1.0 - ROUND_TRIP_RTOL) <= q <= above * (1.0 + ROUND_TRIP_RTOL)
+
+    @given(alpha=PRELEC_ALPHAS)
+    def test_zero_one_and_fixed_point_map_exactly(self, alpha):
+        model = DecisionModel.pt(alpha)
+        for p in (0.0, 1.0, FIXED_POINT):
+            assert weight(p, model) == p
+            assert weight_inverse(p, model) == p
 
 
 class TestDecisionModel:
