@@ -45,9 +45,6 @@ _SILENT = NoBid("mixed draw: silent")
 _NO_CELLULAR_SP = NoBid("no cellular SP")
 _NO_WIFI_OFFER = NoBid("no WiFi offer")
 
-# the provider kinds, bound once: an enum member lookup costs about 0.15 us
-_CELLULAR, _WIFI = SpKind.CELLULAR, SpKind.WIFI
-
 _LABEL_BY_STRATEGY: dict[Strategy, NeClass] = {
     (0, 0): NeClass.REJECT00,
     (0, 1): NeClass.WIFI_ONLY01,
@@ -206,15 +203,16 @@ def resolve_user_game(
     sweep reuses across the scenarios that share them: WiFi pre-selection,
     optional expansion, withdrawal of bids that would be rejected, the
     follower's best response, and classification."""
-    # the first cellular SP (index 0 in a built topology), and the WiFi SPs
-    # that bid: select_wifi_sp skips a NoBid anyway
-    if sps and sps[0].kind is _CELLULAR:
-        cell_idx = 0
-    else:
-        cell_idx = next((i for i, sp in enumerate(sps) if sp.kind is _CELLULAR), None)
-    wifi_offers = [
-        (i, bid) for i, bid in enumerate(eut_bids) if isinstance(bid, Bid) and sps[i].kind is _WIFI
-    ]
+    cell_idx = None
+    wifi_offers = []
+    # looked up once: EnumType's __getattr__ hook makes each member lookup
+    # cost about 0.15 us, more than the rest of an iteration
+    wifi = SpKind.WIFI
+    for i, sp in enumerate(sps):
+        if sp.kind is wifi:
+            wifi_offers.append((i, eut_bids[i]))
+        elif cell_idx is None:
+            cell_idx = i
     wifi_idx = select_wifi_sp(wifi_offers, user, model)
 
     bid_c: Bid | NoBid = eut_bids[cell_idx] if cell_idx is not None else _NO_CELLULAR_SP

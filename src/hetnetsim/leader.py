@@ -114,7 +114,12 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     budget = link.bw_max * (1.0 + _BUDGET_SLACK)
     snr = link.mean_snr
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
-    log, log2 = math.log, math.log2
+
+    def objective(b: float) -> float:
+        bw = b / math.log2(1.0 + snr * math.log(b / b_min))
+        if bw > budget:
+            return -math.inf
+        return alpha * b**beta - cost_rate * b - cost_bw * bw
 
     # bw = grid / log2(1 + snr * log(grid / b_min)) and
     # profit = alpha * grid**beta - cost_rate * grid - cost_bw * bw,
@@ -139,29 +144,23 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     if not math.isfinite(best_profit):
         return _NO_FEASIBLE_RATE
 
-    # golden-section refinement around the winning grid point of the profit
-    # alpha * b**beta - cost_rate * b - cost_bw * bw, inlined; the -inf
+    # golden-section refinement around the winning grid point; the -inf
     # penalty keeps the search on the feasible side of a budget corner
     lo = float(grid[best - 1] if best > 0 else grid[0])
     hi = float(grid[best + 1] if best < GRID_POINTS - 1 else grid[-1])
     golden = _GOLDEN
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)
-    bw = x1 / log2(1.0 + snr * log(x1 / b_min))
-    f1 = -math.inf if bw > budget else alpha * x1**beta - cost_rate * x1 - cost_bw * bw
-    bw = x2 / log2(1.0 + snr * log(x2 / b_min))
-    f2 = -math.inf if bw > budget else alpha * x2**beta - cost_rate * x2 - cost_bw * bw
+    f1, f2 = objective(x1), objective(x2)
     while hi - lo > RATE_TOL:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - golden * (hi - lo)
-            bw = x1 / log2(1.0 + snr * log(x1 / b_min))
-            f1 = -math.inf if bw > budget else alpha * x1**beta - cost_rate * x1 - cost_bw * bw
+            f1 = objective(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + golden * (hi - lo)
-            bw = x2 / log2(1.0 + snr * log(x2 / b_min))
-            f2 = -math.inf if bw > budget else alpha * x2**beta - cost_rate * x2 - cost_bw * bw
+            f2 = objective(x2)
 
     candidates = [(best_profit, float(grid[best])), (f1, x1), (f2, x2)]
     best_profit, b_star = max(candidates, key=lambda item: item[0])

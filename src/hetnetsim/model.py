@@ -240,6 +240,11 @@ def sp_cost(b: float, bw: float, sp: SpParams) -> float:
     """Linear provisioning cost cost_rate * b + cost_bw * bw."""
     if b < 0 or bw < 0:
         raise ValueError("rate and bandwidth must be nonnegative")
+    return _cost(b, bw, sp)
+
+
+def _cost(b: float, bw: float, sp: SpParams) -> float:
+    """sp_cost without the sign check, for a Bid's already checked fields."""
     return sp.cost_rate * b + sp.cost_bw * bw
 
 
@@ -252,8 +257,7 @@ def sp_utility(accepted: bool, bid: Bid | NoBid, sp: SpParams) -> float:
     if isinstance(bid, NoBid):
         return 0.0
     revenue = bid.price if accepted else 0.0
-    # sp_cost's arithmetic, without re-checking fields every Bid has checked
-    return revenue - (sp.cost_rate * bid.rate + sp.cost_bw * bid.bandwidth)
+    return revenue - _cost(bid.rate, bid.bandwidth, sp)
 
 
 def doubling_gap(user: UserProfile) -> float:
