@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .model import InfeasibleError, SpProfile, UserProfile
+from .model import InfeasibleError, SpProfile, UserProfile, _new_record
 
 # Hata validity window.  The upper edge stretches to cover the 2.4 GHz ISM
 # band via COST-231, a documented approximation.
@@ -89,16 +89,15 @@ def hata_path_loss(freq_mhz: float, d_km: float, h_bs_m: float, h_ue_m: float) -
     return intercept + slope * math.log10(d_km)
 
 
-def allocate_bw(sp: SpProfile, flags: Iterable[tuple[bool, bool]]) -> float:
+def allocate_bw(sp: SpProfile, n_covered: int) -> float:
     """Per-user bandwidth budget: the discounted total g_ba * bw_total split
-    evenly over users that are both active and covered.
+    evenly over n_covered covered links (link_state covers active users only).
 
-    With no active covered user there is no contention and the full
-    discounted budget is reported; no bid will consume it in that case.
+    With no covered user there is no contention and the full discounted
+    budget is reported; no bid will consume it in that case.
     """
-    n = sum(1 for active, covered in flags if active and covered)
     budget = sp.g_ba * sp.bw_total
-    return budget if n == 0 else budget / n
+    return budget if n_covered == 0 else budget / n_covered
 
 
 def link_state(
@@ -136,8 +135,7 @@ def link_state(
         covered = False
 
     b_max = bw_max * math.log2(1.0 + mean_snr) if covered else 0.0
-    # positional: a keyword call costs about twice as much per record
-    return LinkState(loss_db, mean_snr, covered, bw_max, b_max)
+    return _new_record(LinkState, (loss_db, mean_snr, covered, bw_max, b_max))
 
 
 def service_guarantee(b: float, bw: float, link: LinkState) -> float:

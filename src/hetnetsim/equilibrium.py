@@ -30,6 +30,7 @@ from .model import (
     SpProfile,
     Strategy,
     UserProfile,
+    _new_record,
     doubling_gap,
     sp_utility,
     user_benefit,
@@ -81,15 +82,11 @@ def _outcome(
     """The outcome with the given slots in force, each provider priced by
     whether its slot is accepted, labeled by the strategy unless a label is
     given."""
-    return GameOutcome(
-        label or _LABEL_BY_STRATEGY[strategy],
-        strategy,
-        u,
-        sp_utility(strategy[1] == 1, bid_w, sp_w),
-        sp_utility(strategy[0] == 1, bid_c, sp_c),
-        (bid_c, bid_w),
-        wifi_index,
-    )
+    label = label or _LABEL_BY_STRATEGY[strategy]
+    u_sp_w = sp_utility(strategy[1] == 1, bid_w, sp_w)
+    u_sp_c = sp_utility(strategy[0] == 1, bid_c, sp_c)
+    bids = (bid_c, bid_w)
+    return _new_record(GameOutcome, (label, strategy, u, u_sp_w, u_sp_c, bids, wifi_index))
 
 
 def classify(

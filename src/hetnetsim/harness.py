@@ -135,11 +135,13 @@ class ScenarioConfig:
 
 def _json_is(hint, value) -> bool:
     """Whether a JSON value has the declared scalar type: a JSON integer is
-    a valid float, a bool is no number."""
+    a valid float, a bool is no number, and neither is a non-finite float
+    (Python's json reads NaN, Infinity and -Infinity)."""
     allowed = typing.get_args(hint) or (hint,)
     if float in allowed:
         allowed += (int,)
-    return isinstance(value, allowed) and not isinstance(value, bool)
+    ok = isinstance(value, allowed) and not isinstance(value, bool)
+    return ok and (not isinstance(value, float) or math.isfinite(value))
 
 
 def _from_json(cls, data, section: str | None = None):
@@ -255,8 +257,8 @@ def generate_topology(
     activity = rng.random(n) < cfg.activity_prob
     params = vars(cfg.user)
     users = [
-        UserProfile(position=(float(x), float(y)), active=bool(a), **params)
-        for (x, y), a in zip(positions, activity, strict=True)
+        UserProfile(position=(x, y), active=a, **params)
+        for (x, y), a in zip(positions.tolist(), activity.tolist(), strict=True)
     ]
     return users, build_sps(cfg)
 
@@ -269,8 +271,7 @@ def build_links(
     links_by_sp: list[list[LinkState]] = []
     for sp in sps:
         reference = [link_state(u, sp, noise) for u in users]
-        flags = [(u.active, ln.covered) for u, ln in zip(users, reference, strict=True)]
-        bw_each = allocate_bw(sp, flags)
+        bw_each = allocate_bw(sp, sum(ln.covered for ln in reference))
         final = []
         for u, ref in zip(users, reference, strict=True):
             ln = link_state(u, sp, noise, bw_max=bw_each)

@@ -200,22 +200,33 @@ def make_sp(**overrides) -> SpProfile:
 
 class TestAllocateBw:
     def test_even_split(self):
-        flags = [(True, True)] * 10
-        assert allocate_bw(make_sp(), flags) == pytest.approx(1.8)
+        assert allocate_bw(make_sp(), 10) == pytest.approx(1.8)
 
     def test_no_contention_full_budget(self):
-        assert allocate_bw(make_sp(), [(False, True), (True, False)]) == pytest.approx(
-            18.0
-        )
+        assert allocate_bw(make_sp(), 0) == pytest.approx(18.0)
 
-    def test_partial_activity(self):
-        flags = [(True, True)] * 7 + [(False, True)] * 2 + [(True, False)]
-        assert allocate_bw(make_sp(), flags) == pytest.approx(0.9 * 20.0 / 7)
+    def test_split_over_covered_links(self):
+        # 7 active users near the SP, 2 inactive ones beside them and 1 active
+        # user out of range: only the 7 are covered, so only they split the
+        # budget (an inactive user is never covered; see
+        # TestLinkState.test_inactive_user_is_never_covered)
+        sp = make_sp()
+        users = [
+            UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(50.0 + k, 0.0))
+            for k in range(7)
+        ]
+        users += [
+            UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(60.0, 0.0), active=False)
+        ] * 2
+        users.append(UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(1e6, 0.0)))
+        n_covered = sum(link_state(u, sp).covered for u in users)
+        assert n_covered == 7
+        assert allocate_bw(sp, n_covered) == pytest.approx(0.9 * 20.0 / 7)
 
     def test_total_handed_out_is_exact(self):
         sp = make_sp(g_ba=0.75, bw_total=12.0)
         for n in (1, 3, 7, 64):
-            per_user = allocate_bw(sp, [(True, True)] * n)
+            per_user = allocate_bw(sp, n)
             assert n * per_user == pytest.approx(0.75 * 12.0, rel=1e-12)
 
 
@@ -235,6 +246,30 @@ class TestLinkState:
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(100.0, 0.0), active=False)
         ln = link_state(user, make_sp())
         assert not ln.covered
+        assert ln.b_max == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.floats(-5e4, 5e4),
+        y=st.floats(-5e4, 5e4),
+        tx_power_dbm=st.floats(-50.0, 200.0),
+        threshold_db=st.floats(-200.0, 60.0),
+        radius=st.none() | st.floats(1e-3, 1e6),
+        bw_max=st.none() | st.floats(1e-6, 1e4),
+    )
+    def test_inactive_user_is_never_covered(
+        self, x, y, tx_power_dbm, threshold_db, radius, bw_max
+    ):
+        # build_links counts covered links as the active covered users;
+        # this is the invariant that count relies on
+        user = UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(x, y), active=False)
+        sp = make_sp(
+            tx_power_dbm=tx_power_dbm,
+            coverage_snr_threshold_db=threshold_db,
+            coverage_radius=radius,
+        )
+        ln = link_state(user, sp, bw_max=bw_max)
+        assert ln.covered is False
         assert ln.b_max == 0.0
 
     def test_wifi_radius_cap(self):

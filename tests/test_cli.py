@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -77,6 +78,14 @@ class TestSimulate:
             ("sweep", [50.7], "sweep: expected a list of int"),
             ("cellular", {"bogus": 1}, "cellular: unknown config keys"),
             ("seed", -3, "seed must be nonnegative, got -3"),
+            ("area_side_m", math.nan, "area_side_m: expected float, got nan"),
+            ("noise_density_dbm_hz", math.inf, "noise_density_dbm_hz: expected float, got inf"),
+            ("user", {"delta": math.inf}, "user: delta: expected float, got inf"),
+            (
+                "wifi",
+                {**asdict(DEFAULT_CONFIG.wifi), "coverage_radius": math.nan},
+                "wifi: coverage_radius: expected float | None, got nan",
+            ),
         ],
     )
     def test_malformed_config_fails_before_the_sweep(
@@ -319,6 +328,20 @@ class TestNeClassify:
             (
                 {"user": _GOOD_USER, "model": "pt", "prelec_alpha": None},
                 "params: prelec_alpha: expected float, got None",
+            ),
+            # nor a non-finite number, which Python's json reads
+            ({"user": {**_GOOD_USER, "delta": math.inf}}, "user: delta: expected float, got inf"),
+            (
+                {"user": _GOOD_USER, "bid_c": {**_GOOD_BID, "rate": math.nan}},
+                "bid_c: rate: expected float, got nan",
+            ),
+            (
+                {"user": _GOOD_USER, "bid_w": {**_GOOD_BID, "price": -math.inf}},
+                "bid_w: price: expected float, got -inf",
+            ),
+            (
+                {"user": _GOOD_USER, "model": "pt", "prelec_alpha": math.nan},
+                "params: prelec_alpha: expected float, got nan",
             ),
         ],
     )

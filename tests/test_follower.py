@@ -269,6 +269,15 @@ class TestBestResponse:
                 assert got[0] == want[0]
                 assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(bid_c=_BIDS, bid_w=_BIDS, user=_USERS, model=_MODELS)
+    def test_matches_the_enumerator(self, bid_c, bid_w, user, model):
+        got = best_response(bid_c, bid_w, user, model)
+        want = oracle_best_response(
+            bid_c, bid_w, user, model.prelec_alpha if model.is_pt else None
+        )
+        assert got[0] == want[0]
+        assert got[1] == pytest.approx(want[1], rel=1e-9, abs=0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(

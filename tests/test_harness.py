@@ -32,7 +32,16 @@ from hetnetsim.harness import (
     run_trial,
     solve_trial,
 )
-from hetnetsim.model import Bid, NeClass, NoBid, SpKind, SpProfile, UserProfile, sp_utility
+from hetnetsim.model import (
+    Bid,
+    GameOutcome,
+    NeClass,
+    NoBid,
+    SpKind,
+    SpProfile,
+    UserProfile,
+    sp_utility,
+)
 from hetnetsim.prospect import FIXED_POINT, DecisionModel
 
 TINY = replace(DEFAULT_CONFIG, sweep=(5, 10), trials=2, n_users=6)
@@ -474,6 +483,12 @@ class TestCallContract:
         assert calls["expansion_rebid Bid"] == 131
 
 
+def is_record(x, cls) -> bool:
+    """x is a cls with every field: the trial builds its records through
+    tuple.__new__, which does not check the field count."""
+    return type(x) is cls and len(x) == len(cls._fields)
+
+
 class TestRecords:
     """Links and outcomes as the trial builds them: LinkState rows from
     build_links and from the pool pass's widening, and outcomes that carry
@@ -484,7 +499,24 @@ class TestRecords:
         links = build_links(users, sps, DEFAULT_CONFIG)
         assert len(links) == len(users)
         assert all(len(row) == len(sps) for row in links)
-        assert all(type(ln) is LinkState for row in links for ln in row)
+        assert all(is_record(ln, LinkState) for row in links for ln in row)
+
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_trial_outcomes_are_game_outcomes(self, n, monkeypatch):
+        original_resolve = harness.resolve_user_game
+
+        def resolve(*args, **kwargs):
+            outcome = original_resolve(*args, **kwargs)
+            # checked as built, before the pool pass reads a field
+            assert is_record(outcome, GameOutcome)
+            return outcome
+
+        monkeypatch.setattr(harness, "resolve_user_game", resolve)
+        solved = solve_trial(DEFAULT_CONFIG, n, 0)
+        assert list(solved.outcomes) == list(Scenario)
+        for scenario in Scenario:
+            assert len(solved[scenario]) == n
+            assert all(is_record(o, GameOutcome) for o in solved[scenario])
 
     def test_pool_pass_widened_rows_are_link_states(self, monkeypatch):
         original_pass = harness._pool_expansion_pass
@@ -509,7 +541,7 @@ class TestRecords:
         run_trial(DEFAULT_CONFIG, 500, 0)
         assert retried
         for first, row in retried:
-            assert all(type(ln) is LinkState for ln in row)
+            assert all(is_record(ln, LinkState) for ln in row)
             widened = [(old, new) for old, new in zip(first, row, strict=True) if new != old]
             assert widened
             for old, new in widened:
@@ -707,6 +739,13 @@ class TestScenarioConfig:
             ("wifi", "coverage_radius", "91", "wifi: coverage_radius: expected float | None"),
             (None, "noise_density_dbm_hz", "x", "noise_density_dbm_hz: expected float"),
             ("user", "delta", True, "user: delta: expected float"),
+            # Python's json reads NaN and Infinity; a float field takes
+            # neither, and a nullable one takes null but not NaN
+            (None, "area_side_m", math.nan, "area_side_m: expected float, got nan"),
+            (None, "noise_density_dbm_hz", math.inf, "noise_density_dbm_hz: expected float"),
+            ("user", "delta", math.inf, "user: delta: expected float, got inf"),
+            ("cellular", "tx_power_dbm", -math.inf, "cellular: tx_power_dbm: expected float"),
+            ("wifi", "coverage_radius", math.nan, "wifi: coverage_radius: expected float | None"),
             ("cellular", "bogus", 1, r"cellular: unknown config keys: \['bogus'\]"),
         ],
     )
