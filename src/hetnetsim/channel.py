@@ -123,7 +123,7 @@ def link_state(
     dist_m = math.hypot(ux - sx, uy - sy)
     if dist_m < MIN_DISTANCE_M:
         dist_m = MIN_DISTANCE_M
-    intercept, slope = _hata_terms(sp.frequency_mhz, sp.antenna_height_m, USER_HEIGHT_M)
+    intercept, slope = sp.hata_terms
     loss_db = intercept + slope * math.log10(dist_m / 1000.0)
 
     noise_dbm = noise_density_dbm_hz + 10.0 * math.log10(bw_max * 1e6)

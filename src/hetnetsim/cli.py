@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -154,6 +155,9 @@ def _cmd_ne_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand_bw(args: argparse.Namespace) -> int:
+    for name in ("rate", "guarantee", "alpha", "mean_snr"):
+        if not math.isfinite(value := getattr(args, name)):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.rate <= 0:
         raise ValueError(f"rate must be positive, got {args.rate}")
     if not 0.0 < args.guarantee < 1.0:

@@ -37,6 +37,7 @@ import numpy as np
 from .channel import USER_HEIGHT_M, LinkState, allocate_bw, hata_path_loss, link_state
 from .equilibrium import make_eut_bids, resolve_user_game
 from .model import Bid, GameOutcome, NoBid, SpKind, SpParams, SpProfile, UserParams, UserProfile
+from .model import _check_finite
 from .prospect import FIXED_POINT, DecisionModel
 
 
@@ -91,6 +92,7 @@ class ScenarioConfig:
     )
 
     def __post_init__(self) -> None:
+        _check_finite(vars(self))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_users < 1:

@@ -40,9 +40,8 @@ _LOW_EDGE = 1e-6
 # relative slack when testing the bandwidth budget, to absorb roundoff at
 # corner solutions
 _BUDGET_SLACK = 1e-12
-# relative distance from the budget within which the array-evaluated rebid
-# scan defers to the scalar formula (array and scalar differ by ~1e-12)
-_GUARD_BAND = 1e-9
+# relative excess of the bandwidth floor over the budget that skips the bid grid
+_FLOOR_MARGIN = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # shared results of the fixed-reason exits (NoBid is frozen)
@@ -100,6 +99,18 @@ def _log_grid(lo: float, hi: float, num: int) -> np.ndarray:
     return grid
 
 
+def _bw_floor(b_min: float, snr: float) -> float:
+    """Least marginal_bw of any rate above b_min, at snr > 0: with y = 1 + snr * ln(b / b_min)
+    it is b_min * exp((y - 1) / snr) * ln 2 / ln y, which falls until y ln y = snr, then rises,
+    so ln y = W(snr) (Lambert W) there.  Newton steps fall to W from log1p(snr) >= W."""
+    w = math.log1p(snr)
+    for _ in range(64):
+        w -= (step := (w - snr * math.exp(-w)) / (w + 1.0))
+        if step <= 1e-15 * w:
+            break
+    return b_min * math.exp(math.expm1(w) / snr) * math.log(2.0) / w
+
+
 def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     """Best marginal bid of one SP toward one user, or NoBid.
 
@@ -112,19 +123,19 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
         return _NO_HEADROOM
 
     budget = link.bw_max * (1.0 + _BUDGET_SLACK)
-    snr = link.mean_snr
+    snr, b_max = link.mean_snr, link.b_max
+    # no grid when the rate cap overruns the budget and so does the floor; from
+    # snr = 1e-8 on, the grid's roundoff, eps / (snr * L), stays under the margin
+    if snr >= 1e-8 and b_max > budget * math.log2(1.0 + snr * math.log(b_max / b_min)) and (
+        _bw_floor(b_min, snr) > budget * (1.0 + _FLOOR_MARGIN)
+    ):
+        return _NO_FEASIBLE_RATE
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
-
-    def objective(b: float) -> float:
-        bw = b / math.log2(1.0 + snr * math.log(b / b_min))
-        if bw > budget:
-            return -math.inf
-        return alpha * b**beta - cost_rate * b - cost_bw * bw
 
     # bw = grid / log2(1 + snr * log(grid / b_min)) and
     # profit = alpha * grid**beta - cost_rate * grid - cost_bw * bw,
     # evaluated in place in that operation order
-    grid = _log_grid(b_min * (1.0 + _LOW_EDGE), link.b_max, GRID_POINTS)
+    grid = _log_grid(b_min * (1.0 + _LOW_EDGE), b_max, GRID_POINTS)
     bw_grid = np.divide(grid, b_min)
     np.log(bw_grid, out=bw_grid)
     np.multiply(bw_grid, snr, out=bw_grid)
@@ -145,25 +156,42 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
         return _NO_FEASIBLE_RATE
 
     # golden-section refinement around the winning grid point; the -inf
-    # penalty keeps the search on the feasible side of a budget corner
+    # penalty keeps the search on the feasible side of a budget corner.  Each
+    # pass prices the one inner point whose profit is missing (None): x1,
+    # then x2, then the point each step moves in.
     lo = float(grid[best - 1] if best > 0 else grid[0])
     hi = float(grid[best + 1] if best < GRID_POINTS - 1 else grid[-1])
-    golden = _GOLDEN
+    golden, log, log2, infeasible = _GOLDEN, math.log, math.log2, -math.inf
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > RATE_TOL:
+    f1 = f2 = None
+    while True:
+        x = x1 if f1 is None else x2
+        bw = x / log2(1.0 + snr * log(x / b_min))
+        f = infeasible if bw > budget else alpha * x**beta - cost_rate * x - cost_bw * bw
+        if f1 is None:
+            f1 = f
+            if f2 is None:
+                continue
+        else:
+            f2 = f
+        if hi - lo <= RATE_TOL:
+            break
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - golden * (hi - lo)
-            f1 = objective(x1)
+            f1 = None
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + golden * (hi - lo)
-            f2 = objective(x2)
+            f2 = None
 
-    candidates = [(best_profit, float(grid[best])), (f1, x1), (f2, x2)]
-    best_profit, b_star = max(candidates, key=lambda item: item[0])
+    # the first of the three best profits wins a tie, as max() would pick it
+    b_star = float(grid[best])
+    if f1 > best_profit:
+        best_profit, b_star = f1, x1
+    if f2 > best_profit:
+        best_profit, b_star = f2, x2
     if best_profit < 0:
         return _UNPROFITABLE
     return Bid(
@@ -210,6 +238,42 @@ def _expanded_bw(b: float, b_min: float, snr: float, inv_alpha: float) -> float:
     return b / denom if denom > 0.0 else math.inf
 
 
+def _last_feasible(
+    grid: np.ndarray, b_min: float, snr: float, inv_alpha: float, bw_max: float
+) -> int:
+    """Index of the last grid rate whose _expanded_bw fits bw_max, or -1.
+
+    A binary search finds the end of the prefix where "feasible, or still
+    falling" holds (see expansion_rebid).  It leaves out the lowest rates,
+    where the relative roundoff of _expanded_bw, about
+    eps * (1 + 1 / snr) / L**k, exceeds a thousandth of the relative step
+    k * dL / L to the next rate, so that the two can come out of order;
+    those are scanned top down when no higher rate fits."""
+    # the scanned rates have L**(k - 1) <= 1e3 * eps * (1 + 1 / snr) / (k * dL),
+    # where L = ln(grid[i] / b_min) grows by dL per index
+    first = float(grid[0])
+    dl = max(math.log(float(grid[-1]) / first) / (len(grid) - 1), 1e-300)
+    noise = 2.2e-13 * (1.0 + 1.0 / snr) if snr > 0.0 else math.inf
+    ln_l = min((math.log(noise) - math.log(inv_alpha * dl)) / (inv_alpha - 1.0), 1.0)
+    scanned = (math.exp(ln_l) - math.log(first / b_min)) / dl
+    lo = max(0, math.ceil(min(scanned, len(grid)))) - 1
+    scan, hi, j = lo, len(grid), -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        bw = _expanded_bw(float(grid[mid]), b_min, snr, inv_alpha)
+        if bw <= bw_max:
+            lo = j = mid
+        elif mid + 1 < len(grid) and bw > _expanded_bw(float(grid[mid + 1]), b_min, snr, inv_alpha):
+            lo, j = mid, -1
+        else:
+            hi = mid
+    while j < 0 <= scan:
+        if _expanded_bw(float(grid[scan]), b_min, snr, inv_alpha) <= bw_max:
+            j = scan
+        scan -= 1
+    return j
+
+
 def expansion_rebid(
     sp: SpParams, link: LinkState, b_min: float, model: DecisionModel
 ) -> Bid | NoBid:
@@ -218,21 +282,15 @@ def expansion_rebid(
     When the profit-optimal bid already exhausts the bandwidth budget,
     expanding it is impossible and the SP must concede some rate instead.
     Lowering the rate raises the guarantee, which raises the expansion
-    target, so the post-expansion bandwidth is not monotone in the rate; a
-    coarse scan brackets the highest feasible rate and a bisection pins the
-    budget crossing.  Bidding at the crossing maximizes revenue among
-    expandable bids and spends the whole budget, matching what an
-    unexpanded bid would have consumed.
-
-    _expanded_bw is the one scalar formula for the expanded bandwidth.  The
-    coarse scan evaluates its denominator over the whole log-spaced rate
-    grid as one array pass, in the same operation order, and tests
-    grid <= bw_max * denom.  Array and scalar results agree to about 1e-12
-    relative, so a grid point within _GUARD_BAND * cap of that bound (a
-    band of about _GUARD_BAND or more relative to the budget) is re-judged
-    by _expanded_bw; the bracket is therefore the one a point-by-point
-    scalar scan would pick.  The bisection and the final bid call
-    _expanded_bw.
+    target, so the post-expansion bandwidth E is not monotone in the rate.
+    With L = ln(b / b_min), k = 1 / alpha and h(x) = x / ((1 + x) ln(1 + x)),
+    which decreases, d ln E / dL = 1 - (k / L) * h(snr * L**k) rises with L:
+    E falls, then rises.  So over the log-spaced rate grid "feasible, or E
+    still falls" holds on a prefix ended by the last feasible index j, which
+    _last_feasible finds with _expanded_bw, the one scalar formula for E; a
+    bisection pins the budget crossing between grid[j] and grid[j + 1].
+    Bidding there maximizes revenue among expandable bids and spends the
+    whole budget, as an unexpanded bid would have.
 
     Returns NoBid when the link is down, no rate admits an expansion within
     budget, or the crossing bid loses money once the expanded bandwidth is
@@ -253,19 +311,10 @@ def expansion_rebid(
     inv_alpha = 1.0 / model.prelec_alpha
     snr, bw_max = link.mean_snr, link.bw_max
     grid = _log_grid(lo_edge, cap, REBID_POINTS)
-    lam = np.exp(-((-np.log(b_min / grid)) ** inv_alpha))
-    # the budget test grid / denom <= bw_max, multiplied out: a zero
-    # denominator (target rounding to 1) fails it with no division by zero
-    limit = np.log2(1.0 - snr * np.log(lam))
-    limit *= bw_max
-    feasible = grid <= limit
-    for k in np.flatnonzero(np.abs(limit - grid) <= _GUARD_BAND * cap):
-        feasible[k] = _expanded_bw(float(grid[k]), b_min, snr, inv_alpha) <= bw_max
-    feasible_at = np.flatnonzero(feasible)
-    if not feasible_at.size:
+    j = _last_feasible(grid, b_min, snr, inv_alpha, bw_max)
+    if j < 0:
         return _NO_EXPANDABLE_RATE
 
-    j = int(feasible_at[-1])
     b_up = float(grid[j])
     if j + 1 < REBID_POINTS:
         lo, hi = b_up, float(grid[j + 1])

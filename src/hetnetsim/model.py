@@ -13,6 +13,8 @@ positions in meters.  Currency units are abstract but consistent.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +25,15 @@ _new_record = tuple.__new__
 
 class InfeasibleError(ValueError):
     """Raised when a requested operating point cannot be met at any bandwidth."""
+
+
+def _check_finite(values: dict) -> None:
+    """Reject a NaN or an infinity in a dataclass's field values (its vars) or their tuple
+    items, naming the field."""
+    for name, value in values.items():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"{name} must be finite, got {item}")
 
 
 class SpKind(enum.Enum):
@@ -57,6 +68,9 @@ class UserParams:
     b_min: float = 2.0
 
     def __post_init__(self) -> None:
+        # built for every placed user: one sum is finite only if all three are
+        if not math.isfinite(self.delta + self.theta + self.b_min):
+            _check_finite(vars(self))
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.theta <= 1:
@@ -96,6 +110,7 @@ class SpParams:
     coverage_radius: float | None = None
 
     def __post_init__(self) -> None:
+        _check_finite(vars(self))
         if self.beta <= 1:
             raise ValueError(f"pricing exponent beta must exceed 1, got {self.beta}")
         for name in ("alpha", "cost_rate", "cost_bw", "bw_total", "frequency_mhz"):
@@ -111,6 +126,13 @@ class SpProfile(SpParams):
 
     kind: SpKind
     position: tuple[float, float] = (0.0, 0.0)
+
+    @functools.cached_property
+    def hata_terms(self) -> tuple[float, float]:
+        """channel._hata_terms toward a user terminal, cached by the first read that succeeds."""
+        from .channel import USER_HEIGHT_M, _hata_terms  # channel imports this module
+
+        return _hata_terms(self.frequency_mhz, self.antenna_height_m, USER_HEIGHT_M)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Propagation, coverage, budget split, and the fading guarantee model."""
 
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hetnetsim import (
     link_state,
     service_guarantee,
 )
+from hetnetsim import channel
 from hetnetsim.channel import MIN_DISTANCE_M, USER_HEIGHT_M, LinkState
 from conftest import make_link
 
@@ -357,6 +359,23 @@ class TestLinkState:
                 link_state(user, sp)
             with pytest.raises(ValueError, match=message):
                 link_state(user, sp, bw_max=1.0)
+
+
+class TestProfileHataTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(freq=st.floats(150.0, 2500.0), height=st.floats(0.5, 200.0))
+    def test_match_the_scalar_terms(self, freq, height):
+        sp = make_sp(frequency_mhz=freq, antenna_height_m=height)
+        assert sp.hata_terms == channel._hata_terms(freq, height, USER_HEIGHT_M)
+
+    def test_not_a_field(self):
+        # reading the terms leaves equality, hashing and asdict as they were
+        sp, twin = make_sp(), make_sp()
+        before = asdict(sp)
+        assert sp.hata_terms
+        assert sp == twin and hash(sp) == hash(twin)
+        assert asdict(sp) == before
+        assert "hata_terms" not in {f.name for f in fields(sp)}
 
 
 class TestServiceGuarantee:

@@ -459,6 +459,21 @@ class TestExpandBw:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("key", ["rate", "guarantee", "alpha", "mean_snr"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_argument_rejected(self, capsys, key, bad):
+        # argparse's float() reads all three; without the check --rate nan
+        # printed "bandwidth": NaN and --mean-snr inf a zero bandwidth
+        # (--flag=value, since argparse reads a bare -inf as an option)
+        good = {"rate": 2.0, "guarantee": 0.8, "alpha": 0.7, "mean_snr": 10.0}
+        flags = {k: "--" + k.replace("_", "-") for k in good}
+        args = [f"{flags[k]}={v}" for k, v in {**good, key: bad}.items()]
+        rc = main(["expand-bw", *args])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {flags[key]} must be finite, got {float(bad)}\n"
+
 
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):

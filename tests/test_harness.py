@@ -39,6 +39,7 @@ from hetnetsim.model import (
     NoBid,
     SpKind,
     SpProfile,
+    UserParams,
     UserProfile,
     sp_utility,
 )
@@ -708,6 +709,33 @@ class TestScenarioConfig:
     def test_nonpositive_area_rejected(self, side):
         with pytest.raises(ValueError, match="area_side_m"):
             replace(DEFAULT_CONFIG, area_side_m=side)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "area_side_m",
+            "wifi_ring_fraction",
+            "prelec_alpha",
+            "noise_density_dbm_hz",
+            "activity_prob",
+        ],
+    )
+    def test_non_finite_field_rejected(self, key, bad):
+        # replace(DEFAULT_CONFIG, area_side_m=nan) used to build, and its
+        # trials returned all-zero tallies
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {bad}$"):
+            replace(DEFAULT_CONFIG, **{key: bad})
+
+    def test_non_finite_load_rejected(self):
+        with pytest.raises(ValueError, match="^sweep must be finite, got inf$"):
+            replace(DEFAULT_CONFIG, sweep=(50, math.inf))
+
+    def test_non_finite_section_value_rejected(self):
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            replace(DEFAULT_CONFIG, user=UserParams(delta=math.inf))
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            replace(DEFAULT_CONFIG.wifi, alpha=math.nan)
 
     def test_empty_sweep_rejected(self):
         payload = DEFAULT_CONFIG.to_dict()

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_link
@@ -148,7 +148,7 @@ def reference_rebid_grid(link, b_min, grid_points=256):
 
 
 def reference_expansion_rebid(sp, link, b_min, model, grid_points=256, tol=1e-9):
-    """Point-by-point scalar scan, the reference for expansion_rebid's array pass.
+    """Point-by-point scalar scan, the reference for expansion_rebid's search.
 
     It judges every grid rate with the scalar closed forms, then runs the
     same bisection and final bid construction; expansion_rebid must agree
@@ -380,6 +380,63 @@ class TestOptimizeBidOracle:
         assert got == want
 
 
+class TestBandwidthFloor:
+    """The closed-form floor of the marginal bandwidth that lets optimize_bid
+    skip its grid, over the domain of the bid-search oracle test."""
+
+    @staticmethod
+    def grid_bandwidths(link, b_min):
+        grid = leader._log_grid(b_min * (1.0 + 1e-6), link.b_max, 1024).tolist()
+        snr = link.mean_snr
+        return [b / math.log2(1.0 + snr * math.log(b / b_min)) for b in grid]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        snr=st.floats(0.5, 1e6),
+        bw_max=st.floats(0.01, 20.0),
+        b_max_factor=st.floats(0.0, 2.0),
+        b_min=st.floats(0.1, 10.0),
+    )
+    def test_floor_is_at_most_every_grid_bandwidth(self, snr, bw_max, b_max_factor, b_min):
+        # to within roundoff: the floor is the bandwidth at the computed
+        # minimizer, which a grid point can hit
+        link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
+        assume(link.b_max > b_min * (1.0 + 1e-6))
+        floor = leader._bw_floor(b_min, snr)
+        assert all(floor <= bw * (1.0 + 1e-12) for bw in self.grid_bandwidths(link, b_min))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        snr=st.floats(0.5, 1e6),
+        b_max_factor=st.floats(0.0, 2.0),
+        b_min=st.floats(0.1, 10.0),
+        rel=st.sampled_from([-1e-5, -1e-6, 1e-6, 1e-5]),
+        price_alpha=st.floats(0.01, 3.0),
+        beta=st.floats(1.01, 2.5),
+    )
+    def test_budget_near_the_floor_matches_reference(
+        self, snr, b_max_factor, b_min, rel, price_alpha, beta
+    ):
+        bw_max = leader._bw_floor(b_min, snr) * (1.0 + rel)
+        link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
+        sp = make_sp(alpha=price_alpha, beta=beta)
+        grids = []
+        log_grid = leader._log_grid
+
+        def spy(*args):
+            grids.append(args)
+            return log_grid(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(leader, "_log_grid", spy)
+            got = optimize_bid(sp, link, b_min)
+        assert got == reference_optimize_bid(sp, link, b_min)
+        # 1e-5 under the floor is past the margin: no grid is built
+        if rel == -1e-5 and link.b_max > b_min * (1.0 + 1e-6):
+            assert got.reason == "bandwidth budget cannot support any rate"
+            assert not grids
+
+
 class TestLogGrid:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -555,7 +612,7 @@ class TestExpansionRebid:
 
 
 class TestExpansionRebidOracle:
-    """The array scan against the point-by-point scalar reference."""
+    """The crossing search against the point-by-point scalar reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -597,8 +654,9 @@ class TestExpansionRebidOracle:
         self, monkeypatch, k, nudge
     ):
         # bw_max equal to (or one ulp below) the scalar expanded bandwidth
-        # of grid[k] puts that point inside the guard band, where the
-        # array value alone could flip the feasibility verdict
+        # of grid[k] puts the budget on a grid point, where only the scalar
+        # value can give the verdict; on the falling branch (k = 0, 1, 40)
+        # that point does not decide the last feasible index j
         snr, b_min, model = 30.0, 2.0, DecisionModel.pt(0.7)
         probe = LinkState(0.0, snr, True, 1.0, 4.0 * math.e * b_min)
         b_k = float(reference_rebid_grid(probe, b_min)[k])
@@ -617,11 +675,72 @@ class TestExpansionRebidOracle:
 
         monkeypatch.setattr(leader, "_expanded_bw", spy)
         got = expansion_rebid(sp, link, b_min, model)
-        # the guard re-checks run before the bisection's off-grid midpoints
-        # and the final bid (which sits on grid[255] when no bisection runs)
-        on_grid = set(reference_rebid_grid(link, b_min).tolist())
-        assert b_k in itertools.takewhile(on_grid.__contains__, judged)
+        # grid[j] and grid[j + 1], the bracket points that decide j, are
+        # judged before the bisection's off-grid midpoints and the final bid
+        # (which sits on grid[255] when no bisection runs)
+        grid = reference_rebid_grid(link, b_min).tolist()
+        j = max(
+            i
+            for i, b in enumerate(grid)
+            if scalar_expanded_bw(b, b_min, link, model) <= link.bw_max
+        )
+        on_grid = set(grid)
+        searched = set(itertools.takewhile(on_grid.__contains__, judged))
+        assert set(grid[j : j + 2]) <= searched
         assert got == reference_expansion_rebid(sp, link, b_min, model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        snr=st.floats(1.0, 1e3),
+        bw_max=st.floats(0.02, 20.0),
+        b_max_factor=st.floats(0.5, 4.0),
+        b_min=st.floats(0.2, 8.0),
+        alpha=st.floats(0.05, 0.99),
+    )
+    def test_feasible_rates_are_one_run_the_search_ends(
+        self, snr, bw_max, b_max_factor, b_min, alpha
+    ):
+        # the expanded bandwidth falls, then rises, over the grid, so the
+        # scalar-judged feasible indices are one run; infinite values (small
+        # exponents near b_min) sit on the falling side
+        link = LinkState(0.0, snr, True, bw_max, b_max_factor * math.e * b_min)
+        assume(min(link.b_max, math.e * b_min) > b_min * (1.0 + 1e-6))
+        grid = reference_rebid_grid(link, b_min).tolist()
+        inv_alpha = 1.0 / alpha
+        bws = [leader._expanded_bw(b, b_min, snr, inv_alpha) for b in grid]
+        feasible = [i for i, bw in enumerate(bws) if bw <= bw_max]
+        if feasible:
+            assert feasible == list(range(feasible[0], feasible[-1] + 1))
+        if math.inf in bws:
+            assert bws.index(math.inf) == 0 and all(
+                bw == math.inf for bw in bws[: bws.count(math.inf)]
+            )
+        want = feasible[-1] if feasible else -1
+        assert leader._last_feasible(np.array(grid), b_min, snr, inv_alpha, bw_max) == want
+
+    @pytest.mark.parametrize(
+        "snr, alpha, cap_factor, bw_max",
+        [
+            # every finite rate of this short grid sits where the target
+            # rounds near 1, and neighbours come out of order
+            (3.2142588236453427, 0.08720870255155085, 1.0662339, 21913507067564.867),
+            # E bottoms out on the first rate whose target is below 1
+            (1e80, 0.05, math.e, 0.010997063870969753),
+            # a grid a few ulps wide, over which E barely moves
+            (1731.121891103067, 0.5739160952230059, 1.000001000000897, 22804409.66907643),
+        ],
+    )
+    def test_rates_with_roundoff_out_of_order_are_scanned(self, snr, alpha, cap_factor, bw_max):
+        # a search on neighbour order alone lost the last feasible rate here
+        b_min, model, sp = 2.0, DecisionModel.pt(alpha), make_sp()
+        link = LinkState(0.0, snr, True, bw_max, b_min * cap_factor)
+        grid = reference_rebid_grid(link, b_min)
+        fits = [scalar_expanded_bw(float(b), b_min, link, model) <= bw_max for b in grid]
+        want = max(i for i, ok in enumerate(fits) if ok)
+        assert leader._last_feasible(grid, b_min, snr, 1.0 / alpha, bw_max) == want
+        assert expansion_rebid(sp, link, b_min, model) == reference_expansion_rebid(
+            sp, link, b_min, model
+        )
 
     def test_unreachable_target_is_infeasible_not_an_error(self):
         # at alpha = 0.3 the target for the lowest grid rates rounds to 1

@@ -19,7 +19,7 @@ from hetnetsim import (
     user_benefit,
     user_utility,
 )
-from hetnetsim.model import doubling_gap
+from hetnetsim.model import SpParams, UserParams, doubling_gap
 
 
 def make_sp(**overrides) -> SpProfile:
@@ -204,6 +204,42 @@ class TestValidation:
             make_sp(g_ba=0.0)
         with pytest.raises(ValueError):
             make_sp(g_ba=1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["delta", "theta", "b_min"])
+    def test_user_params_reject_non_finite(self, key, bad):
+        # a NaN passes every range comparison, and inf every lower bound
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {bad}$"):
+            UserParams(**{key: bad})
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            make_user(**{key: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "alpha",
+            "beta",
+            "cost_rate",
+            "cost_bw",
+            "bw_total",
+            "tx_power_dbm",
+            "g_ba",
+            "frequency_mhz",
+            "antenna_height_m",
+            "coverage_snr_threshold_db",
+            "coverage_radius",
+        ],
+    )
+    def test_sp_params_reject_non_finite(self, key, bad):
+        base = dict(alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.5, bw_total=10.0)
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {bad}$"):
+            SpParams(**{**base, "tx_power_dbm": 23.0, key: bad})
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            make_sp(**{key: bad})
+
+    def test_no_coverage_radius_stays_valid(self):
+        assert make_sp(coverage_radius=None).coverage_radius is None
 
     def test_bid_bounds(self):
         with pytest.raises(ValueError):
