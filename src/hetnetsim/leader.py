@@ -9,8 +9,11 @@ bid search to one dimension: maximize
     price(b) - cost_rate * b - cost_bw * marginal_bw(b)
 
 over b in (b_min, b_max] subject to marginal_bw(b) <= bw_max.  The objective
-is smooth but not provably unimodal, so a log-spaced grid locates the basin
-and a golden-section pass refines it.
+is smooth but not unimodal in general, so a log-spaced grid locates the
+basin and a golden-section pass refines it.  The grid's argmax usually sits
+at its last feasible rate, the rate cap or the budget corner, and
+_certified_window proves that from three grid points when it holds; the
+full grid is evaluated only where that certificate fails.
 
 Under prospect-theoretic users a guarantee above 1/e is perceived as smaller
 than it is; expand_bw_pt grows the allocated bandwidth until the *perceived*
@@ -40,8 +43,15 @@ _LOW_EDGE = 1e-6
 # relative slack when testing the bandwidth budget, to absorb roundoff at
 # corner solutions
 _BUDGET_SLACK = 1e-12
-# relative excess of the bandwidth floor over the budget that skips the bid grid
-_FLOOR_MARGIN = 1e-6
+# the bid grid's certificate: the least SNR it runs at, the excess over the
+# budget that answers NoBid without a grid, bounds on the relative roundoff
+# of a float operation (a few ulps) and of a grid bandwidth, and the least
+# log-rate step, far above the few-ulp gap between its rates and numpy's
+_MIN_SNR = 1e-8
+_NO_FIT_MARGIN = 1e-6
+_ROUNDOFF = 1e-15
+_BW_ROUNDOFF = 1e-7
+_MIN_LOG_STEP = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # shared results of the fixed-reason exits (NoBid is frozen)
@@ -79,36 +89,110 @@ def _ladder(num: int) -> np.ndarray:
     return ladder
 
 
-def _log_grid(lo: float, hi: float, num: int) -> np.ndarray:
-    """np.geomspace(lo, hi, num) for positive endpoints, bit for bit.
+def _log_grid(
+    lo: float, hi: float, num: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """np.geomspace(lo, hi, num)[start:stop] for positive endpoints, bit for bit.
 
     The arithmetic is geomspace's, step for step: a cached ladder
     0, 1, ..., num - 1 scaled between the base-10 logarithms of the
     endpoints, raised to the power of ten, with both endpoints pinned.  Only
     geomspace's per-call dtype and sign handling is skipped.  The logarithms
     are numpy's, not math.log10, which differs from it in the last bit on
-    some inputs.  Every call returns a fresh array the caller may modify.
+    some inputs.  A slice runs the same operations on its part of the ladder:
+    numpy's result for an element does not depend on where in an array it
+    sits.  Every call returns a fresh array the caller may modify.
     """
     log_lo = np.log10(lo)
     log_hi = np.log10(hi)
-    grid = _ladder(num) * ((log_hi - log_lo) / (num - 1))
+    grid = _ladder(num)[start:stop] * ((log_hi - log_lo) / (num - 1))
     grid += log_lo
     np.power(10.0, grid, out=grid)
-    grid[0] = lo
-    grid[-1] = hi
+    if start == 0:
+        grid[0] = lo
+    if stop is None or stop >= num:
+        grid[-1] = hi
     return grid
 
 
-def _bw_floor(b_min: float, snr: float) -> float:
-    """Least marginal_bw of any rate above b_min, at snr > 0: with y = 1 + snr * ln(b / b_min)
-    it is b_min * exp((y - 1) / snr) * ln 2 / ln y, which falls until y ln y = snr, then rises,
-    so ln y = W(snr) (Lambert W) there.  Newton steps fall to W from log1p(snr) >= W."""
-    w = math.log1p(snr)
-    for _ in range(64):
-        w -= (step := (w - snr * math.exp(-w)) / (w + 1.0))
-        if step <= 1e-15 * w:
-            break
-    return b_min * math.exp(math.expm1(w) / snr) * math.log(2.0) / w
+def _bw_profit(grid: np.ndarray, b_min: float, snr: float, sp: SpParams) -> tuple:
+    """Marginal bandwidth and profit at each rate of grid, evaluated by numpy
+    in the operation order written here, which the bid search's bits follow."""
+    bw = grid / np.log2(np.log(grid / b_min) * snr + 1.0)
+    return bw, grid**sp.beta * sp.alpha - grid * sp.cost_rate - bw * sp.cost_bw
+
+
+def _certified_window(
+    sp: SpParams, b_min: float, lo_edge: float, b_max: float, snr: float, budget: float
+) -> tuple[float, float, float, float] | NoBid | None:
+    """The full bid grid's argmax, found without the grid: the grid rates
+    around it and its profit, bit for bit; _NO_FEASIBLE_RATE when no grid
+    rate fits; or None where the certificate fails.
+
+    With L = ln(b / b_min) and x = snr * L, the bandwidth B has d ln B / dL =
+    1 - snr / ((1 + x) ln(1 + x)), rising with L, and the grid g is uniform
+    in L.  So the rates that fit form one run, and a binary search finds j,
+    the last index that fits or where B still falls; if j does not fit, the
+    least bandwidth is at j or j + 1.  Numpy's values at j - 1, j and j + 1
+    then certify j as the argmax, with margins above the roundoff:
+      - B[j] fits and B[j + 1] does not and exceeds it, so no later rate fits;
+      - no rate below an index i earns more than alpha * g[i]**beta -
+        cost_rate * b_min, since the bandwidth term only subtracts;
+      - where B fits, B' <= B / b, so with beta > 1 the profit's slope is at
+        least h(b) = alpha*beta*b**(beta-1) - cost_rate - cost_bw*budget/b,
+        which rises with b: with h(g[i]) > 0, the rates i..j-1 earn less
+        than rate j by at least h(g[j-1]) * (g[j] - g[j-1]).
+    """
+    num = GRID_POINTS
+    alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
+    exp, log1p, ln2 = math.exp, math.log1p, math.log(2.0)
+    # scalar rate i is lo_edge * e**(i * dl), at L = l0 + i * dl
+    l0, dl = log1p(_LOW_EDGE), math.log(b_max / lo_edge) / (num - 1)
+    lo, hi, i, bw_lo, bw_hi = -1, num, num - 1, math.inf, math.inf
+    while hi - lo > 1:
+        x = snr * (l0 + i * dl)
+        y = log1p(x)
+        bw = lo_edge * exp(i * dl) * ln2 / y
+        if bw <= budget or (1.0 + x) * y < snr:
+            lo, bw_lo = i, bw
+        else:
+            hi, bw_hi = i, bw
+        i = (lo + hi) // 2
+    j = lo
+    if not bw_lo <= budget:
+        return _NO_FEASIBLE_RATE if min(bw_lo, bw_hi) > budget * (1.0 + _NO_FIT_MARGIN) else None
+
+    start = max(j - 1, 0)
+    k = j - start
+    grid = _log_grid(lo_edge, b_max, num, start, j + 2)
+    bw, profit = _bw_profit(grid, b_min, snr, sp)
+    g, bw, profit = grid.tolist(), bw.tolist(), profit.tolist()
+    g_0, g_j, best = g[k - 1], g[k], profit[k]
+    if not (bw[k] <= budget and best < math.inf and dl >= _MIN_LOG_STEP):
+        return None
+    # a grid bandwidth that fits is at most budget_hi exactly, and eps bounds
+    # the roundoff of the profits up to rate j
+    budget_hi = budget * (1.0 + 2.0 * _BW_ROUNDOFF)
+    eps = _ROUNDOFF * (alpha * g_j**beta + cost_rate * g_j + cost_bw * budget_hi)
+    eps += cost_bw * budget_hi * _BW_ROUNDOFF
+    bound = (best - 2.0 * eps + cost_rate * b_min) / alpha
+    i = math.floor((math.log(bound) / beta - math.log(lo_edge)) / dl) if bound > 0.0 else 0
+    i = min(max(i, 0), j)
+    g_i, x = lo_edge * exp(i * dl), snr * (l0 + i * dl)
+
+    def h(b: float, room: float) -> float:  # h(b), less room times its terms' size
+        gain, cost = alpha * beta * b ** (beta - 1.0), cost_rate + cost_bw * budget_hi / b
+        return gain - cost - room * (gain + cost)
+
+    # the bandwidths' relative roundoff falls with L; h(g_i) has room for the
+    # few-ulp gap between g_i and numpy's rate i
+    certified = (
+        (j == num - 1 or bw[k + 1] > max(budget, bw[k] * (1.0 + 6.0 * _BW_ROUNDOFF)))
+        and _ROUNDOFF * (1.0 + (1.0 + snr + 6.0 * x) / ((1.0 + x) * log1p(x))) <= _BW_ROUNDOFF
+        and (i == 0 or alpha * g_i**beta - cost_rate * b_min < best - 2.0 * eps)
+        and (i == j or h(g_i, 1e-10) > 0.0 and h(g_0, _ROUNDOFF) * (g_j - g_0) > 2.0 * eps)
+    )
+    return (g[0], g_j, g[-1], best) if certified else None
 
 
 def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
@@ -124,50 +208,37 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
 
     budget = link.bw_max * (1.0 + _BUDGET_SLACK)
     snr, b_max = link.mean_snr, link.b_max
-    # no grid when the rate cap overruns the budget and so does the floor; from
-    # snr = 1e-8 on, the grid's roundoff, eps / (snr * L), stays under the margin
-    if snr >= 1e-8 and b_max > budget * math.log2(1.0 + snr * math.log(b_max / b_min)) and (
-        _bw_floor(b_min, snr) > budget * (1.0 + _FLOOR_MARGIN)
-    ):
-        return _NO_FEASIBLE_RATE
-    alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
-
-    # bw = grid / log2(1 + snr * log(grid / b_min)) and
-    # profit = alpha * grid**beta - cost_rate * grid - cost_bw * bw,
-    # evaluated in place in that operation order
-    grid = _log_grid(b_min * (1.0 + _LOW_EDGE), b_max, GRID_POINTS)
-    bw_grid = np.divide(grid, b_min)
-    np.log(bw_grid, out=bw_grid)
-    np.multiply(bw_grid, snr, out=bw_grid)
-    np.add(bw_grid, 1.0, out=bw_grid)
-    np.log2(bw_grid, out=bw_grid)
-    np.divide(grid, bw_grid, out=bw_grid)
-    profit = grid**beta
-    profit *= alpha
-    term = np.multiply(grid, cost_rate)
-    profit -= term
-    np.multiply(bw_grid, cost_bw, out=term)
-    profit -= term
-    profit[bw_grid > budget] = -np.inf
-
-    best = int(np.argmax(profit))
-    best_profit = float(profit[best])
+    lo_edge = b_min * (1.0 + _LOW_EDGE)
+    # below _MIN_SNR the bandwidths' roundoff, eps / (snr * L), can pass the margins
+    window = _certified_window(sp, b_min, lo_edge, b_max, snr, budget) if snr >= _MIN_SNR else None
+    if window is None:
+        grid = _log_grid(lo_edge, b_max, GRID_POINTS)
+        # a log2 that rounds to 0 at a tiny snr gives an infinite bandwidth
+        with np.errstate(divide="ignore"):
+            bw, profit = _bw_profit(grid, b_min, snr, sp)
+        profit[bw > budget] = -np.inf
+        best = int(np.argmax(profit))
+        near = [max(best - 1, 0), best, min(best + 1, GRID_POINTS - 1)]
+        window = (*grid[near].tolist(), float(profit[best]))
+    elif window is _NO_FEASIBLE_RATE:
+        return window
+    lo, b_star, hi, best_profit = window
     if not math.isfinite(best_profit):
         return _NO_FEASIBLE_RATE
+    alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
 
     # golden-section refinement around the winning grid point; the -inf
     # penalty keeps the search on the feasible side of a budget corner.  Each
     # pass prices the one inner point whose profit is missing (None): x1,
     # then x2, then the point each step moves in.
-    lo = float(grid[best - 1] if best > 0 else grid[0])
-    hi = float(grid[best + 1] if best < GRID_POINTS - 1 else grid[-1])
-    golden, log, log2, infeasible = _GOLDEN, math.log, math.log2, -math.inf
+    golden, log, log2, inf, infeasible = _GOLDEN, math.log, math.log2, math.inf, -math.inf
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)
     f1 = f2 = None
     while True:
         x = x1 if f1 is None else x2
-        bw = x / log2(1.0 + snr * log(x / b_min))
+        d = log2(1.0 + snr * log(x / b_min))
+        bw = x / d if d else inf
         f = infeasible if bw > budget else alpha * x**beta - cost_rate * x - cost_bw * bw
         if f1 is None:
             f1 = f
@@ -187,7 +258,6 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
             f2 = None
 
     # the first of the three best profits wins a tie, as max() would pick it
-    b_star = float(grid[best])
     if f1 > best_profit:
         best_profit, b_star = f1, x1
     if f2 > best_profit:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import make_link
 from hetnetsim import leader
 from hetnetsim.channel import LinkState, guarantee_inverse_bw, service_guarantee
+from hetnetsim.harness import DEFAULT_CONFIG, solve_trial
 from hetnetsim.leader import (
     expand_bw_pt,
     expansion_rebid,
@@ -140,6 +141,19 @@ def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
         bandwidth=required_bw(b_star),
         guarantee=b_min / b_star,
     )
+
+
+def reference_bw_floor(b_min, snr):
+    """Least marginal bandwidth of any rate above b_min, at snr > 0: with
+    y = 1 + snr * ln(b / b_min) it is b_min * exp((y - 1) / snr) * ln 2 / ln y,
+    which falls until y ln y = snr, then rises, so ln y = W(snr) (Lambert W)
+    there.  Newton steps fall to W from log1p(snr) >= W."""
+    w = math.log1p(snr)
+    for _ in range(64):
+        w -= (step := (w - snr * math.exp(-w)) / (w + 1.0))
+        if step <= 1e-15 * w:
+            break
+    return b_min * math.exp(math.expm1(w) / snr) * math.log(2.0) / w
 
 
 def reference_rebid_grid(link, b_min, grid_points=256):
@@ -343,14 +357,26 @@ class TestOptimizeBid:
         inflated = sp_price(bid.rate, sp) - sp_cost(bid.rate, 1.01 * bid.bandwidth, sp)
         assert inflated < bid_profit(bid, sp)
 
+    def test_log2_rounding_to_zero_is_infeasible(self):
+        # at a mean SNR of 3e-16, 1 + snr * ln(b / b_min) rounds to 1 at the
+        # lowest rates, so the log2 under the bandwidth is 0 there: the
+        # bandwidth is infinite, on the grid and in the refinement alike,
+        # with no division error and no numpy warning
+        link = LinkState(path_loss_db=0.0, mean_snr=2.99e-16, covered=True, bw_max=1.91e16, b_max=40.1)
+        out = optimize_bid(make_sp(), link, b_min=3.03)
+        with np.errstate(divide="ignore"):
+            want = reference_optimize_bid(make_sp(), link, 3.03)
+        assert out == want
+        assert out.reason == "no profitable rate"
+
 
 class TestOptimizeBidOracle:
     """optimize_bid against the first-written bid search."""
 
     @settings(max_examples=500, deadline=None)
     @given(
-        snr=st.floats(0.5, 1e6),
-        bw_max=st.floats(0.01, 20.0),
+        snr=st.floats(1e-8, 1e9),
+        bw_max=st.floats(1e-4, 30.0),
         b_max_factor=st.floats(0.0, 2.0),
         b_min=st.floats(0.1, 10.0),
         price_alpha=st.floats(0.01, 3.0),
@@ -362,7 +388,8 @@ class TestOptimizeBidOracle:
         self, snr, bw_max, b_max_factor, b_min, price_alpha, beta, cost_rate, cost_bw
     ):
         # b_max_factor scales the Shannon cap, so the rate cap falls on
-        # either side of b_min and the budget binds or not
+        # either side of b_min, and the search ends at the cap, at a budget
+        # corner, with no rate that fits, or on the full grid
         link = LinkState(
             path_loss_db=0.0,
             mean_snr=snr,
@@ -379,10 +406,29 @@ class TestOptimizeBidOracle:
         assert type(got) is type(want)
         assert got == want
 
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_sweep_grid_searches_take_the_certified_path(self, monkeypatch, n):
+        # every default-trial search that gets past the early exits is
+        # answered from a slice of at most three grid points
+        sizes = []
+        log_grid = leader._log_grid
+
+        def spy(lo, hi, num, *window):
+            grid = log_grid(lo, hi, num, *window)
+            if num == leader.GRID_POINTS:
+                sizes.append(len(grid))
+            return grid
+
+        monkeypatch.setattr(leader, "_log_grid", spy)
+        solve_trial(DEFAULT_CONFIG, n, 0)
+        assert sizes
+        assert max(sizes) <= 3
+
 
 class TestBandwidthFloor:
-    """The closed-form floor of the marginal bandwidth that lets optimize_bid
-    skip its grid, over the domain of the bid-search oracle test."""
+    """The closed-form floor of the marginal bandwidth against the bid grid,
+    and optimize_bid at budgets near it, over the domain of the bid-search
+    oracle test."""
 
     @staticmethod
     def grid_bandwidths(link, b_min):
@@ -402,7 +448,7 @@ class TestBandwidthFloor:
         # minimizer, which a grid point can hit
         link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
         assume(link.b_max > b_min * (1.0 + 1e-6))
-        floor = leader._bw_floor(b_min, snr)
+        floor = reference_bw_floor(b_min, snr)
         assert all(floor <= bw * (1.0 + 1e-12) for bw in self.grid_bandwidths(link, b_min))
 
     @settings(max_examples=300, deadline=None)
@@ -417,7 +463,7 @@ class TestBandwidthFloor:
     def test_budget_near_the_floor_matches_reference(
         self, snr, b_max_factor, b_min, rel, price_alpha, beta
     ):
-        bw_max = leader._bw_floor(b_min, snr) * (1.0 + rel)
+        bw_max = reference_bw_floor(b_min, snr) * (1.0 + rel)
         link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
         sp = make_sp(alpha=price_alpha, beta=beta)
         grids = []
@@ -446,6 +492,29 @@ class TestLogGrid:
     )
     def test_bit_identical_to_geomspace(self, lo, hi, num):
         assert leader._log_grid(lo, hi, num).tobytes() == np.geomspace(lo, hi, num).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b_min=st.floats(0.1, 10.0),
+        cap_factor=st.floats(1.0 + 1e-5, 1e4),
+        snr=st.floats(1e-8, 1e9),
+        beta=st.floats(1.01, 2.5),
+    )
+    def test_slices_match_the_full_grid(self, b_min, cap_factor, snr, beta):
+        # the bid search's windows around j - 1, j and j + 1, ends included,
+        # are the full grid's rates, bandwidths and profits bit for bit
+        sp = make_sp(beta=beta)
+        lo = b_min * (1.0 + 1e-6)
+        hi = lo * cap_factor
+        grid = leader._log_grid(lo, hi, 1024)
+        bw, profit = leader._bw_profit(grid, b_min, snr, sp)
+        for j in (0, 1, 511, 1022, 1023):
+            start = max(j - 1, 0)
+            part = leader._log_grid(lo, hi, 1024, start, j + 2)
+            part_bw, part_profit = leader._bw_profit(part, b_min, snr, sp)
+            assert part.tobytes() == grid[start : j + 2].tobytes()
+            assert part_bw.tobytes() == bw[start : j + 2].tobytes()
+            assert part_profit.tobytes() == profit[start : j + 2].tobytes()
 
     def test_returned_grid_is_fresh(self):
         first = leader._log_grid(2.0, 150.0, 256)
