@@ -4,7 +4,6 @@ Subcommands:
   simulate     run the configured load sweep and write CSV or JSON rows
   game         solve one user's association game and print the outcome
   ne-classify  label a hand-specified game and print class plus thresholds
-  expand-bw    raw bandwidth-expansion arithmetic for one bid
 
 Every command exits 0 on success and 2 with a one-line diagnostic on
 stderr otherwise.
@@ -14,17 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .channel import LinkState, guarantee_inverse_bw
 from .equilibrium import classify
 from .harness import DEFAULT_CONFIG, Scenario, ScenarioConfig, emit, run_sweep, solve_trial
-from .harness import _json_is
-from .model import Bid, NoBid, UserProfile, doubling_gap, user_benefit
-from .prospect import DecisionModel, weight, weight_inverse
+from .harness import _from_json
+from .model import Bid, NoBid, UserParams, doubling_gap, user_benefit
+from .prospect import DecisionModel, weight
 
 
 def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
@@ -64,63 +61,46 @@ def _cmd_game(args: argparse.Namespace) -> int:
     return 0
 
 
-_PARAMS_KEYS = ("user", "bid_c", "bid_w", "model", "prelec_alpha")
-_USER_KEYS = ("delta", "theta", "b_min")
-_BID_KEYS = ("rate", "price", "guarantee")
+@dataclass(frozen=True, kw_only=True)
+class _UserSection(UserParams):
+    """The params file's user: every UserParams field, none defaulted (a bare
+    annotation would keep the inherited default; field() drops it)."""
+
+    delta: float = field()
+    theta: float = field()
+    b_min: float = field()
 
 
-def _checked(section: str, data, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """data as a JSON object holding every required key and no other key
-    than the optional ones; a violation is a one-line error naming the
-    section and the key."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{section}: expected a JSON object")
-    for key in data:
-        if key not in required + optional:
-            raise ValueError(f"{section}: unknown key {key!r}")
-    for key in required:
-        if key not in data:
-            raise ValueError(f"{section}: missing key {key!r}")
-    return data
+@dataclass(frozen=True, kw_only=True)
+class _BidSection(Bid):
+    """A bid in the params file; bandwidth may be left out."""
+
+    bandwidth: float = 0.0
 
 
-def _number(section: str, key: str, value):
-    """value, checked to be a JSON number as the config loader checks one."""
-    if not _json_is(float, value):
-        raise ValueError(f"{section}: {key}: expected float, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class _Params:
+    """The ne-classify params file; a null or absent bid is a silent slot."""
 
-
-def _build(section: str, cls, data, required: tuple[str, ...], defaults: dict):
-    """cls built from the checked section, every value a JSON number."""
-    data = {**defaults, **_checked(section, data, required, tuple(defaults))}
-    values = {key: _number(section, key, value) for key, value in data.items()}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ValueError(f"{section}: {exc}") from None
-
-
-def _bid(params: dict, slot: str) -> Bid | NoBid:
-    if params.get(slot) in (None, {}):
-        return NoBid("not specified")
-    return _build(slot, Bid, params[slot], _BID_KEYS, {"bandwidth": 0.0})
+    user: _UserSection
+    bid_c: _BidSection | None = None
+    bid_w: _BidSection | None = None
+    model: str = "eut"
+    prelec_alpha: float = DEFAULT_CONFIG.prelec_alpha
 
 
 def _cmd_ne_classify(args: argparse.Namespace) -> int:
     with open(args.params, encoding="utf-8") as fh:
-        params = _checked("params", json.load(fh), ("user",), _PARAMS_KEYS)
-    user = _build("user", UserProfile, params["user"], _USER_KEYS, {})
-    model_name = params.get("model", "eut")
-    if model_name == "pt":
-        alpha = params.get("prelec_alpha", DEFAULT_CONFIG.prelec_alpha)
-        model = DecisionModel.pt(_number("params", "prelec_alpha", alpha))
-    elif model_name == "eut":
+        params = _from_json(_Params, json.load(fh), "params")
+    user = params.user
+    if params.model == "pt":
+        model = DecisionModel.pt(params.prelec_alpha)
+    elif params.model == "eut":
         model = DecisionModel.eut()
     else:
-        raise ValueError(f"model must be 'eut' or 'pt', got {model_name!r}")
+        raise ValueError(f"model must be 'eut' or 'pt', got {params.model!r}")
 
-    bid_w, bid_c = _bid(params, "bid_w"), _bid(params, "bid_c")
+    bid_w, bid_c = (b or NoBid("not specified") for b in (params.bid_w, params.bid_c))
     # priced like the sweep's games: the default cellular and WiFi classes
     outcome = classify(bid_c, bid_w, user, model, DEFAULT_CONFIG.cellular, DEFAULT_CONFIG.wifi)
     thresholds = {
@@ -154,33 +134,6 @@ def _cmd_ne_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_expand_bw(args: argparse.Namespace) -> int:
-    for name in ("rate", "guarantee", "alpha", "mean_snr"):
-        if not math.isfinite(value := getattr(args, name)):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    if args.rate <= 0:
-        raise ValueError(f"rate must be positive, got {args.rate}")
-    if not 0.0 < args.guarantee < 1.0:
-        raise ValueError(f"guarantee must lie in (0, 1), got {args.guarantee}")
-    if args.mean_snr <= 0:
-        raise ValueError(f"mean SNR must be positive, got {args.mean_snr}")
-
-    model = DecisionModel.pt(args.alpha)
-    lam = weight_inverse(args.guarantee, model)
-    if lam >= 1.0:
-        raise ValueError("target guarantee cannot be expanded to at any bandwidth")
-    link = LinkState(
-        path_loss_db=0.0,
-        mean_snr=args.mean_snr,
-        covered=True,
-        bw_max=float("inf"),
-        b_max=float("inf"),
-    )
-    bw = guarantee_inverse_bw(args.rate, lam, link)
-    print(json.dumps({"lambda": lam, "bandwidth": bw}, indent=2))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetnetsim",
@@ -208,13 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ne = sub.add_parser("ne-classify", help="classify a hand-specified game")
     p_ne.add_argument("--params", required=True, help="JSON file with user, bids, model")
     p_ne.set_defaults(func=_cmd_ne_classify)
-
-    p_ex = sub.add_parser("expand-bw", help="bandwidth expansion arithmetic for one bid")
-    p_ex.add_argument("--rate", type=float, required=True, help="advertised rate (Mbps)")
-    p_ex.add_argument("--guarantee", type=float, required=True, help="advertised guarantee")
-    p_ex.add_argument("--alpha", type=float, required=True, help="Prelec exponent")
-    p_ex.add_argument("--mean-snr", type=float, required=True, help="mean link SNR (linear)")
-    p_ex.set_defaults(func=_cmd_expand_bw)
 
     return parser
 

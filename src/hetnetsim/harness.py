@@ -148,9 +148,9 @@ def _json_is(hint, value) -> bool:
 
 def _from_json(cls, data, section: str | None = None):
     """cls built from a JSON object, every value checked against its field's
-    declared type: a dataclass field is a section, loaded the same way, and
-    a tuple field a JSON array.  A violation is a one-line error naming the
-    section and the key."""
+    declared type: a dataclass field is a section, loaded the same way (a
+    `Section | None` field also takes null), and a tuple field a JSON array.
+    A violation is a one-line error naming the section and the key."""
     where = f"{section}: " if section else ""
     if not isinstance(data, dict):
         raise ValueError(f"{section or 'config'}: expected a JSON object, got {data!r}")
@@ -164,6 +164,8 @@ def _from_json(cls, data, section: str | None = None):
     values = {}
     for key, value in data.items():
         hint = hints[key]
+        if value is not None and type(None) in typing.get_args(hint):
+            hint = next((a for a in typing.get_args(hint) if is_dataclass(a)), hint)
         if is_dataclass(hint):
             value = _from_json(hint, value, key)
         elif typing.get_origin(hint) is tuple:
@@ -535,7 +537,7 @@ def load_rows(path: str | Path, fmt: str = "csv") -> list[SweepRow]:
     elif fmt == "json":
         with open(path, encoding="utf-8") as fh:
             for rec in json.load(fh):
-                rows.append(SweepRow(**rec))
+                rows.append(_from_json(SweepRow, rec, "row"))
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     return rows

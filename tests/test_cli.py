@@ -7,12 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from hetnetsim.channel import LinkState, guarantee_inverse_bw
 from hetnetsim import cli
 from hetnetsim.cli import main
 from hetnetsim.harness import CSV_HEADER, DEFAULT_CONFIG, Scenario, solve_trial
 from hetnetsim.model import Bid, NeClass
-from hetnetsim.prospect import DecisionModel, weight_inverse
 
 LABELS = {c.value for c in NeClass}
 
@@ -253,11 +251,24 @@ class TestNeClassify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["thresholds"]["price_w"] is None
 
+    @pytest.mark.parametrize("slot", ["bid_c", "bid_w"])
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_null_or_absent_bid_is_silent(self, tmp_path, capsys, slot, absent):
+        path = self.params(tmp_path, **{slot: None})
+        if absent:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            del payload[slot]
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["ne-classify", "--params", str(path)]) == 0
+        thresholds = json.loads(capsys.readouterr().out)["thresholds"]
+        assert thresholds[f"price_{slot[-1]}"] is None
+        other = "bid_w" if slot == "bid_c" else "bid_c"
+        assert thresholds[f"price_{other[-1]}"] == 2.0
+
     def test_bad_model_rejected(self, tmp_path, capsys):
         path = self.params(tmp_path, model="cpt")
         assert main(["ne-classify", "--params", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
+        assert capsys.readouterr().err == "error: model must be 'eut' or 'pt', got 'cpt'\n"
 
     def test_matches_sweep_games_with_both_bids_in_force(self, tmp_path, capsys):
         # each default n=50 trial-0 EUT game whose cellular and selected WiFi
@@ -286,20 +297,38 @@ class TestNeClassify:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            ([1, 2], "params: expected a JSON object"),
-            ({"bid_c": _GOOD_BID}, "params: missing key 'user'"),
-            ({"user": _GOOD_USER, "bids": {}}, "params: unknown key 'bids'"),
-            ({"user": _without(_GOOD_USER, "b_min")}, "user: missing key 'b_min'"),
-            ({"user": {**_GOOD_USER, "position": 5}}, "user: unknown key 'position'"),
-            ({"user": "alice"}, "user: expected a JSON object"),
+            ([1, 2], "params: expected a JSON object, got [1, 2]"),
+            ({"bid_c": _GOOD_BID}, "params: missing config keys: ['user']"),
+            ({"user": _GOOD_USER, "bids": {}}, "params: unknown config keys: ['bids']"),
+            ({"user": _without(_GOOD_USER, "b_min")}, "user: missing config keys: ['b_min']"),
+            (
+                {"user": {**_GOOD_USER, "position": 5}},
+                "user: unknown config keys: ['position']",
+            ),
+            ({"user": "alice"}, "user: expected a JSON object, got 'alice'"),
             ({"user": {**_GOOD_USER, "delta": -1.0}}, "user: delta must be positive, got -1.0"),
             *[
-                ({"user": _GOOD_USER, slot: _without(_GOOD_BID, k)}, f"{slot}: missing key '{k}'")
+                (
+                    {"user": _GOOD_USER, slot: _without(_GOOD_BID, k)},
+                    f"{slot}: missing config keys: ['{k}']",
+                )
                 for slot, k in (("bid_c", "rate"), ("bid_w", "price"), ("bid_c", "guarantee"))
             ],
-            ({"user": _GOOD_USER, "bid_w": {**_GOOD_BID, "cost": 1}}, "bid_w: unknown key 'cost'"),
-            ({"user": _GOOD_USER, "bid_w": [3.0, 1.0, 0.9]}, "bid_w: expected a JSON object"),
-            ({"user": _GOOD_USER, "bid_c": 0}, "bid_c: expected a JSON object"),
+            (
+                {"user": _GOOD_USER, "bid_w": {**_GOOD_BID, "cost": 1}},
+                "bid_w: unknown config keys: ['cost']",
+            ),
+            (
+                {"user": _GOOD_USER, "bid_w": [3.0, 1.0, 0.9]},
+                "bid_w: expected a JSON object, got [3.0, 1.0, 0.9]",
+            ),
+            # an empty bid is a malformed section, not a silent slot
+            (
+                {"user": _GOOD_USER, "bid_w": {}},
+                "bid_w: missing config keys: ['rate', 'price', 'guarantee']",
+            ),
+            ({"user": _GOOD_USER, "bid_c": 0}, "bid_c: expected a JSON object, got 0"),
+            ({"user": _GOOD_USER, "model": 1}, "params: model: expected str, got 1"),
             # values are JSON numbers, as in the config loader: no bool,
             # string or null is coerced
             ({"user": {**_GOOD_USER, "delta": True}}, "user: delta: expected float, got True"),
@@ -328,6 +357,11 @@ class TestNeClassify:
             (
                 {"user": _GOOD_USER, "model": "pt", "prelec_alpha": None},
                 "params: prelec_alpha: expected float, got None",
+            ),
+            # typed under either model, not only where it is used
+            (
+                {"user": _GOOD_USER, "model": "eut", "prelec_alpha": "0.7"},
+                "params: prelec_alpha: expected float, got '0.7'",
             ),
             # nor a non-finite number, which Python's json reads
             ({"user": {**_GOOD_USER, "delta": math.inf}}, "user: delta: expected float, got inf"),
@@ -422,59 +456,7 @@ def test_printed_json_matches_golden(capsys, tmp_path, command, case):
     assert golden_stdout(capsys, tmp_path, command, case) == golden[command][case]
 
 
-class TestExpandBw:
-    def run(self, capsys, **kwargs):
-        args = ["expand-bw"]
-        for key, val in kwargs.items():
-            args += [f"--{key.replace('_', '-')}", str(val)]
-        rc = main(args)
-        out, err = capsys.readouterr()
-        return rc, out, err
-
-    def test_matches_library_arithmetic(self, capsys):
-        rc, out, _ = self.run(capsys, rate=2.0, guarantee=0.8, alpha=0.7, mean_snr=10.0)
-        assert rc == 0
-        payload = json.loads(out)
-        model = DecisionModel.pt(0.7)
-        lam = weight_inverse(0.8, model)
-        link = LinkState(
-            path_loss_db=0.0,
-            mean_snr=10.0,
-            covered=True,
-            bw_max=float("inf"),
-            b_max=float("inf"),
-        )
-        assert payload["lambda"] == pytest.approx(lam, rel=1e-12)
-        assert payload["bandwidth"] == pytest.approx(
-            guarantee_inverse_bw(2.0, lam, link), rel=1e-12
-        )
-
-    def test_certain_guarantee_rejected(self, capsys):
-        rc, _, err = self.run(capsys, rate=2.0, guarantee=1.0, alpha=0.7, mean_snr=10.0)
-        assert rc == 2
-        assert err.startswith("error:")
-
-    def test_negative_rate_rejected(self, capsys):
-        rc, _, err = self.run(capsys, rate=-1.0, guarantee=0.8, alpha=0.7, mean_snr=10.0)
-        assert rc == 2
-        assert err.startswith("error:")
-
-    @pytest.mark.parametrize("key", ["rate", "guarantee", "alpha", "mean_snr"])
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_argument_rejected(self, capsys, key, bad):
-        # argparse's float() reads all three; without the check --rate nan
-        # printed "bandwidth": NaN and --mean-snr inf a zero bandwidth
-        # (--flag=value, since argparse reads a bare -inf as an option)
-        good = {"rate": 2.0, "guarantee": 0.8, "alpha": 0.7, "mean_snr": 10.0}
-        flags = {k: "--" + k.replace("_", "-") for k in good}
-        args = [f"{flags[k]}={v}" for k, v in {**good, key: bad}.items()]
-        rc = main(["expand-bw", *args])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        assert err == f"error: {flags[key]} must be finite, got {float(bad)}\n"
-
-
-def test_unknown_command_exits_via_argparse():
+@pytest.mark.parametrize("command", ["frobnicate", "expand-bw"])
+def test_unknown_command_exits_via_argparse(command):
     with pytest.raises(SystemExit):
-        main(["frobnicate"])
+        main([command])

@@ -1,11 +1,14 @@
 """Tests for topology generation, the sweep driver, and result emission."""
 
+# declared types as text, as in the package, so loader messages read alike
+from __future__ import annotations
+
 import functools
 import json
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from hetnetsim.harness import (
     Scenario,
     ScenarioConfig,
     SweepRow,
+    _from_json,
     build_links,
     build_sps,
     emit,
@@ -665,6 +669,45 @@ class TestEmission:
         assert isinstance(records, list) and len(records) == len(rows)
         assert load_rows(path, "json") == rows
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n", "50", "row: n: expected int, got '50'"),
+            ("trials", 1.5, "row: trials: expected int, got 1.5"),
+            ("sum_user_utility", None, "row: sum_user_utility: expected float, got None"),
+            ("n", True, "row: n: expected int, got True"),
+            ("scenario", 1, "row: scenario: expected str, got 1"),
+            ("avg_bw_per_user", math.inf, "row: avg_bw_per_user: expected float, got inf"),
+        ],
+    )
+    def test_json_rows_are_type_checked(self, tmp_path, key, value, message):
+        row = SweepRow(50, "EUT", 1.0, 2.0, 0.5, 0.9, 1, 0.0, 0.0)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{**asdict(row), key: value}]), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_rows(path, "json")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"extra": 1}, "row: unknown config keys: ['extra']"),
+            ({"trials": None}, "row: missing config keys: ['trials']"),
+            (3, "row: expected a JSON object, got 3"),
+        ],
+    )
+    def test_json_row_shape_is_checked(self, tmp_path, record, message):
+        # a record names every SweepRow field and no other; a None in the
+        # override drops the key
+        if isinstance(record, dict):
+            base = asdict(SweepRow(50, "EUT", 1.0, 2.0, 0.5, 0.9, 1, 0.0, 0.0))
+            record = {k: v for k, v in {**base, **record}.items() if v is not None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([record]), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_rows(path, "json")
+        assert str(err.value) == message
+
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], "csv", tmp_path / "x.csv")
@@ -818,6 +861,45 @@ class TestScenarioConfig:
         assert list(shipped) == list(schema)
         for section in ("user", "cellular", "wifi"):
             assert list(shipped[section]) == list(schema[section])
+
+
+@dataclass(frozen=True)
+class _Inner:
+    x: float
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner | None = None
+
+
+class TestOptionalSection:
+    """A field typed `Section | None` takes null, or an object loaded as
+    Section under the same rules as any other section."""
+
+    @pytest.mark.parametrize(
+        "data, want",
+        [
+            ({}, _Outer(None)),
+            ({"inner": None}, _Outer(None)),
+            ({"inner": {"x": 1.5}}, _Outer(_Inner(1.5))),
+        ],
+    )
+    def test_null_absent_or_object_accepted(self, data, want):
+        assert _from_json(_Outer, data, "outer") == want
+
+    @pytest.mark.parametrize(
+        "inner, message",
+        [
+            ({"x": "a"}, "inner: x: expected float, got 'a'"),
+            ({}, "inner: missing config keys: ['x']"),
+            (3, "inner: expected a JSON object, got 3"),
+        ],
+    )
+    def test_malformed_section_rejected(self, inner, message):
+        with pytest.raises(ValueError) as err:
+            _from_json(_Outer, {"inner": inner}, "outer")
+        assert str(err.value) == message
 
 
 class TestGoldenOutput:
