@@ -88,17 +88,18 @@ class _Params:
     model: str = "eut"
     prelec_alpha: float = DEFAULT_CONFIG.prelec_alpha
 
+    def __post_init__(self) -> None:
+        if self.model not in ("eut", "pt"):
+            raise ValueError(f"model must be 'eut' or 'pt', got {self.model!r}")
+        if self.model == "pt" and not 0.0 < self.prelec_alpha < 1.0:
+            raise ValueError(f"prelec_alpha must lie in (0, 1), got {self.prelec_alpha}")
+
 
 def _cmd_ne_classify(args: argparse.Namespace) -> int:
     with open(args.params, encoding="utf-8") as fh:
         params = _from_json(_Params, json.load(fh), "params")
     user = params.user
-    if params.model == "pt":
-        model = DecisionModel.pt(params.prelec_alpha)
-    elif params.model == "eut":
-        model = DecisionModel.eut()
-    else:
-        raise ValueError(f"model must be 'eut' or 'pt', got {params.model!r}")
+    model = DecisionModel.pt(params.prelec_alpha) if params.model == "pt" else DecisionModel.eut()
 
     bid_w, bid_c = (b or NoBid("not specified") for b in (params.bid_w, params.bid_c))
     # priced like the sweep's games: the default cellular and WiFi classes

@@ -206,10 +206,13 @@ class SweepRow:
     stderr_user: float
 
 
-# the CSV schema: one column per SweepRow field, in field order, parsed back
-# by the field's declared type
+# the CSV schema: one column per SweepRow field, in field order.  A cell is
+# read back by its column's declared type, else as a float, else as its
+# text, so that _from_json names the key of a value of the wrong type
 _ROW_FIELDS = fields(SweepRow)
-_PARSE_BY_TYPE = {"int": int, "str": str, "float": float}
+_CELL_PARSERS = {
+    f.name: {"int": (int, float), "float": (float,)}.get(f.type, ()) for f in _ROW_FIELDS
+}
 CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
 
 
@@ -523,21 +526,23 @@ def emit(rows: list[SweepRow], fmt: str, path: str | Path) -> None:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
+def _parse_cell(key: str, text: str | None):
+    for parse in _CELL_PARSERS.get(key, ()):
+        try:
+            return parse(text)
+        except (TypeError, ValueError):
+            pass
+    return text
+
+
 def load_rows(path: str | Path, fmt: str = "csv") -> list[SweepRow]:
-    """Inverse of emit, for round-trip checks and downstream analysis."""
-    path = Path(path)
-    rows: list[SweepRow] = []
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                rows.append(
-                    SweepRow(**{f.name: _PARSE_BY_TYPE[f.type](rec[f.name]) for f in _ROW_FIELDS})
-                )
-    elif fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            for rec in json.load(fh):
-                rows.append(_from_json(SweepRow, rec, "row"))
-    else:
+    """Inverse of emit, for round-trip checks and downstream analysis.  Every
+    record is checked as a JSON row is, with a one-line error naming the key."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-    return rows
+    with open(path, newline="", encoding="utf-8") as fh:
+        if fmt == "json":
+            records = json.load(fh)
+        else:
+            records = [{k: _parse_cell(k, v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
+    return [_from_json(SweepRow, rec, "row") for rec in records]

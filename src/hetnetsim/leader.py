@@ -13,7 +13,10 @@ is smooth but not unimodal in general, so a log-spaced grid locates the
 basin and a golden-section pass refines it.  The grid's argmax usually sits
 at its last feasible rate, the rate cap or the budget corner, and
 _certified_window proves that from three grid points when it holds; the
-full grid is evaluated only where that certificate fails.
+full grid is evaluated only where that certificate fails.  Both this search
+and the rate-conceding rebid compute only the grid rates they read, each
+with _grid_rate in math.*, so a bid's bits depend on the platform's libm and
+on nothing numpy dispatches for the host CPU.
 
 Under prospect-theoretic users a guarantee above 1/e is perceived as smaller
 than it is; expand_bw_pt grows the allocated bandwidth until the *perceived*
@@ -23,10 +26,7 @@ price untouched.
 
 from __future__ import annotations
 
-import functools
 import math
-
-import numpy as np
 
 from .channel import LinkState, guarantee_inverse_bw
 from .model import Bid, InfeasibleError, NoBid, SpParams, sp_price
@@ -46,7 +46,7 @@ _BUDGET_SLACK = 1e-12
 # the bid grid's certificate: the least SNR it runs at, the excess over the
 # budget that answers NoBid without a grid, bounds on the relative roundoff
 # of a float operation (a few ulps) and of a grid bandwidth, and the least
-# log-rate step, far above the few-ulp gap between its rates and numpy's
+# log-rate step, far above the few-ulp gap between its rates and the grid's
 _MIN_SNR = 1e-8
 _NO_FIT_MARGIN = 1e-6
 _ROUNDOFF = 1e-15
@@ -81,45 +81,23 @@ def marginal_bw(b: float, b_min: float, link: LinkState) -> float:
     return guarantee_inverse_bw(b, b_min / b, link)
 
 
-@functools.cache
-def _ladder(num: int) -> np.ndarray:
-    """The read-only ladder 0, 1, ..., num - 1 that _log_grid scales."""
-    ladder = np.arange(num, dtype=float)
-    ladder.flags.writeable = False
-    return ladder
+def _grid_rate(i: int, lo: float, hi: float, num: int) -> float:
+    """Rate i of the num-point log-spaced grid from lo to hi, both ends pinned:
+    10 ** (i * step + log10(lo)) with step = (log10(hi) - log10(lo)) / (num - 1),
+    geomspace's arithmetic in math.*."""
+    if i == 0:
+        return lo
+    if i == num - 1:
+        return hi
+    log_lo = math.log10(lo)
+    return 10.0 ** (i * ((math.log10(hi) - log_lo) / (num - 1)) + log_lo)
 
 
-def _log_grid(
-    lo: float, hi: float, num: int, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """np.geomspace(lo, hi, num)[start:stop] for positive endpoints, bit for bit.
-
-    The arithmetic is geomspace's, step for step: a cached ladder
-    0, 1, ..., num - 1 scaled between the base-10 logarithms of the
-    endpoints, raised to the power of ten, with both endpoints pinned.  Only
-    geomspace's per-call dtype and sign handling is skipped.  The logarithms
-    are numpy's, not math.log10, which differs from it in the last bit on
-    some inputs.  A slice runs the same operations on its part of the ladder:
-    numpy's result for an element does not depend on where in an array it
-    sits.  Every call returns a fresh array the caller may modify.
-    """
-    log_lo = np.log10(lo)
-    log_hi = np.log10(hi)
-    grid = _ladder(num)[start:stop] * ((log_hi - log_lo) / (num - 1))
-    grid += log_lo
-    np.power(10.0, grid, out=grid)
-    if start == 0:
-        grid[0] = lo
-    if stop is None or stop >= num:
-        grid[-1] = hi
-    return grid
-
-
-def _bw_profit(grid: np.ndarray, b_min: float, snr: float, sp: SpParams) -> tuple:
-    """Marginal bandwidth and profit at each rate of grid, evaluated by numpy
-    in the operation order written here, which the bid search's bits follow."""
-    bw = grid / np.log2(np.log(grid / b_min) * snr + 1.0)
-    return bw, grid**sp.beta * sp.alpha - grid * sp.cost_rate - bw * sp.cost_bw
+def _grid_bw(b: float, b_min: float, snr: float) -> float:
+    """Marginal bandwidth of grid rate b, in the bid search's operation order;
+    inf where the log2 under it rounds to 0 at a tiny snr."""
+    d = math.log2(math.log(b / b_min) * snr + 1.0)
+    return b / d if d else math.inf
 
 
 def _certified_window(
@@ -133,7 +111,7 @@ def _certified_window(
     1 - snr / ((1 + x) ln(1 + x)), rising with L, and the grid g is uniform
     in L.  So the rates that fit form one run, and a binary search finds j,
     the last index that fits or where B still falls; if j does not fit, the
-    least bandwidth is at j or j + 1.  Numpy's values at j - 1, j and j + 1
+    least bandwidth is at j or j + 1.  The grid's values at j - 1, j and j + 1
     then certify j as the argmax, with margins above the roundoff:
       - B[j] fits and B[j + 1] does not and exceeds it, so no later rate fits;
       - no rate below an index i earns more than alpha * g[i]**beta -
@@ -162,14 +140,12 @@ def _certified_window(
     if not bw_lo <= budget:
         return _NO_FEASIBLE_RATE if min(bw_lo, bw_hi) > budget * (1.0 + _NO_FIT_MARGIN) else None
 
-    start = max(j - 1, 0)
-    k = j - start
-    grid = _log_grid(lo_edge, b_max, num, start, j + 2)
-    bw, profit = _bw_profit(grid, b_min, snr, sp)
-    g, bw, profit = grid.tolist(), bw.tolist(), profit.tolist()
-    g_0, g_j, best = g[k - 1], g[k], profit[k]
-    if not (bw[k] <= budget and best < math.inf and dl >= _MIN_LOG_STEP):
+    g_0, g_j = _grid_rate(max(j - 1, 0), lo_edge, b_max, num), _grid_rate(j, lo_edge, b_max, num)
+    bw_j = _grid_bw(g_j, b_min, snr)
+    best = g_j**beta * alpha - g_j * cost_rate - bw_j * cost_bw
+    if not (bw_j <= budget and best < math.inf and dl >= _MIN_LOG_STEP):
         return None
+    g_1 = _grid_rate(min(j + 1, num - 1), lo_edge, b_max, num)
     # a grid bandwidth that fits is at most budget_hi exactly, and eps bounds
     # the roundoff of the profits up to rate j
     budget_hi = budget * (1.0 + 2.0 * _BW_ROUNDOFF)
@@ -185,14 +161,32 @@ def _certified_window(
         return gain - cost - room * (gain + cost)
 
     # the bandwidths' relative roundoff falls with L; h(g_i) has room for the
-    # few-ulp gap between g_i and numpy's rate i
+    # few-ulp gap between g_i and the grid's rate i
     certified = (
-        (j == num - 1 or bw[k + 1] > max(budget, bw[k] * (1.0 + 6.0 * _BW_ROUNDOFF)))
+        (j == num - 1 or _grid_bw(g_1, b_min, snr) > max(budget, bw_j * (1.0 + 6.0 * _BW_ROUNDOFF)))
         and _ROUNDOFF * (1.0 + (1.0 + snr + 6.0 * x) / ((1.0 + x) * log1p(x))) <= _BW_ROUNDOFF
         and (i == 0 or alpha * g_i**beta - cost_rate * b_min < best - 2.0 * eps)
         and (i == j or h(g_i, 1e-10) > 0.0 and h(g_0, _ROUNDOFF) * (g_j - g_0) > 2.0 * eps)
     )
-    return (g[0], g_j, g[-1], best) if certified else None
+    return (g_0, g_j, g_1, best) if certified else None
+
+
+def _full_grid_window(
+    sp: SpParams, b_min: float, lo_edge: float, b_max: float, snr: float, budget: float
+) -> tuple[float, float, float, float]:
+    """The full bid grid's argmax where _certified_window gives no answer:
+    the grid rates around the first best profit among the rates that fit,
+    and that profit (-inf when none fits)."""
+    alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
+    best, best_profit = 0, -math.inf
+    for i in range(GRID_POINTS):
+        g = _grid_rate(i, lo_edge, b_max, GRID_POINTS)
+        bw = _grid_bw(g, b_min, snr)
+        profit = g**beta * alpha - g * cost_rate - bw * cost_bw if bw <= budget else -math.inf
+        if profit > best_profit:
+            best, best_profit = i, profit
+    near = (max(best - 1, 0), best, min(best + 1, GRID_POINTS - 1))
+    return (*(_grid_rate(i, lo_edge, b_max, GRID_POINTS) for i in near), best_profit)
 
 
 def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
@@ -212,14 +206,7 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     # below _MIN_SNR the bandwidths' roundoff, eps / (snr * L), can pass the margins
     window = _certified_window(sp, b_min, lo_edge, b_max, snr, budget) if snr >= _MIN_SNR else None
     if window is None:
-        grid = _log_grid(lo_edge, b_max, GRID_POINTS)
-        # a log2 that rounds to 0 at a tiny snr gives an infinite bandwidth
-        with np.errstate(divide="ignore"):
-            bw, profit = _bw_profit(grid, b_min, snr, sp)
-        profit[bw > budget] = -np.inf
-        best = int(np.argmax(profit))
-        near = [max(best - 1, 0), best, min(best + 1, GRID_POINTS - 1)]
-        window = (*grid[near].tolist(), float(profit[best]))
+        window = _full_grid_window(sp, b_min, lo_edge, b_max, snr, budget)
     elif window is _NO_FEASIBLE_RATE:
         return window
     lo, b_star, hi, best_profit = window
@@ -309,9 +296,10 @@ def _expanded_bw(b: float, b_min: float, snr: float, inv_alpha: float) -> float:
 
 
 def _last_feasible(
-    grid: np.ndarray, b_min: float, snr: float, inv_alpha: float, bw_max: float
+    lo: float, hi: float, b_min: float, snr: float, inv_alpha: float, bw_max: float
 ) -> int:
-    """Index of the last grid rate whose _expanded_bw fits bw_max, or -1.
+    """Index of the last rate of the REBID_POINTS-point grid from lo to hi
+    whose _expanded_bw fits bw_max, or -1.
 
     A binary search finds the end of the prefix where "feasible, or still
     falling" holds (see expansion_rebid).  It leaves out the lowest rates,
@@ -319,26 +307,30 @@ def _last_feasible(
     eps * (1 + 1 / snr) / L**k, exceeds a thousandth of the relative step
     k * dL / L to the next rate, so that the two can come out of order;
     those are scanned top down when no higher rate fits."""
+    num = REBID_POINTS
+
+    def expanded(i: int) -> float:
+        return _expanded_bw(_grid_rate(i, lo, hi, num), b_min, snr, inv_alpha)
+
     # the scanned rates have L**(k - 1) <= 1e3 * eps * (1 + 1 / snr) / (k * dL),
-    # where L = ln(grid[i] / b_min) grows by dL per index
-    first = float(grid[0])
-    dl = max(math.log(float(grid[-1]) / first) / (len(grid) - 1), 1e-300)
+    # where L = ln(rate i / b_min) grows by dL per index
+    dl = max(math.log(hi / lo) / (num - 1), 1e-300)
     noise = 2.2e-13 * (1.0 + 1.0 / snr) if snr > 0.0 else math.inf
     ln_l = min((math.log(noise) - math.log(inv_alpha * dl)) / (inv_alpha - 1.0), 1.0)
-    scanned = (math.exp(ln_l) - math.log(first / b_min)) / dl
-    lo = max(0, math.ceil(min(scanned, len(grid)))) - 1
-    scan, hi, j = lo, len(grid), -1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        bw = _expanded_bw(float(grid[mid]), b_min, snr, inv_alpha)
+    scanned = (math.exp(ln_l) - math.log(lo / b_min)) / dl
+    i_lo = max(0, math.ceil(min(scanned, num))) - 1
+    scan, i_hi, j = i_lo, num, -1
+    while i_hi - i_lo > 1:
+        mid = (i_lo + i_hi) // 2
+        bw = expanded(mid)
         if bw <= bw_max:
-            lo = j = mid
-        elif mid + 1 < len(grid) and bw > _expanded_bw(float(grid[mid + 1]), b_min, snr, inv_alpha):
-            lo, j = mid, -1
+            i_lo = j = mid
+        elif mid + 1 < num and bw > expanded(mid + 1):
+            i_lo, j = mid, -1
         else:
-            hi = mid
+            i_hi = mid
     while j < 0 <= scan:
-        if _expanded_bw(float(grid[scan]), b_min, snr, inv_alpha) <= bw_max:
+        if expanded(scan) <= bw_max:
             j = scan
         scan -= 1
     return j
@@ -380,14 +372,13 @@ def expansion_rebid(
 
     inv_alpha = 1.0 / model.prelec_alpha
     snr, bw_max = link.mean_snr, link.bw_max
-    grid = _log_grid(lo_edge, cap, REBID_POINTS)
-    j = _last_feasible(grid, b_min, snr, inv_alpha, bw_max)
+    j = _last_feasible(lo_edge, cap, b_min, snr, inv_alpha, bw_max)
     if j < 0:
         return _NO_EXPANDABLE_RATE
 
-    b_up = float(grid[j])
+    b_up = _grid_rate(j, lo_edge, cap, REBID_POINTS)
     if j + 1 < REBID_POINTS:
-        lo, hi = b_up, float(grid[j + 1])
+        lo, hi = b_up, _grid_rate(j + 1, lo_edge, cap, REBID_POINTS)
         while hi - lo > RATE_TOL:
             mid = 0.5 * (lo + hi)
             if _expanded_bw(mid, b_min, snr, inv_alpha) <= bw_max:

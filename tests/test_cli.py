@@ -265,10 +265,21 @@ class TestNeClassify:
         other = "bid_w" if slot == "bid_c" else "bid_c"
         assert thresholds[f"price_{other[-1]}"] == 2.0
 
+
     def test_bad_model_rejected(self, tmp_path, capsys):
         path = self.params(tmp_path, model="cpt")
         assert main(["ne-classify", "--params", str(path)]) == 2
-        assert capsys.readouterr().err == "error: model must be 'eut' or 'pt', got 'cpt'\n"
+        assert capsys.readouterr().err == "error: params: model must be 'eut' or 'pt', got 'cpt'\n"
+
+    def test_exponent_is_checked_only_where_used(self, tmp_path, capsys):
+        # the objective model ignores prelec_alpha, as DecisionModel.eut does
+        path = self.params(tmp_path, prelec_alpha=1.5)
+        assert main(["ne-classify", "--params", str(path)]) == 0
+        capsys.readouterr()
+        path = self.params(tmp_path, model="pt", prelec_alpha=1.5)
+        assert main(["ne-classify", "--params", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: params: prelec_alpha must lie in (0, 1), got 1.5\n"
 
     def test_matches_sweep_games_with_both_bids_in_force(self, tmp_path, capsys):
         # each default n=50 trial-0 EUT game whose cellular and selected WiFi

@@ -6,7 +6,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -708,6 +711,30 @@ class TestEmission:
             load_rows(path, "json")
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("avg_bw_per_user", "nan", "row: avg_bw_per_user: expected float, got nan"),
+            ("sum_sp_utility", "-inf", "row: sum_sp_utility: expected float, got -inf"),
+            ("trials", "1.5", "row: trials: expected int, got 1.5"),
+            ("n", "fifty", "row: n: expected int, got 'fifty'"),
+            ("stderr_sp", "", "row: stderr_sp: expected float, got ''"),
+            ("sum_sp_utility", None, "row: missing config keys: ['sum_sp_utility']"),
+            ("cost", "1.0", "row: unknown config keys: ['cost']"),
+        ],
+    )
+    def test_csv_rows_are_checked_as_json_rows_are(self, tmp_path, key, text, message):
+        # each cell is parsed by its column's type and the record checked by
+        # the JSON row loader; a None drops the column
+        row = SweepRow(50, "EUT", 1.0, 2.0, 0.5, 0.9, 1, 0.0, 0.0)
+        cells = {**{k: str(v) for k, v in asdict(row).items()}, key: text}
+        cells = {k: v for k, v in cells.items() if v is not None}
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{','.join(cells)}\n{','.join(cells.values())}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_rows(path, "csv")
+        assert str(err.value) == message
+
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], "csv", tmp_path / "x.csv")
@@ -906,14 +933,36 @@ class TestGoldenOutput:
     """Byte-for-byte regression gate for changes that must not move results.
 
     tests/data/golden_sweep.csv holds the CSV of the default config with
-    sweep=(50, 250, 500) and trials=2, as written by the scalar reference
-    implementation.  Regenerate it only for a deliberate model change, and
-    record the row diff when doing so.
+    sweep=(50, 250, 500) and trials=2.  Every value that reaches a row is
+    computed with Python's math module (the platform libm), or by numpy's
+    random generator, its correctly rounded arithmetic and its mean and std;
+    never by numpy's log10, log or power, whose last bit depends on the SIMD
+    kernels numpy dispatches on the host CPU.  Regenerate the file only for
+    a deliberate model change, and record the row diff when doing so.
     """
 
+    GOLDEN = Path(__file__).resolve().parent / "data" / "golden_sweep.csv"
+    CONFIG = replace(DEFAULT_CONFIG, sweep=(50, 250, 500), trials=2)
+
     def test_default_config_sweep_is_byte_identical(self, tmp_path):
-        cfg = replace(DEFAULT_CONFIG, sweep=(50, 250, 500), trials=2)
         out = tmp_path / "rows.csv"
-        emit(run_sweep(cfg), "csv", out)
-        golden = Path(__file__).resolve().parent / "data" / "golden_sweep.csv"
-        assert out.read_bytes() == golden.read_bytes()
+        emit(run_sweep(self.CONFIG), "csv", out)
+        assert out.read_bytes() == self.GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize(
+        "disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"]
+    )
+    def test_rows_do_not_depend_on_numpy_cpu_dispatch(self, tmp_path, disabled):
+        # numpy reads NPY_DISABLE_CPU_FEATURES at import and ignores the
+        # names of features the host lacks, so the CLI sweep in a fresh
+        # process runs without AVX-512 (and without AVX2) kernels where the
+        # host has them
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.CONFIG.to_dict()), encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["-m", "hetnetsim", "simulate", "--config", str(config), "--out", str(out)]
+        subprocess.run([sys.executable, *argv], env=env, check=True, capture_output=True)
+        assert out.read_bytes() == self.GOLDEN.read_bytes()

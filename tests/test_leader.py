@@ -83,12 +83,20 @@ def scalar_expanded_bw(b, b_min, link, model):
         return math.inf
 
 
+def reference_grid(lo, hi, num):
+    """The num-point log-spaced rate grid from lo to hi, both ends pinned:
+    rate i is 10 ** (i * step + log10(lo)), step = (log10(hi) - log10(lo)) /
+    (num - 1), in math.*, the leader's formula for it."""
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / (num - 1)
+    return [lo, *(10.0 ** (i * step + log_lo) for i in range(1, num - 1)), hi]
+
+
 def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
     """The bid search as first written, the reference for optimize_bid.
 
-    np.geomspace grid, whole-array temporaries and a golden-section pass
-    over a closure objective; optimize_bid must agree with it field for
-    field."""
+    The whole scalar grid, an argmax over it and a golden-section pass over
+    a closure objective; optimize_bid must agree with it field for field."""
     if not link.covered or link.b_max <= 0:
         return NoBid("link not covered")
     if link.b_max <= b_min * (1.0 + 1e-6):
@@ -98,7 +106,8 @@ def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
     snr = link.mean_snr
 
     def required_bw(b):
-        return b / math.log2(1.0 + snr * math.log(b / b_min))
+        d = math.log2(1.0 + snr * math.log(b / b_min))
+        return b / d if d else math.inf
 
     def objective(b):
         bw = required_bw(b)
@@ -106,13 +115,11 @@ def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
             return -math.inf
         return sp.alpha * b**sp.beta - sp.cost_rate * b - sp.cost_bw * bw
 
-    grid = np.geomspace(b_min * (1.0 + 1e-6), link.b_max, grid_points)
-    bw_grid = grid / np.log2(1.0 + snr * np.log(grid / b_min))
-    profit = sp.alpha * grid**sp.beta - sp.cost_rate * grid - sp.cost_bw * bw_grid
-    profit[bw_grid > budget] = -np.inf
-
-    best = int(np.argmax(profit))
-    if not np.isfinite(profit[best]):
+    grid = reference_grid(b_min * (1.0 + 1e-6), link.b_max, grid_points)
+    profit = [objective(b) for b in grid]
+    # max() keeps the first of equal profits, as an argmax does
+    best = max(range(grid_points), key=profit.__getitem__)
+    if not math.isfinite(profit[best]):
         return NoBid("bandwidth budget cannot support any rate")
 
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -131,7 +138,7 @@ def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
             x2 = lo + golden * (hi - lo)
             f2 = objective(x2)
 
-    candidates = [(float(profit[best]), float(grid[best])), (f1, x1), (f2, x2)]
+    candidates = [(profit[best], grid[best]), (f1, x1), (f2, x2)]
     best_profit, b_star = max(candidates, key=lambda item: item[0])
     if best_profit < 0:
         return NoBid("no profitable rate")
@@ -158,7 +165,7 @@ def reference_bw_floor(b_min, snr):
 
 def reference_rebid_grid(link, b_min, grid_points=256):
     cap = min(link.b_max, math.e * b_min)
-    return np.geomspace(b_min * (1.0 + 1e-6), cap, grid_points)
+    return reference_grid(b_min * (1.0 + 1e-6), cap, grid_points)
 
 
 def reference_expansion_rebid(sp, link, b_min, model, grid_points=256, tol=1e-9):
@@ -178,14 +185,14 @@ def reference_expansion_rebid(sp, link, b_min, model, grid_points=256, tol=1e-9)
         return scalar_expanded_bw(b, b_min, link, model)
 
     grid = reference_rebid_grid(link, b_min, grid_points)
-    feasible = [expanded_bw(float(b)) <= link.bw_max for b in grid]
+    feasible = [expanded_bw(b) <= link.bw_max for b in grid]
     if not any(feasible):
         return NoBid("expansion exceeds the budget at every rate")
 
     j = max(i for i, ok in enumerate(feasible) if ok)
-    b_up = float(grid[j])
+    b_up = grid[j]
     if j + 1 < grid_points:
-        lo, hi = b_up, float(grid[j + 1])
+        lo, hi = b_up, grid[j + 1]
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if expanded_bw(mid) <= link.bw_max:
@@ -361,12 +368,12 @@ class TestOptimizeBid:
         # at a mean SNR of 3e-16, 1 + snr * ln(b / b_min) rounds to 1 at the
         # lowest rates, so the log2 under the bandwidth is 0 there: the
         # bandwidth is infinite, on the grid and in the refinement alike,
-        # with no division error and no numpy warning
-        link = LinkState(path_loss_db=0.0, mean_snr=2.99e-16, covered=True, bw_max=1.91e16, b_max=40.1)
+        # with no division error
+        link = LinkState(
+            path_loss_db=0.0, mean_snr=2.99e-16, covered=True, bw_max=1.91e16, b_max=40.1
+        )
         out = optimize_bid(make_sp(), link, b_min=3.03)
-        with np.errstate(divide="ignore"):
-            want = reference_optimize_bid(make_sp(), link, 3.03)
-        assert out == want
+        assert out == reference_optimize_bid(make_sp(), link, 3.03)
         assert out.reason == "no profitable rate"
 
 
@@ -400,29 +407,31 @@ class TestOptimizeBidOracle:
         sp = make_sp(alpha=price_alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw)
         got = optimize_bid(sp, link, b_min)
         want = reference_optimize_bid(sp, link, b_min)
-        # dataclass equality compares field values, so a float field equals
-        # the reference's np.float64 field of the same value; a NoBid
-        # equals another only with the same reason
+        # dataclass equality compares field values exactly; a NoBid equals
+        # another only with the same reason
         assert type(got) is type(want)
         assert got == want
 
     @pytest.mark.parametrize("n", [50, 500])
     def test_sweep_grid_searches_take_the_certified_path(self, monkeypatch, n):
         # every default-trial search that gets past the early exits is
-        # answered from a slice of at most three grid points
-        sizes = []
-        log_grid = leader._log_grid
+        # answered from the certificate's three grid points, never by
+        # scanning the full grid
+        certified, full = [], []
+        certify, full_grid = leader._certified_window, leader._full_grid_window
 
-        def spy(lo, hi, num, *window):
-            grid = log_grid(lo, hi, num, *window)
-            if num == leader.GRID_POINTS:
-                sizes.append(len(grid))
-            return grid
+        def spy(*args):
+            window = certify(*args)
+            certified.append(window is not None)
+            return window
 
-        monkeypatch.setattr(leader, "_log_grid", spy)
+        monkeypatch.setattr(leader, "_certified_window", spy)
+        monkeypatch.setattr(
+            leader, "_full_grid_window", lambda *args: full.append(args) or full_grid(*args)
+        )
         solve_trial(DEFAULT_CONFIG, n, 0)
-        assert sizes
-        assert max(sizes) <= 3
+        assert certified and all(certified)
+        assert not full
 
 
 class TestBandwidthFloor:
@@ -432,9 +441,10 @@ class TestBandwidthFloor:
 
     @staticmethod
     def grid_bandwidths(link, b_min):
-        grid = leader._log_grid(b_min * (1.0 + 1e-6), link.b_max, 1024).tolist()
-        snr = link.mean_snr
-        return [b / math.log2(1.0 + snr * math.log(b / b_min)) for b in grid]
+        # the rates and bandwidths _full_grid_window scans
+        lo, num = b_min * (1.0 + 1e-6), leader.GRID_POINTS
+        rates = (leader._grid_rate(i, lo, link.b_max, num) for i in range(num))
+        return [leader._grid_bw(b, b_min, link.mean_snr) for b in rates]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -466,62 +476,21 @@ class TestBandwidthFloor:
         bw_max = reference_bw_floor(b_min, snr) * (1.0 + rel)
         link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
         sp = make_sp(alpha=price_alpha, beta=beta)
-        grids = []
-        log_grid = leader._log_grid
+        rates = []
+        grid_rate = leader._grid_rate
 
         def spy(*args):
-            grids.append(args)
-            return log_grid(*args)
+            rates.append(args)
+            return grid_rate(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(leader, "_log_grid", spy)
+            patch.setattr(leader, "_grid_rate", spy)
             got = optimize_bid(sp, link, b_min)
         assert got == reference_optimize_bid(sp, link, b_min)
-        # 1e-5 under the floor is past the margin: no grid is built
+        # 1e-5 under the floor is past the margin: no grid rate is computed
         if rel == -1e-5 and link.b_max > b_min * (1.0 + 1e-6):
             assert got.reason == "bandwidth budget cannot support any rate"
-            assert not grids
-
-
-class TestLogGrid:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        lo=st.floats(1e-300, 1e300),
-        hi=st.floats(1e-300, 1e300),
-        num=st.sampled_from([2, 3, 256, 1024]),
-    )
-    def test_bit_identical_to_geomspace(self, lo, hi, num):
-        assert leader._log_grid(lo, hi, num).tobytes() == np.geomspace(lo, hi, num).tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        b_min=st.floats(0.1, 10.0),
-        cap_factor=st.floats(1.0 + 1e-5, 1e4),
-        snr=st.floats(1e-8, 1e9),
-        beta=st.floats(1.01, 2.5),
-    )
-    def test_slices_match_the_full_grid(self, b_min, cap_factor, snr, beta):
-        # the bid search's windows around j - 1, j and j + 1, ends included,
-        # are the full grid's rates, bandwidths and profits bit for bit
-        sp = make_sp(beta=beta)
-        lo = b_min * (1.0 + 1e-6)
-        hi = lo * cap_factor
-        grid = leader._log_grid(lo, hi, 1024)
-        bw, profit = leader._bw_profit(grid, b_min, snr, sp)
-        for j in (0, 1, 511, 1022, 1023):
-            start = max(j - 1, 0)
-            part = leader._log_grid(lo, hi, 1024, start, j + 2)
-            part_bw, part_profit = leader._bw_profit(part, b_min, snr, sp)
-            assert part.tobytes() == grid[start : j + 2].tobytes()
-            assert part_bw.tobytes() == bw[start : j + 2].tobytes()
-            assert part_profit.tobytes() == profit[start : j + 2].tobytes()
-
-    def test_returned_grid_is_fresh(self):
-        first = leader._log_grid(2.0, 150.0, 256)
-        first[:] = -1.0
-        second = leader._log_grid(2.0, 150.0, 256)
-        assert second.tobytes() == np.geomspace(2.0, 150.0, 256).tobytes()
-        assert not np.shares_memory(first, second)
+            assert not rates
 
 
 class TestExpandBwPt:
@@ -728,7 +697,7 @@ class TestExpansionRebidOracle:
         # that point does not decide the last feasible index j
         snr, b_min, model = 30.0, 2.0, DecisionModel.pt(0.7)
         probe = LinkState(0.0, snr, True, 1.0, 4.0 * math.e * b_min)
-        b_k = float(reference_rebid_grid(probe, b_min)[k])
+        b_k = reference_rebid_grid(probe, b_min)[k]
         bw_k = scalar_expanded_bw(b_k, b_min, probe, model)
         if nudge:
             bw_k = math.nextafter(bw_k, 0.0)
@@ -747,7 +716,7 @@ class TestExpansionRebidOracle:
         # grid[j] and grid[j + 1], the bracket points that decide j, are
         # judged before the bisection's off-grid midpoints and the final bid
         # (which sits on grid[255] when no bisection runs)
-        grid = reference_rebid_grid(link, b_min).tolist()
+        grid = reference_rebid_grid(link, b_min)
         j = max(
             i
             for i, b in enumerate(grid)
@@ -774,7 +743,7 @@ class TestExpansionRebidOracle:
         # exponents near b_min) sit on the falling side
         link = LinkState(0.0, snr, True, bw_max, b_max_factor * math.e * b_min)
         assume(min(link.b_max, math.e * b_min) > b_min * (1.0 + 1e-6))
-        grid = reference_rebid_grid(link, b_min).tolist()
+        grid = reference_rebid_grid(link, b_min)
         inv_alpha = 1.0 / alpha
         bws = [leader._expanded_bw(b, b_min, snr, inv_alpha) for b in grid]
         feasible = [i for i, bw in enumerate(bws) if bw <= bw_max]
@@ -785,7 +754,7 @@ class TestExpansionRebidOracle:
                 bw == math.inf for bw in bws[: bws.count(math.inf)]
             )
         want = feasible[-1] if feasible else -1
-        assert leader._last_feasible(np.array(grid), b_min, snr, inv_alpha, bw_max) == want
+        assert leader._last_feasible(grid[0], grid[-1], b_min, snr, inv_alpha, bw_max) == want
 
     @pytest.mark.parametrize(
         "snr, alpha, cap_factor, bw_max",
@@ -804,9 +773,9 @@ class TestExpansionRebidOracle:
         b_min, model, sp = 2.0, DecisionModel.pt(alpha), make_sp()
         link = LinkState(0.0, snr, True, bw_max, b_min * cap_factor)
         grid = reference_rebid_grid(link, b_min)
-        fits = [scalar_expanded_bw(float(b), b_min, link, model) <= bw_max for b in grid]
+        fits = [scalar_expanded_bw(b, b_min, link, model) <= bw_max for b in grid]
         want = max(i for i, ok in enumerate(fits) if ok)
-        assert leader._last_feasible(grid, b_min, snr, 1.0 / alpha, bw_max) == want
+        assert leader._last_feasible(grid[0], grid[-1], b_min, snr, 1.0 / alpha, bw_max) == want
         assert expansion_rebid(sp, link, b_min, model) == reference_expansion_rebid(
             sp, link, b_min, model
         )
