@@ -4,8 +4,7 @@ Leaders commit to marginal bids, the follower best-responds, and classify,
 the one function that labels a game (shared by the sweep, `game` and
 `ne-classify`), labels the outcome over the acceptance pair (p_c, p_w):
 Reject00 (also when no bid is in force), WifiOnly01, CellOnly10, Both11,
-or the symmetric mixed equilibrium Mixed0110.  NeClass.INFEASIBLE is never
-produced.
+or the symmetric mixed equilibrium Mixed0110.
 
 Leader payoffs are model.sp_utility, so a rejected bid strands its
 provisioning cost; a leader that anticipates rejection withdraws and earns

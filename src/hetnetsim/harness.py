@@ -526,23 +526,36 @@ def emit(rows: list[SweepRow], fmt: str, path: str | Path) -> None:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
-def _parse_cell(key: str, text: str | None):
+def _parse_cell(key: str, text: str):
     for parse in _CELL_PARSERS.get(key, ()):
         try:
             return parse(text)
-        except (TypeError, ValueError):
+        except ValueError:
             pass
     return text
 
 
 def load_rows(path: str | Path, fmt: str = "csv") -> list[SweepRow]:
     """Inverse of emit, for round-trip checks and downstream analysis.  Every
-    record is checked as a JSON row is, with a one-line error naming the key."""
+    record is checked as a JSON row is, with a one-line error naming the
+    record (a CSV row by its line in the file, a JSON row by its index in
+    the array) and the key."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     with open(path, newline="", encoding="utf-8") as fh:
         if fmt == "json":
-            records = json.load(fh)
+            data = json.load(fh)
+            if not isinstance(data, list):
+                raise ValueError(f"rows: expected a JSON array, got {type(data).__name__}")
+            records = [(f"row {i}", rec) for i, rec in enumerate(data)]
         else:
-            records = [{k: _parse_cell(k, v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
-    return [_from_json(SweepRow, rec, "row") for rec in records]
+            # a blank line is no record
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            records = []
+            for cells in filter(None, reader):
+                where = f"line {reader.line_num}"
+                if len(cells) != len(header):
+                    raise ValueError(f"{where}: {len(cells)} cells, header has {len(header)}")
+                records.append((where, {k: _parse_cell(k, v) for k, v in zip(header, cells)}))
+    return [_from_json(SweepRow, rec, where) for where, rec in records]

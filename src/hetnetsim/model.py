@@ -49,7 +49,6 @@ class NeClass(enum.Enum):
     CELL_ONLY10 = "CellOnly10"
     BOTH11 = "Both11"
     MIXED0110 = "Mixed0110"
-    INFEASIBLE = "Infeasible"
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ def link_factory():
 
 
 def pytest_runtest_logreport(report):
-    if report.when != "call":
+    # a criterion whose fixture fails (such as the sweep criteria 8 and 9
+    # read) fails at setup, and its call phase never runs
+    if not (report.when == "call" or report.when == "setup" and report.failed):
         return
     m = _CRITERION_RE.search(report.nodeid)
     if m:

@@ -675,12 +675,12 @@ class TestEmission:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("n", "50", "row: n: expected int, got '50'"),
-            ("trials", 1.5, "row: trials: expected int, got 1.5"),
-            ("sum_user_utility", None, "row: sum_user_utility: expected float, got None"),
-            ("n", True, "row: n: expected int, got True"),
-            ("scenario", 1, "row: scenario: expected str, got 1"),
-            ("avg_bw_per_user", math.inf, "row: avg_bw_per_user: expected float, got inf"),
+            ("n", "50", "row 0: n: expected int, got '50'"),
+            ("trials", 1.5, "row 0: trials: expected int, got 1.5"),
+            ("sum_user_utility", None, "row 0: sum_user_utility: expected float, got None"),
+            ("n", True, "row 0: n: expected int, got True"),
+            ("scenario", 1, "row 0: scenario: expected str, got 1"),
+            ("avg_bw_per_user", math.inf, "row 0: avg_bw_per_user: expected float, got inf"),
         ],
     )
     def test_json_rows_are_type_checked(self, tmp_path, key, value, message):
@@ -694,9 +694,9 @@ class TestEmission:
     @pytest.mark.parametrize(
         "record, message",
         [
-            ({"extra": 1}, "row: unknown config keys: ['extra']"),
-            ({"trials": None}, "row: missing config keys: ['trials']"),
-            (3, "row: expected a JSON object, got 3"),
+            ({"extra": 1}, "row 0: unknown config keys: ['extra']"),
+            ({"trials": None}, "row 0: missing config keys: ['trials']"),
+            (3, "row 0: expected a JSON object, got 3"),
         ],
     )
     def test_json_row_shape_is_checked(self, tmp_path, record, message):
@@ -714,13 +714,13 @@ class TestEmission:
     @pytest.mark.parametrize(
         "key, text, message",
         [
-            ("avg_bw_per_user", "nan", "row: avg_bw_per_user: expected float, got nan"),
-            ("sum_sp_utility", "-inf", "row: sum_sp_utility: expected float, got -inf"),
-            ("trials", "1.5", "row: trials: expected int, got 1.5"),
-            ("n", "fifty", "row: n: expected int, got 'fifty'"),
-            ("stderr_sp", "", "row: stderr_sp: expected float, got ''"),
-            ("sum_sp_utility", None, "row: missing config keys: ['sum_sp_utility']"),
-            ("cost", "1.0", "row: unknown config keys: ['cost']"),
+            ("avg_bw_per_user", "nan", "line 2: avg_bw_per_user: expected float, got nan"),
+            ("sum_sp_utility", "-inf", "line 2: sum_sp_utility: expected float, got -inf"),
+            ("trials", "1.5", "line 2: trials: expected int, got 1.5"),
+            ("n", "fifty", "line 2: n: expected int, got 'fifty'"),
+            ("stderr_sp", "", "line 2: stderr_sp: expected float, got ''"),
+            ("sum_sp_utility", None, "line 2: missing config keys: ['sum_sp_utility']"),
+            ("cost", "1.0", "line 2: unknown config keys: ['cost']"),
         ],
     )
     def test_csv_rows_are_checked_as_json_rows_are(self, tmp_path, key, text, message):
@@ -734,6 +734,41 @@ class TestEmission:
         with pytest.raises(ValueError) as err:
             load_rows(path, "csv")
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda line: line + ",7", "line 3: 10 cells, header has 9"),
+            (lambda line: line.rsplit(",", 1)[0], "line 3: 8 cells, header has 9"),
+            (
+                lambda line: line.replace(",0.5,", ",nan,"),
+                "line 3: avg_bw_per_user: expected float, got nan",
+            ),
+        ],
+        ids=["extra-cell", "missing-cell", "nan"],
+    )
+    def test_csv_errors_name_the_line(self, tmp_path, edit, message):
+        # the second data row is line 3 of the file; the blank line after
+        # it is skipped
+        path = tmp_path / "rows.csv"
+        emit([SweepRow(50, "EUT", 1.0, 2.0, 0.5, 0.9, 1, 0.0, 0.0)] * 2, "csv", path)
+        header, good, bad = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"{header}\n{good}\n{edit(bad)}\n\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_rows(path, "csv")
+        assert str(err.value) == message
+
+    def test_json_errors_name_the_index(self, tmp_path):
+        good = asdict(SweepRow(50, "EUT", 1.0, 2.0, 0.5, 0.9, 1, 0.0, 0.0))
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps([good, {**good, "trials": 0.5}]), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_rows(path, "json")
+        assert str(err.value) == "row 1: trials: expected int, got 0.5"
+        path.write_text(json.dumps(good), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_rows(path, "json")
+        assert str(err.value) == "rows: expected a JSON array, got dict"
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
