@@ -33,9 +33,11 @@ def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed)
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise ValueError(f"output directory {out_dir} does not exist")
+    out = Path(args.out)
+    if out.is_dir():
+        raise ValueError(f"output path {out} is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"output directory {out.parent} does not exist")
     rows = run_sweep(cfg)
     emit(rows, args.format, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -13,10 +13,11 @@ is smooth but not unimodal in general, so a log-spaced grid locates the
 basin and a golden-section pass refines it.  The grid's argmax usually sits
 at its last feasible rate, the rate cap or the budget corner, and
 _certified_window proves that from three grid points when it holds; the
-full grid is evaluated only where that certificate fails.  Both this search
-and the rate-conceding rebid compute only the grid rates they read, each
-with _grid_rate in math.*, so a bid's bits depend on the platform's libm and
-on nothing numpy dispatches for the host CPU.
+full grid is evaluated only where that certificate fails.  It also skips
+the refinement at a rate cap that no rate the refinement prices can beat.
+Both this search and the rate-conceding rebid compute only the grid rates
+they read, each with _grid_rate in math.*, so a bid's bits depend on the
+platform's libm and on nothing numpy dispatches for the host CPU.
 
 Under prospect-theoretic users a guarantee above 1/e is perceived as smaller
 than it is; expand_bw_pt grows the allocated bandwidth until the *perceived*
@@ -120,12 +121,18 @@ def _certified_window(
         least h(b) = alpha*beta*b**(beta-1) - cost_rate - cost_bw*budget/b,
         which rises with b: with h(g[i]) > 0, the rates i..j-1 earn less
         than rate j by at least h(g[j-1]) * (g[j] - g[j-1]).
+    At the cap, the refinement prices no rate within gap = phi * (1 - phi) *
+    min(RATE_TOL, g[j] - g[j-1]) of it, less a few ulps: if h(g[j-1]) * gap
+    exceeds twice eps, its bandwidth bound retaken at g[j-1], it collapses.
     """
     num = GRID_POINTS
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
     exp, log1p, ln2 = math.exp, math.log1p, math.log(2.0)
     # scalar rate i is lo_edge * e**(i * dl), at L = l0 + i * dl
     l0, dl = log1p(_LOW_EDGE), math.log(b_max / lo_edge) / (num - 1)
+
+    def bw_roundoff(x: float) -> float:  # a grid bandwidth's relative roundoff at snr * L >= x
+        return _ROUNDOFF * (1.0 + (1.0 + snr + 6.0 * x) / ((1.0 + x) * log1p(x)))
     lo, hi, i, bw_lo, bw_hi = -1, num, num - 1, math.inf, math.inf
     while hi - lo > 1:
         x = snr * (l0 + i * dl)
@@ -137,8 +144,9 @@ def _certified_window(
             hi, bw_hi = i, bw
         i = (lo + hi) // 2
     j = lo
-    if not bw_lo <= budget:
-        return _NO_FEASIBLE_RATE if min(bw_lo, bw_hi) > budget * (1.0 + _NO_FIT_MARGIN) else None
+    if not bw_lo <= budget:  # bw_roundoff peaks at rate 0, where L is least
+        no_fit = min(bw_lo, bw_hi) > budget * (1.0 + _NO_FIT_MARGIN)
+        return _NO_FEASIBLE_RATE if no_fit and bw_roundoff(snr * l0) <= _BW_ROUNDOFF else None
 
     g_0, g_j = _grid_rate(max(j - 1, 0), lo_edge, b_max, num), _grid_rate(j, lo_edge, b_max, num)
     bw_j = _grid_bw(g_j, b_min, snr)
@@ -164,11 +172,15 @@ def _certified_window(
     # few-ulp gap between g_i and the grid's rate i
     certified = (
         (j == num - 1 or _grid_bw(g_1, b_min, snr) > max(budget, bw_j * (1.0 + 6.0 * _BW_ROUNDOFF)))
-        and _ROUNDOFF * (1.0 + (1.0 + snr + 6.0 * x) / ((1.0 + x) * log1p(x))) <= _BW_ROUNDOFF
+        and bw_roundoff(x) <= _BW_ROUNDOFF
         and (i == 0 or alpha * g_i**beta - cost_rate * b_min < best - 2.0 * eps)
         and (i == j or h(g_i, 1e-10) > 0.0 and h(g_0, _ROUNDOFF) * (g_j - g_0) > 2.0 * eps)
     )
-    return (g_0, g_j, g_1, best) if certified else None
+    gap = _GOLDEN * (1.0 - _GOLDEN) * min(RATE_TOL, g_j - g_0) - _ROUNDOFF * g_j
+    at_cap = certified and j == num - 1 and i < j and h(g_0, _ROUNDOFF) * gap > 2.0 * (
+        eps + cost_bw * budget_hi * (bw_roundoff(snr * (l0 + (j - 1) * dl)) - _BW_ROUNDOFF)
+    )
+    return (g_j if at_cap else g_0, g_j, g_1, best) if certified else None
 
 
 def _full_grid_window(
@@ -217,7 +229,8 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     # golden-section refinement around the winning grid point; the -inf
     # penalty keeps the search on the feasible side of a budget corner.  Each
     # pass prices the one inner point whose profit is missing (None): x1,
-    # then x2, then the point each step moves in.
+    # then x2, then the point each step moves in; a window collapsed onto the
+    # rate cap prices the cap twice, to best_profit's bits, and stops.
     golden, log, log2, inf, infeasible = _GOLDEN, math.log, math.log2, math.inf, -math.inf
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)

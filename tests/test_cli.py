@@ -69,6 +69,17 @@ class TestSimulate:
         assert err.startswith("error: output directory")
         assert "/nonexistent-dir-xyz" in err
 
+    def test_directory_target_fails_before_the_sweep(
+        self, tiny_config, tmp_path, capsys, monkeypatch
+    ):
+        def never(cfg):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        rc = main(["simulate", "--config", str(tiny_config), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: output path {tmp_path} is a directory\n"
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

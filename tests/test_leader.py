@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_link
-from hetnetsim import leader
+from hetnetsim import equilibrium, leader
 from hetnetsim.channel import LinkState, guarantee_inverse_bw, service_guarantee
 from hetnetsim.harness import DEFAULT_CONFIG, solve_trial
 from hetnetsim.leader import (
@@ -41,6 +41,13 @@ def make_sp(alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.5, **kw):
     kw.setdefault("bw_total", 40.0)
     kw.setdefault("tx_power_dbm", 40.0)
     return SpProfile(alpha=alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw, **kw)
+
+
+def signed_pow10(lo, hi):
+    """Strategy for -10**e and 10**e with e in [lo, hi]."""
+    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(lo, hi)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    )
 
 
 def bisect_marginal_bw(b, b_min, link, iters=200):
@@ -412,26 +419,109 @@ class TestOptimizeBidOracle:
         assert type(got) is type(want)
         assert got == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        snr=st.one_of(st.floats(-8.0, -6.0), st.floats(-6.0, 6.0)).map(lambda e: 10.0**e),
+        b_min=st.floats(0.1, 10.0),
+        headroom=st.floats(-5.0, 2.0),
+        beta=st.floats(1.01, 2.5),
+        cost_bw=st.floats(0.01, 5.0),
+        corner=st.one_of(signed_pow10(-12.0, -6.0), st.floats(-2.0, 2.0).map(lambda e: 10.0**e)),
+        slope=signed_pow10(-9.0, 4.0),
+        cost_rate=st.one_of(st.floats(1e-3, 1.0), st.none()),
+        profit=signed_pow10(-15.0, -3.0),
+    )
+    def test_rate_cap_skip_matches_reference_search(
+        self, snr, b_min, headroom, beta, cost_bw, corner, slope, cost_rate, profit
+    ):
+        # aimed at the edges of the refinement skip at the rate cap: SNR down
+        # to 1e-8; the cap within 1e-12..1e-6 of the budget corner, on either
+        # side, or well inside the budget; the certificate's slope bound h at
+        # the grid rate below the cap a signed multiple of its cost terms,
+        # from 1e-9 of them (a nearly flat profit) to 1e4; and, where
+        # cost_rate is drawn as None, cost_rate and alpha solved so that the
+        # profit at the cap is a signed 1e-15..1e-3 of its bandwidth cost,
+        # around the "no profitable rate" exit
+        b_max = b_min * (1.0 + 10.0**headroom)
+        cap_bw = b_max / math.log2(1.0 + snr * math.log(b_max / b_min))
+        bw_max = cap_bw * (1.0 + corner)
+        lo_edge, num = b_min * (1.0 + leader._LOW_EDGE), leader.GRID_POINTS
+        g_0 = leader._grid_rate(num - 2, lo_edge, b_max, num)
+        budget_hi = bw_max * (1.0 + leader._BUDGET_SLACK) * (1.0 + 2.0 * leader._BW_ROUNDOFF)
+        bw_cost, slope_gain = cost_bw * budget_hi / g_0, beta * g_0 ** (beta - 1.0)
+        if cost_rate is None:
+            # h(g_0) = slope * bw_cost and alpha*b_max**beta - cost_rate*b_max
+            # - cost_bw*cap_bw = profit * cost_bw*cap_bw, linear in both
+            h, margin = slope * bw_cost, (1.0 + profit) * cost_bw * cap_bw
+            alpha = (margin - b_max * (bw_cost + h)) / (b_max**beta - b_max * slope_gain)
+            cost_rate = alpha * slope_gain - bw_cost - h
+        else:
+            alpha = (cost_rate + bw_cost) * (1.0 + slope) / slope_gain
+        assume(alpha > 0.0 and cost_rate > 0.0 and math.isfinite(bw_max) and bw_max > 0.0)
+        link = LinkState(0.0, snr, True, bw_max, b_max)
+        sp = make_sp(alpha=alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw)
+        got = optimize_bid(sp, link, b_min)
+        want = reference_optimize_bid(sp, link, b_min)
+        assert type(got) is type(want)
+        assert got == want
+
+    @pytest.mark.parametrize("snr", [1e-7, 1e-6])
+    @pytest.mark.parametrize("corner", [1e-9, 1.0])
+    def test_rate_cap_skip_threshold_matches_reference(self, monkeypatch, snr, corner):
+        # at these SNRs the grid bandwidths' roundoff, not the certificate,
+        # decides the skip: alpha is bisected onto the least price at which
+        # the window collapses onto the cap, and on both sides of it the cap
+        # is certified and the bid matches the reference
+        b_min, b_max = 2.0, 20.0
+        cap_bw = b_max / math.log2(1.0 + snr * math.log(b_max / b_min))
+        link = LinkState(0.0, snr, True, cap_bw * (1.0 + corner), b_max)
+        windows, certify = [], leader._certified_window
+        monkeypatch.setattr(
+            leader, "_certified_window", lambda *args: windows.append(certify(*args)) or windows[-1]
+        )
+
+        def skips(alpha):
+            sp = make_sp(alpha=alpha, beta=1.3, cost_rate=0.12, cost_bw=1.0)
+            assert optimize_bid(sp, link, b_min) == reference_optimize_bid(sp, link, b_min)
+            window = windows.pop()
+            assert window is not None and window[1] == window[2] == b_max
+            return window[0] == b_max
+
+        lo, hi = 1.0 / snr, 1e3 / snr
+        assert not skips(lo) and skips(hi)
+        while (mid := math.sqrt(lo * hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if skips(mid) else (mid, hi)
+        assert hi == math.nextafter(lo, math.inf)
+
     @pytest.mark.parametrize("n", [50, 500])
     def test_sweep_grid_searches_take_the_certified_path(self, monkeypatch, n):
         # every default-trial search that gets past the early exits is
         # answered from the certificate's three grid points, never by
-        # scanning the full grid
-        certified, full = [], []
+        # scanning the full grid; a Bid on its rate cap skips the refinement
+        # (its window collapses onto the cap) and every other Bid refines
+        windows, full, bids = [], [], []
         certify, full_grid = leader._certified_window, leader._full_grid_window
+        search = equilibrium.optimize_bid
 
-        def spy(*args):
-            window = certify(*args)
-            certified.append(window is not None)
-            return window
+        def spy(sp, link, b_min):
+            bid = search(sp, link, b_min)
+            if isinstance(bid, Bid):
+                bids.append((bid.rate == link.b_max, windows[-1]))
+            return bid
 
-        monkeypatch.setattr(leader, "_certified_window", spy)
+        monkeypatch.setattr(
+            leader, "_certified_window", lambda *args: windows.append(certify(*args)) or windows[-1]
+        )
         monkeypatch.setattr(
             leader, "_full_grid_window", lambda *args: full.append(args) or full_grid(*args)
         )
+        monkeypatch.setattr(equilibrium, "optimize_bid", spy)
         solve_trial(DEFAULT_CONFIG, n, 0)
-        assert certified and all(certified)
+        assert windows and None not in windows
         assert not full
+        assert all((lo == rate) == at_cap for at_cap, (lo, rate, _, _) in bids)
+        # every n=50 Bid ends on its cap; at n=500 some do and most do not
+        assert {at_cap for at_cap, _ in bids} == ({True} if n == 50 else {True, False})
 
 
 class TestBandwidthFloor:
