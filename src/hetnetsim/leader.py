@@ -185,10 +185,10 @@ def _certified_window(
 
 def _full_grid_window(
     sp: SpParams, b_min: float, lo_edge: float, b_max: float, snr: float, budget: float
-) -> tuple[float, float, float, float]:
+) -> tuple[float, float, float, float] | NoBid:
     """The full bid grid's argmax where _certified_window gives no answer:
     the grid rates around the first best profit among the rates that fit,
-    and that profit (-inf when none fits)."""
+    and that profit; _NO_FEASIBLE_RATE when no rate fits."""
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
     best, best_profit = 0, -math.inf
     for i in range(GRID_POINTS):
@@ -197,6 +197,8 @@ def _full_grid_window(
         profit = g**beta * alpha - g * cost_rate - bw * cost_bw if bw <= budget else -math.inf
         if profit > best_profit:
             best, best_profit = i, profit
+    if not math.isfinite(best_profit):
+        return _NO_FEASIBLE_RATE
     near = (max(best - 1, 0), best, min(best + 1, GRID_POINTS - 1))
     return (*(_grid_rate(i, lo_edge, b_max, GRID_POINTS) for i in near), best_profit)
 
@@ -219,11 +221,9 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     window = _certified_window(sp, b_min, lo_edge, b_max, snr, budget) if snr >= _MIN_SNR else None
     if window is None:
         window = _full_grid_window(sp, b_min, lo_edge, b_max, snr, budget)
-    elif window is _NO_FEASIBLE_RATE:
+    if isinstance(window, NoBid):
         return window
     lo, b_star, hi, best_profit = window
-    if not math.isfinite(best_profit):
-        return _NO_FEASIBLE_RATE
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
 
     # golden-section refinement around the winning grid point; the -inf
@@ -267,7 +267,7 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     return Bid(
         rate=b_star,
         price=sp_price(b_star, sp),
-        bandwidth=b_star / math.log2(1.0 + snr * math.log(b_star / b_min)),
+        bandwidth=_grid_bw(b_star, b_min, snr),
         guarantee=b_min / b_star,
     )
 
@@ -400,21 +400,15 @@ def expansion_rebid(
                 hi = mid
         b_up = lo
 
-    # b_up passed the budget test, so bw is finite and within bw_max and the
-    # expansion target weight_inverse(guarantee) lies below 1
+    # b_up passed the budget test, so bw is finite and within bw_max: it is
+    # the bandwidth expand_bw_pt gives the floor-tight bid, whose marginal
+    # bandwidth is at most bw below e * b_min; at the scan cap the guarantee
+    # can land on the fixed point, where expand_bw_pt leaves the bid as it is
     bw = _expanded_bw(b_up, b_min, snr, inv_alpha)
     price = sp_price(b_up, sp)
     if price - sp.cost_rate * b_up - sp.cost_bw * bw < 0:
         return _UNPROFITABLE_EXPANSION
-    guarantee = b_min / b_up
-    # at the scan cap b_min / b_up can land on or just below the fixed point,
-    # where the bid needs no expansion: it stays floor-tight, as expand_bw_pt
-    # would leave it
-    if guarantee <= FIXED_POINT:
-        return Bid(
-            rate=b_up,
-            price=price,
-            bandwidth=marginal_bw(b_up, b_min, link),
-            guarantee=guarantee,
-        )
-    return Bid(rate=b_up, price=price, bandwidth=bw, guarantee=weight_inverse(guarantee, model))
+    floor_tight = Bid(
+        rate=b_up, price=price, bandwidth=marginal_bw(b_up, b_min, link), guarantee=b_min / b_up
+    )
+    return expand_bw_pt(floor_tight, model, link)

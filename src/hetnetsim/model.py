@@ -145,6 +145,9 @@ class Bid:
     guarantee: float
 
     def __post_init__(self) -> None:
+        # built on the hot path: one sum is finite only if all three are
+        if not math.isfinite(self.rate + self.price + self.bandwidth):
+            _check_finite(vars(self))
         if self.rate < 0 or self.price < 0 or self.bandwidth < 0:
             raise ValueError("bid fields must be nonnegative")
         if not 0.0 <= self.guarantee <= 1.0:

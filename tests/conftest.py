@@ -1,11 +1,21 @@
-"""Shared fixtures plus the acceptance-criteria summary reporter."""
+"""Shared fixtures, the independent oracles, and the acceptance-criteria
+summary reporter.
+
+Each game computation has one oracle here, written from the closed forms
+rather than from the code under test:
+  - oracle_best_response enumerates the follower's four strategies;
+  - dense_grid_bid maximizes an SP's profit over a dense rate grid;
+  - bisect_bw inverts the service guarantee in the bandwidth.
+"""
 
 import math
 import re
 
+import numpy as np
 import pytest
 
-from hetnetsim import LinkState
+from hetnetsim import Bid, LinkState
+from hetnetsim.channel import service_guarantee
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _criterion_results: dict[int, bool] = {}
@@ -21,6 +31,70 @@ def make_link(mean_snr: float, bw_max: float = 10.0, covered: bool = True) -> Li
         bw_max=bw_max,
         b_max=b_max,
     )
+
+
+def oracle_best_response(bid_c, bid_w, user, alpha):
+    """Exhaustive four-strategy enumerator, coded from scratch.
+
+    alpha None means objective perception; otherwise the Prelec exponent,
+    with 0 and 1 mapped to themselves.  Mirrors the documented relative
+    floor slack of 1e-9 and the tie order: strict improvements from (0,0),
+    so fewer acceptances first, then the WiFi-only branch.
+    """
+
+    def w(p):
+        if alpha is None or p in (0.0, 1.0):
+            return p
+        return math.exp(-((-math.log(p)) ** alpha))
+
+    def offer(bid):
+        return (bid.rate, bid.price, w(bid.guarantee)) if isinstance(bid, Bid) else None
+
+    oc, ow = offer(bid_c), offer(bid_w)
+    best, best_u = (0, 0), 0.0
+    for p_c, p_w in ((0, 1), (1, 0), (1, 1)):
+        if p_c and oc is None or p_w and ow is None:
+            continue
+        rate = (oc[0] * oc[2] if p_c else 0.0) + (ow[0] * ow[2] if p_w else 0.0)
+        paid = (oc[1] if p_c else 0.0) + (ow[1] if p_w else 0.0)
+        if rate < user.b_min * (1.0 - 1e-9):
+            continue
+        benefit = user.delta * rate ** (1.0 / user.theta) if rate > 0 else 0.0
+        if benefit < paid:
+            continue
+        if benefit - paid > best_u:
+            best, best_u = (p_c, p_w), benefit - paid
+    return best, best_u
+
+
+def dense_grid_bid(sp, link, b_min, points, slack):
+    """Dense-grid maximizer of price minus cost over floor-tight offers, with
+    the bandwidth budget widened by the relative slack: (rate, profit), or
+    None when silence wins."""
+    low = b_min * (1.0 + 1e-6)
+    if not link.covered or link.b_max <= low:
+        return None
+    grid = np.geomspace(low, link.b_max, points)
+    bw = grid / np.log2(1.0 + link.mean_snr * np.log(grid / b_min))
+    profit = sp.alpha * grid**sp.beta - sp.cost_rate * grid - sp.cost_bw * bw
+    profit[bw > link.bw_max * (1.0 + slack)] = -np.inf
+    i = int(np.argmax(profit))
+    if not np.isfinite(profit[i]) or profit[i] < 0.0:
+        return None
+    return float(grid[i]), float(profit[i])
+
+
+def bisect_bw(b, target, link):
+    """Bandwidth at which the rate-b guarantee reaches target: bisection on
+    the forward guarantee."""
+    lo, hi = 1e-12, 1e9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if service_guarantee(b, mid, link) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import conftest
-from conftest import make_link
+from conftest import dense_grid_bid, make_link, oracle_best_response
 
 from hetnetsim.channel import guarantee_inverse_bw, service_guarantee
 from hetnetsim.cli import main as cli_main
@@ -34,7 +34,6 @@ from hetnetsim.model import (
     SpProfile,
     UserProfile,
     sp_cost,
-    user_benefit,
 )
 from hetnetsim.prospect import DecisionModel, weight, weight_inverse
 
@@ -131,42 +130,6 @@ def test_criterion_3_guarantee_against_monte_carlo():
     assert time.perf_counter() - start < 10.0
 
 
-def enumerate_response(bid_c, bid_w, user, alpha):
-    """Independent exhaustive best response; alpha None means no weighting."""
-
-    def perceived(bid):
-        if not isinstance(bid, Bid):
-            return 0.0
-        if alpha is None:
-            return bid.guarantee
-        return math.exp(-((-math.log(bid.guarantee)) ** alpha))
-
-    g_c, g_w = perceived(bid_c), perceived(bid_w)
-    best, best_u = (0, 0), 0.0
-    for p_c, p_w in ((0, 1), (1, 0), (1, 1)):
-        if p_c and not isinstance(bid_c, Bid):
-            continue
-        if p_w and not isinstance(bid_w, Bid):
-            continue
-        b_joint = 0.0
-        paid = 0.0
-        if p_c:
-            b_joint += bid_c.rate * g_c
-            paid += bid_c.price
-        if p_w:
-            b_joint += bid_w.rate * g_w
-            paid += bid_w.price
-        if b_joint < user.b_min * (1.0 - 1e-9):
-            continue
-        benefit = user_benefit(b_joint, user)
-        if benefit < paid:
-            continue
-        u = benefit - paid
-        if u > best_u:
-            best, best_u = (p_c, p_w), u
-    return best, best_u
-
-
 def random_offer(rng, b_min):
     if rng.random() < 0.15:
         return NoBid("silent")
@@ -186,7 +149,7 @@ def test_criterion_4_best_response_matches_enumerator():
             bid_c = random_offer(rng, user.b_min)
             bid_w = random_offer(rng, user.b_min)
             got = best_response(bid_c, bid_w, user, model)
-            want = enumerate_response(bid_c, bid_w, user, alpha)
+            want = oracle_best_response(bid_c, bid_w, user, alpha)
             if got[0] != want[0] or abs(got[1] - want[1]) > 1e-9 * max(1.0, want[1]):
                 mismatches += 1
         assert mismatches == 0
@@ -247,21 +210,6 @@ def test_criterion_6_expansion_round_trip():
     assert lam == pytest.approx(0.8892, abs=1e-3)
 
 
-def grid_argmax_profit(sp, link, b_min, points=1_000_000):
-    """Dense-grid oracle for the leader objective; None when silence wins."""
-    low = b_min * (1.0 + 1e-6)
-    if not link.covered or link.b_max <= low:
-        return None
-    grid = np.geomspace(low, link.b_max, points)
-    bw = grid / np.log2(1.0 + link.mean_snr * np.log(grid / b_min))
-    profit = sp.alpha * grid**sp.beta - sp.cost_rate * grid - sp.cost_bw * bw
-    profit[bw > link.bw_max * (1.0 + 1e-9)] = -np.inf
-    i = int(np.argmax(profit))
-    if not np.isfinite(profit[i]) or profit[i] < 0.0:
-        return None
-    return float(grid[i]), float(profit[i])
-
-
 def test_criterion_7_optimizer_beats_dense_grid():
     rng = np.random.default_rng(701)
     start = time.perf_counter()
@@ -271,7 +219,7 @@ def test_criterion_7_optimizer_beats_dense_grid():
         link = make_link(float(rng.uniform(3.0, 300.0)), float(rng.uniform(0.5, 30.0)))
         sp = random_sp(rng)
         bid = optimize_bid(sp, link, b_min)
-        oracle = grid_argmax_profit(sp, link, b_min)
+        oracle = dense_grid_bid(sp, link, b_min, 1_000_000, 1e-9)
         if not isinstance(bid, Bid):
             # silence is consistent only if the dense grid also finds no
             # meaningfully profitable rate

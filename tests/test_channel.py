@@ -21,7 +21,7 @@ from hetnetsim import (
 )
 from hetnetsim import channel
 from hetnetsim.channel import MIN_DISTANCE_M, USER_HEIGHT_M, LinkState
-from conftest import make_link
+from conftest import bisect_bw, make_link
 
 
 def hata_urban_reference(freq_mhz: float, d_km: float, h_bs: float, h_ue: float) -> float:
@@ -49,19 +49,6 @@ def cost231_reference(freq_mhz: float, d_km: float, h_bs: float, h_ue: float) ->
         - a_hm
         + (44.9 - 6.55 * math.log10(h_bs)) * math.log10(d_km)
     )
-
-
-def bisect_inverse_bw(b: float, target: float, mean_snr: float) -> float:
-    """Independent bandwidth inverse: bisection on the forward guarantee."""
-    link = make_link(mean_snr, bw_max=1e9)
-    lo, hi = 1e-9, 1e9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if service_guarantee(b, mid, link) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def reference_hata_path_loss(freq_mhz, d_km, h_bs_m, h_ue_m):
@@ -432,7 +419,7 @@ class TestGuaranteeInverseBw:
     def test_matches_bisection_oracle(self):
         link = make_link(10.0)
         got = guarantee_inverse_bw(2.0, 0.5, link)
-        assert got == pytest.approx(bisect_inverse_bw(2.0, 0.5, 10.0), rel=1e-9)
+        assert got == pytest.approx(bisect_bw(2.0, 0.5, link), rel=1e-9)
         assert got == pytest.approx(0.6694, abs=1e-3)
 
     def test_round_trip(self):

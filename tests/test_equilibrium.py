@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_link
+from conftest import make_link, oracle_best_response
 from hetnetsim.channel import LinkState
 from hetnetsim.equilibrium import (
     WITHDRAWN,
@@ -62,41 +62,6 @@ def make_sp(kind=SpKind.CELLULAR, alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.
 def floor_bid(user, guarantee, price, bandwidth=1.0):
     """Marginal bid: advertised rate times guarantee lands on the user floor."""
     return Bid(rate=user.b_min / guarantee, price=price, bandwidth=bandwidth, guarantee=guarantee)
-
-
-def oracle_strategy(bid_c, bid_w, user, model):
-    """Independent four-strategy enumeration, mirroring the follower rules."""
-
-    def perceived(bid):
-        if not isinstance(bid, Bid):
-            return 0.0
-        if not model.is_pt:
-            return bid.guarantee
-        return math.exp(-((-math.log(bid.guarantee)) ** model.prelec_alpha)) if bid.guarantee > 0 else 0.0
-
-    best, best_u = (0, 0), 0.0
-    for s in ((0, 1), (1, 0), (1, 1)):
-        p_c, p_w = s
-        if p_c and not isinstance(bid_c, Bid):
-            continue
-        if p_w and not isinstance(bid_w, Bid):
-            continue
-        joint = 0.0
-        paid = 0.0
-        if p_c:
-            joint += bid_c.rate * perceived(bid_c)
-            paid += bid_c.price
-        if p_w:
-            joint += bid_w.rate * perceived(bid_w)
-            paid += bid_w.price
-        if joint < user.b_min * (1.0 - 1e-9):
-            continue
-        benefit = user.delta * joint ** (1.0 / user.theta)
-        if benefit < paid:
-            continue
-        if benefit - paid > best_u:
-            best, best_u = s, benefit - paid
-    return best, best_u
 
 
 # one provider profile for both slots, where the test is not about pricing
@@ -523,7 +488,6 @@ class TestClassifyPt:
 class TestOracleAgreement:
     def test_symmetric_objective_regime(self):
         rng = np.random.default_rng(101)
-        model = DecisionModel.eut()
         for _ in range(10_000):
             user = make_user(
                 float(rng.uniform(0.2, 20.0)),
@@ -534,7 +498,7 @@ class TestOracleAgreement:
             price = float(rng.uniform(0.05, 2.0)) * user_benefit(user.b_min, user)
             bid = floor_bid(user, g, price)
             got = classify(bid, bid, user, EUT, SP, SP).ne_class
-            strategy, _ = oracle_strategy(bid, bid, user, model)
+            strategy, _ = oracle_best_response(bid, bid, user, None)
             if got is NeClass.MIXED0110:
                 assert strategy in ((0, 1), (1, 0))
             else:
@@ -542,7 +506,6 @@ class TestOracleAgreement:
 
     def test_asymmetric_objective_regime(self):
         rng = np.random.default_rng(103)
-        model = DecisionModel.eut()
         for _ in range(10_000):
             user = make_user(
                 float(rng.uniform(0.2, 20.0)),
@@ -553,7 +516,7 @@ class TestOracleAgreement:
             bid_w = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
             bid_c = floor_bid(user, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 2.0) * h))
             got = classify(bid_c, bid_w, user, EUT, SP, SP).ne_class
-            strategy, _ = oracle_strategy(bid_c, bid_w, user, model)
+            strategy, _ = oracle_best_response(bid_c, bid_w, user, None)
             assert got is STRATEGY_LABEL[strategy]
 
     def test_weighted_regime(self):
@@ -579,7 +542,7 @@ class TestOracleAgreement:
 
             bid_c, bid_w = draw_bid(), draw_bid()
             out = classify(bid_c, bid_w, user, model, SP, SP)
-            strategy, best_u = oracle_strategy(bid_c, bid_w, user, model)
+            strategy, best_u = oracle_best_response(bid_c, bid_w, user, model.prelec_alpha)
             assert out.ne_class is STRATEGY_LABEL[strategy]
             assert out.u_user == pytest.approx(best_u, rel=1e-9, abs=1e-12)
 

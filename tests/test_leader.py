@@ -1,8 +1,8 @@
 """Tests for provider-side bid optimization and bandwidth expansion.
 
-The fine-grid profit oracle and the bisection inverse below are written
-directly from the closed-form guarantee model so the optimizer is checked
-against independent arithmetic, not against itself.
+The dense-grid profit oracle and the bisection inverse, shared in conftest,
+are written directly from the closed-form guarantee model so the optimizer
+is checked against independent arithmetic, not against itself.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_link
+from conftest import bisect_bw, dense_grid_bid, make_link
 from hetnetsim import equilibrium, leader
 from hetnetsim.channel import LinkState, guarantee_inverse_bw, service_guarantee
 from hetnetsim.harness import DEFAULT_CONFIG, solve_trial
@@ -48,33 +48,6 @@ def signed_pow10(lo, hi):
     return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(lo, hi)).map(
         lambda t: t[0] * 10.0 ** t[1]
     )
-
-
-def bisect_marginal_bw(b, b_min, link, iters=200):
-    """Smallest bandwidth whose guarantee lifts the offer onto the rate floor."""
-    lo, hi = 1e-12, 1e9
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if b * service_guarantee(b, mid, link) >= b_min:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def grid_profit_oracle(sp, link, b_min, points=200_000):
-    """Dense-grid maximizer of price minus cost over floor-tight offers."""
-    low = b_min * (1.0 + 1e-6)
-    if not link.covered or link.b_max <= low:
-        return None
-    grid = np.geomspace(low, link.b_max, points)
-    bw = grid / np.log2(1.0 + link.mean_snr * np.log(grid / b_min))
-    profit = sp.alpha * grid**sp.beta - sp.cost_rate * grid - sp.cost_bw * bw
-    profit[bw > link.bw_max * (1.0 + 1e-12)] = -np.inf
-    i = int(np.argmax(profit))
-    if not np.isfinite(profit[i]) or profit[i] < 0.0:
-        return None
-    return float(grid[i]), float(profit[i])
 
 
 def bid_profit(bid, sp):
@@ -158,7 +131,8 @@ def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
 
 
 def reference_bw_floor(b_min, snr):
-    """Least marginal bandwidth of any rate above b_min, at snr > 0: with
+    """Least marginal bandwidth of any rate above b_min, at snr > 0, the
+    tests' own oracle (the bid search computes no floor): with
     y = 1 + snr * ln(b / b_min) it is b_min * exp((y - 1) / snr) * ln 2 / ln y,
     which falls until y ln y = snr, then rises, so ln y = W(snr) (Lambert W)
     there.  Newton steps fall to W from log1p(snr) >= W."""
@@ -251,7 +225,7 @@ class TestMarginalBw:
             b = b_min * rng.uniform(1.01, 10.0)
             link = make_link(snr, bw_max=1e9)
             assert marginal_bw(b, b_min, link) == pytest.approx(
-                bisect_marginal_bw(b, b_min, link), rel=1e-6
+                bisect_bw(b, b_min / b, link), rel=1e-6
             )
 
     def test_less_bandwidth_needed_at_higher_snr(self):
@@ -272,7 +246,7 @@ class TestOptimizeBid:
         link = self.reference_link()
         bid = optimize_bid(sp, link, b_min=1.0)
         assert isinstance(bid, Bid)
-        rate_star, profit_star = grid_profit_oracle(sp, link, 1.0)
+        rate_star, profit_star = dense_grid_bid(sp, link, 1.0, 200_000, 1e-12)
         got = bid_profit(bid, sp)
         assert got >= profit_star - 1e-6 * abs(profit_star)
         assert bid.rate == pytest.approx(rate_star, rel=1e-3)
@@ -525,9 +499,10 @@ class TestOptimizeBidOracle:
 
 
 class TestBandwidthFloor:
-    """The closed-form floor of the marginal bandwidth against the bid grid,
-    and optimize_bid at budgets near it, over the domain of the bid-search
-    oracle test."""
+    """reference_bw_floor, this test's own oracle for the least marginal
+    bandwidth, against the bid grid; and optimize_bid at budgets aimed at
+    it, around the certificate's no-fit exit, over the domain of the
+    bid-search oracle test."""
 
     @staticmethod
     def grid_bandwidths(link, b_min):

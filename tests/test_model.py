@@ -238,6 +238,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
             make_sp(**{key: bad})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["rate", "price", "bandwidth"])
+    def test_bid_rejects_non_finite(self, key, bad):
+        fields = dict(rate=2.0, price=1.0, bandwidth=1.0, guarantee=0.5)
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {bad}$"):
+            Bid(**{**fields, key: bad})
+
     def test_no_coverage_radius_stays_valid(self):
         assert make_sp(coverage_radius=None).coverage_radius is None
 
