@@ -12,15 +12,7 @@ the decision model's weighting before entering rate and utility arithmetic.
 
 from __future__ import annotations
 
-from .model import (
-    ALL_STRATEGIES,
-    Bid,
-    NoBid,
-    REJECT_BOTH,
-    Strategy,
-    UserProfile,
-    user_benefit,
-)
+from .model import Bid, NoBid, Strategy, UserProfile, user_benefit
 from .prospect import DecisionModel, weight
 
 # Relative slack on the minimum-rate floor.  Profit-optimal bids sit exactly
@@ -54,7 +46,7 @@ def _feasible_utilities(
     has_w = isinstance(bid_w, Bid)
     floor = user.b_min * (1.0 - FLOOR_REL_TOL)
     feasible = []
-    for strategy in ALL_STRATEGIES[1:]:
+    for strategy in ((0, 1), (1, 0), (1, 1)):
         p_c, p_w = strategy
         if (p_c and not has_c) or (p_w and not has_w):
             continue
@@ -88,7 +80,7 @@ def feasible_set(
     """
     g_c = perceived_guarantee(bid_c, model)
     g_w = perceived_guarantee(bid_w, model)
-    feasible: set[Strategy] = {REJECT_BOTH}
+    feasible: set[Strategy] = {(0, 0)}
     feasible.update(s for s, _ in _feasible_utilities(bid_c, bid_w, user, g_c, g_w))
     return feasible
 
@@ -107,7 +99,7 @@ def best_response(
     """
     g_c = perceived_guarantee(bid_c, model)
     g_w = perceived_guarantee(bid_w, model)
-    best: Strategy = REJECT_BOTH
+    best: Strategy = (0, 0)
     best_u = 0.0
     for strategy, u in _feasible_utilities(bid_c, bid_w, user, g_c, g_w):
         if u > best_u:
@@ -123,9 +115,8 @@ def select_wifi_sp(
     """The WiFi SP whose lone acceptance gives the highest perceived utility.
 
     Entries without a real bid are skipped; ties go to the lowest SP index, so
-    the result does not depend on the order of offers.  An offer whose
-    utility is -inf or NaN never wins.  Returns None when no real offer
-    exists.
+    the result does not depend on the order of offers.  Returns None when
+    no real offer exists.
     """
     best: int | None = None
     best_u = -float("inf")
@@ -133,6 +124,6 @@ def select_wifi_sp(
         if not isinstance(bid, Bid):
             continue
         u = user_benefit(bid.rate * weight(bid.guarantee, model), user) - bid.price
-        if u > best_u or (u == best_u and best is not None and index < best):
+        if u > best_u or (u == best_u and index < best):
             best, best_u = index, u
     return best

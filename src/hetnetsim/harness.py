@@ -29,7 +29,7 @@ import enum
 import json
 import math
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -188,11 +188,12 @@ DEFAULT_CONFIG = ScenarioConfig()
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One aggregated (load, scenario) record.
+    """One (load, scenario) record over `trials` trials.
 
     sum_* fields are trial means of per-trial sums; avg_bw_per_user is the
     trial mean of accepted bandwidth per associated user; stderr_* are
-    standard errors across trials (0 with a single trial).
+    standard errors across trials (0 with a single trial).  A one-trial
+    row is run_trial's tally of a single trial.
     """
 
     n: int
@@ -214,27 +215,6 @@ _CELL_PARSERS = {
     f.name: {"int": (int, float), "float": (float,)}.get(f.type, ()) for f in _ROW_FIELDS
 }
 CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
-
-
-@dataclass
-class TrialStats:
-    """Raw per-(trial, scenario) tallies before aggregation."""
-
-    n_users: int
-    n_associated: int = 0
-    sum_sp_utility: float = 0.0
-    sum_user_utility: float = 0.0
-    sum_accepted_bw: float = 0.0
-
-    @property
-    def association_rate(self) -> float:
-        return self.n_associated / self.n_users
-
-    @property
-    def avg_bw_per_associated(self) -> float:
-        if self.n_associated == 0:
-            return 0.0
-        return self.sum_accepted_bw / self.n_associated
 
 
 def build_sps(cfg: ScenarioConfig) -> list[SpProfile]:
@@ -286,18 +266,8 @@ def build_links(
                 ln = ln._replace(covered=False, b_max=0.0)
             final.append(ln)
         links_by_sp.append(final)
-    if not links_by_sp:
-        return [[] for _ in users]
     # transpose to per-user lists
     return [list(row) for row in zip(*links_by_sp)]
-
-
-def _scenario_model(scenario: Scenario, cfg: ScenarioConfig) -> tuple[DecisionModel, bool]:
-    if scenario is Scenario.EUT:
-        return DecisionModel.eut(), False
-    if scenario is Scenario.PT:
-        return DecisionModel.pt(cfg.prelec_alpha), False
-    return DecisionModel.pt(cfg.prelec_alpha), True
 
 
 def _pool_expansion_pass(
@@ -428,7 +398,10 @@ def solve_trial(cfg: ScenarioConfig, n: int, trial: int) -> TrialSolution:
 
     outcomes: dict[Scenario, list[GameOutcome]] = {}
     for s_idx, scenario in enumerate(Scenario):
-        model, expand = _scenario_model(scenario, cfg)
+        model = (
+            DecisionModel.eut() if scenario is Scenario.EUT else DecisionModel.pt(cfg.prelec_alpha)
+        )
+        expand = scenario is Scenario.PT_EXPANSION
         rng = np.random.default_rng(streams[1 + s_idx])
         resolved = [
             resolve_user_game(user, sps, ln, bids, model, expansion_enabled=expand, rng=rng)
@@ -440,25 +413,28 @@ def solve_trial(cfg: ScenarioConfig, n: int, trial: int) -> TrialSolution:
     return TrialSolution(sps, all_bids, outcomes)
 
 
-def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, TrialStats]:
-    """Per-scenario tallies of solve_trial's outcomes."""
-    solved = solve_trial(cfg, n, trial)
-    out: dict[Scenario, TrialStats] = {}
-    for scenario, outcomes in solved.outcomes.items():
-        stats = TrialStats(n_users=n)
+def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, SweepRow]:
+    """Each scenario's one-trial row of solve_trial's outcomes."""
+    rows: dict[Scenario, SweepRow] = {}
+    for scenario, outcomes in solve_trial(cfg, n, trial).outcomes.items():
+        associated = 0
+        sp_sum = user_sum = bw_sum = 0.0
         for outcome in outcomes:
             p_c, p_w = outcome.strategy_draw
             if p_c or p_w:
-                stats.n_associated += 1
-            stats.sum_sp_utility += outcome.u_sp_w + outcome.u_sp_c
-            stats.sum_user_utility += outcome.u_user
+                associated += 1
+            sp_sum += outcome.u_sp_w + outcome.u_sp_c
+            user_sum += outcome.u_user
             bid_c, bid_w = outcome.bids
             if p_c and isinstance(bid_c, Bid):
-                stats.sum_accepted_bw += bid_c.bandwidth
+                bw_sum += bid_c.bandwidth
             if p_w and isinstance(bid_w, Bid):
-                stats.sum_accepted_bw += bid_w.bandwidth
-        out[scenario] = stats
-    return out
+                bw_sum += bid_w.bandwidth
+        avg_bw = bw_sum / associated if associated else 0.0
+        rows[scenario] = SweepRow(
+            n, scenario.value, sp_sum, user_sum, avg_bw, associated / n, 1, 0.0, 0.0
+        )
+    return rows
 
 
 def run_point(cfg: ScenarioConfig, n: int) -> list[SweepRow]:
@@ -468,7 +444,7 @@ def run_point(cfg: ScenarioConfig, n: int) -> list[SweepRow]:
     for scenario in Scenario:
         sp_sums = np.array([t[scenario].sum_sp_utility for t in trials])
         user_sums = np.array([t[scenario].sum_user_utility for t in trials])
-        bw_avgs = np.array([t[scenario].avg_bw_per_associated for t in trials])
+        bw_avgs = np.array([t[scenario].avg_bw_per_user for t in trials])
         assoc = np.array([t[scenario].association_rate for t in trials])
         k = len(trials)
         stderr_sp = float(np.std(sp_sums, ddof=1) / math.sqrt(k)) if k > 1 else 0.0
@@ -498,11 +474,6 @@ def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
     return rows
 
 
-def _row_values(row: SweepRow) -> list[str]:
-    # str of a float is its repr, so the text round-trips exactly
-    return [str(getattr(row, f.name)) for f in _ROW_FIELDS]
-
-
 def emit(rows: list[SweepRow], fmt: str, path: str | Path) -> None:
     """Write rows as CSV (fixed header) or a JSON array of records."""
     if not rows:
@@ -512,9 +483,9 @@ def emit(rows: list[SweepRow], fmt: str, path: str | Path) -> None:
         if fmt == "csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(CSV_HEADER.split(","))
-                for row in rows:
-                    writer.writerow(_row_values(row))
+                # csv writes a float as its repr, so the text round-trips exactly
+                writer.writerow(f.name for f in _ROW_FIELDS)
+                writer.writerows(astuple(row) for row in rows)
         elif fmt == "json":
             records = [asdict(row) for row in rows]
             with open(path, "w", encoding="utf-8") as fh:

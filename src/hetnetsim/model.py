@@ -179,13 +179,6 @@ class NoBid:
 # A strategy is the acceptance pair (p_c, p_w): cellular first, WiFi second.
 Strategy = tuple[int, int]
 
-REJECT_BOTH: Strategy = (0, 0)
-WIFI_ONLY: Strategy = (0, 1)
-CELL_ONLY: Strategy = (1, 0)
-BOTH: Strategy = (1, 1)
-
-ALL_STRATEGIES: tuple[Strategy, ...] = (REJECT_BOTH, WIFI_ONLY, CELL_ONLY, BOTH)
-
 
 class GameOutcome(NamedTuple):
     """Resolved per-user game: equilibrium label, the realized strategy (for a

@@ -137,13 +137,14 @@ class TestRunTrial:
         assert a == b
 
     def test_stats_sanity(self):
-        stats = run_trial(TINY, 10, trial=0)
-        assert set(stats) == set(Scenario)
-        for s in stats.values():
-            assert 0 <= s.n_associated <= s.n_users == 10
-            assert 0.0 <= s.association_rate <= 1.0
-            assert s.sum_accepted_bw >= 0.0
-            assert s.avg_bw_per_associated >= 0.0
+        rows = run_trial(TINY, 10, trial=0)
+        assert set(rows) == set(Scenario)
+        for scenario, r in rows.items():
+            assert (r.n, r.scenario, r.trials) == (10, scenario.value, 1)
+            assert r.stderr_sp == r.stderr_user == 0.0
+            assert 0.0 <= r.association_rate <= 1.0
+            assert (r.association_rate * 10).is_integer()
+            assert r.avg_bw_per_user >= 0.0
 
     @pytest.mark.parametrize("n,trial", [(400, 0), (500, 1)])
     def test_budget_conservation(self, n, trial):
@@ -183,18 +184,18 @@ class TestRunTrial:
             assert outcome.u_sp_w == sp_utility(p_w == 1, bid_w, solved.sps[1])
 
     def test_expansion_never_loses_users_to_plain_weighting(self):
-        stats = run_trial(DEFAULT_CONFIG, 400, 0)
-        assert stats[Scenario.PT_EXPANSION].n_associated >= stats[Scenario.PT].n_associated
+        rows = run_trial(DEFAULT_CONFIG, 400, 0)
+        assert rows[Scenario.PT_EXPANSION].association_rate >= rows[Scenario.PT].association_rate
 
     def test_small_prelec_exponent_completes(self):
         # just above b_min the expansion target rounds to 1 at alpha = 0.3;
         # such rates must count as infeasible instead of aborting the trial
-        stats = run_trial(replace(DEFAULT_CONFIG, prelec_alpha=0.3), 500, 0)
-        for s in stats.values():
-            assert math.isfinite(s.sum_sp_utility)
-            assert math.isfinite(s.sum_user_utility)
-            assert math.isfinite(s.avg_bw_per_associated)
-            assert 0.0 <= s.association_rate <= 1.0
+        rows = run_trial(replace(DEFAULT_CONFIG, prelec_alpha=0.3), 500, 0)
+        for r in rows.values():
+            assert math.isfinite(r.sum_sp_utility)
+            assert math.isfinite(r.sum_user_utility)
+            assert math.isfinite(r.avg_bw_per_user)
+            assert 0.0 <= r.association_rate <= 1.0
 
 
 # The pool-expansion pass as first written: the oracle the harness's pass
@@ -588,19 +589,18 @@ ORDER_PAIRS = [(n, t) for n in ORDER_CONFIG.sweep for t in range(ORDER_CONFIG.tr
 
 
 @functools.cache
-def in_order_stats() -> dict:
+def in_order_rows() -> dict:
     return {pair: run_trial(ORDER_CONFIG, *pair) for pair in ORDER_PAIRS}
 
 
 @settings(max_examples=8, deadline=None)
 @given(order=st.permutations(ORDER_PAIRS))
-def test_trial_stats_do_not_depend_on_trial_order(order):
-    want = in_order_stats()
+def test_trial_rows_do_not_depend_on_trial_order(order):
+    want = in_order_rows()
     for pair in order:
         got = run_trial(ORDER_CONFIG, *pair)
         assert list(got) == list(Scenario)
-        for scenario in Scenario:
-            assert asdict(got[scenario]) == asdict(want[pair][scenario]), (pair, scenario)
+        assert got == want[pair], pair
 
 
 class TestRunPoint:
@@ -624,6 +624,23 @@ class TestRunPoint:
         for r in rows:
             assert r.stderr_sp == 0.0
             assert r.stderr_user == 0.0
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_rows_aggregate_the_trials_rows(self, n):
+        # one trial's rows pass through as they are; over three trials each
+        # mean column is numpy's mean, and each stderr numpy's std, of the
+        # trials' one-trial rows in trial order
+        first = list(run_trial(DEFAULT_CONFIG, n, 0).values())
+        assert run_point(replace(DEFAULT_CONFIG, trials=1), n) == first
+        cfg = replace(DEFAULT_CONFIG, trials=3)
+        trials = [run_trial(cfg, n, t) for t in range(3)]
+        columns = ("sum_sp_utility", "sum_user_utility", "avg_bw_per_user", "association_rate")
+        for got, scenario in zip(run_point(cfg, n), Scenario, strict=True):
+            one = [t[scenario] for t in trials]
+            sp, user, bw, assoc = (np.array([getattr(r, f) for r in one]) for f in columns)
+            means = [float(np.mean(c)) for c in (sp, user, bw, assoc)]
+            stderrs = [float(np.std(c, ddof=1) / math.sqrt(3)) for c in (sp, user)]
+            assert got == SweepRow(n, scenario.value, *means, 3, *stderrs)
 
     def test_zero_activity_probability(self):
         cfg = replace(TINY, activity_prob=0.0)
