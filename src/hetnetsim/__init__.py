@@ -40,7 +40,6 @@ from .model import (
     InfeasibleError,
     NeClass,
     NoBid,
-    SpKind,
     SpProfile,
     Strategy,
     UserProfile,
@@ -65,7 +64,6 @@ __all__ = [
     "NoBid",
     "Scenario",
     "ScenarioConfig",
-    "SpKind",
     "SpProfile",
     "Strategy",
     "SweepRow",

@@ -24,7 +24,6 @@ from .model import (
     GameOutcome,
     NeClass,
     NoBid,
-    SpKind,
     SpParams,
     SpProfile,
     Strategy,
@@ -42,7 +41,6 @@ SYMMETRY_RTOL = 1e-9
 
 WITHDRAWN = NoBid("anticipated rejection")
 _SILENT = NoBid("mixed draw: silent")
-_NO_CELLULAR_SP = NoBid("no cellular SP")
 _NO_WIFI_OFFER = NoBid("no WiFi offer")
 
 _LABEL_BY_STRATEGY: dict[Strategy, NeClass] = {
@@ -198,28 +196,19 @@ def resolve_user_game(
     """Resolve one user's game from make_eut_bids' marginal bids, which a
     sweep reuses across the scenarios that share them: WiFi pre-selection,
     optional expansion, withdrawal of bids that would be rejected, the
-    follower's best response, and classification."""
-    cell_idx = None
-    wifi_offers = []
-    # looked up once: EnumType's __getattr__ hook makes each member lookup
-    # cost about 0.15 us, more than the rest of an iteration
-    wifi = SpKind.WIFI
-    for i, sp in enumerate(sps):
-        if sp.kind is wifi:
-            wifi_offers.append((i, eut_bids[i]))
-        elif cell_idx is None:
-            cell_idx = i
-    wifi_idx = select_wifi_sp(wifi_offers, user, model)
+    follower's best response, and classification.  The slots are build_sps'
+    positions: sps[0] is the cellular BS and sps[1:] are the WiFi APs,
+    offered to select_wifi_sp in index order."""
+    wifi_idx = select_wifi_sp(list(enumerate(eut_bids))[1:], user, model)
 
-    bid_c: Bid | NoBid = eut_bids[cell_idx] if cell_idx is not None else _NO_CELLULAR_SP
+    bid_c = eut_bids[0]
     bid_w: Bid | NoBid = eut_bids[wifi_idx] if wifi_idx is not None else _NO_WIFI_OFFER
-    sp_c = sps[cell_idx] if cell_idx is not None else None
     sp_w = sps[wifi_idx] if wifi_idx is not None else None
 
     if expansion_enabled and model.is_pt:
         if isinstance(bid_c, Bid):
-            bid_c = _expand_in_force(bid_c, sp_c, links[cell_idx], user, model)
+            bid_c = _expand_in_force(bid_c, sps[0], links[0], user, model)
         if isinstance(bid_w, Bid):
             bid_w = _expand_in_force(bid_w, sp_w, links[wifi_idx], user, model)
 
-    return classify(bid_c, bid_w, user, model, sp_c, sp_w, rng=rng, wifi_index=wifi_idx)
+    return classify(bid_c, bid_w, user, model, sps[0], sp_w, rng=rng, wifi_index=wifi_idx)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import USER_HEIGHT_M, LinkState, allocate_bw, hata_path_loss, link_state
 from .equilibrium import make_eut_bids, resolve_user_game
-from .model import Bid, GameOutcome, NoBid, SpKind, SpParams, SpProfile, UserParams, UserProfile
+from .model import Bid, GameOutcome, NoBid, SpParams, SpProfile, UserParams, UserProfile
 from .model import _check_finite
 from .prospect import FIXED_POINT, DecisionModel
 
@@ -214,20 +214,20 @@ _ROW_FIELDS = fields(SweepRow)
 _CELL_PARSERS = {
     f.name: {"int": (int, float), "float": (float,)}.get(f.type, ()) for f in _ROW_FIELDS
 }
-CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
 
 
 def build_sps(cfg: ScenarioConfig) -> list[SpProfile]:
-    """The cellular BS (index 0) plus n_wifi APs (indices 1..n) on a regular ring."""
+    """The cellular BS (index 0) plus n_wifi APs (indices 1..n) on a regular
+    ring: the one SP layout, which resolve_user_game and the pool pass read."""
     center = (cfg.area_side_m / 2.0, cfg.area_side_m / 2.0)
     # every SpParams field is a scalar, so its instance dict is a complete
     # shallow copy; asdict would deep-copy it recursively
-    sps = [SpProfile(kind=SpKind.CELLULAR, position=center, **vars(cfg.cellular))]
+    sps = [SpProfile(position=center, **vars(cfg.cellular))]
     ring = cfg.wifi_ring_fraction * cfg.area_side_m
     for k in range(cfg.n_wifi):
         angle = 2.0 * math.pi * k / cfg.n_wifi
         pos = (center[0] + ring * math.cos(angle), center[1] + ring * math.sin(angle))
-        sps.append(SpProfile(kind=SpKind.WIFI, position=pos, **vars(cfg.wifi)))
+        sps.append(SpProfile(position=pos, **vars(cfg.wifi)))
     return sps
 
 
@@ -297,14 +297,13 @@ def _pool_expansion_pass(
     Each SP ends up allocating at most (pool / served) to each of its served
     users, so total allocation never exceeds the discounted pool.
     """
-    cell_idx = next((i for i, sp in enumerate(sps) if sp.kind is SpKind.CELLULAR), None)
     pools = [sp.g_ba * sp.bw_total for sp in sps]
 
     def slots(i: int, outcome) -> tuple[set[int], set[int]]:
         """User i's accepted slots, and its triggered ones: the slots whose
         committed bid guarantees more than the weighting fixed point."""
         accepted, triggered = set(), set()
-        for j, p in zip((cell_idx, outcome.wifi_index), outcome.strategy_draw):
+        for j, p in zip((0, outcome.wifi_index), outcome.strategy_draw):
             if j is None:
                 continue
             if p:

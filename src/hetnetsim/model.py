@@ -36,11 +36,6 @@ def _check_finite(values: dict) -> None:
                 raise ValueError(f"{name} must be finite, got {item}")
 
 
-class SpKind(enum.Enum):
-    CELLULAR = "cellular"
-    WIFI = "wifi"
-
-
 class NeClass(enum.Enum):
     """Equilibrium labels for the user's binary strategy pair (p_c, p_w)."""
 
@@ -121,9 +116,8 @@ class SpParams:
 
 @dataclass(frozen=True, kw_only=True)
 class SpProfile(SpParams):
-    """One placed service provider of the given kind."""
+    """One placed service provider."""
 
-    kind: SpKind
     position: tuple[float, float] = (0.0, 0.0)
 
     @functools.cached_property

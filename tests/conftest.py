@@ -14,11 +14,19 @@ import re
 import numpy as np
 import pytest
 
-from hetnetsim import Bid, LinkState
+from hetnetsim import Bid, LinkState, SpProfile
 from hetnetsim.channel import service_guarantee
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _criterion_results: dict[int, bool] = {}
+
+
+def make_sp(**overrides) -> SpProfile:
+    """An SpProfile with the tests' shared pricing, cost and radio numbers,
+    any field overridden by keyword."""
+    params = dict(alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.5, bw_total=40.0, tx_power_dbm=40.0)
+    params.update(overrides)
+    return SpProfile(**params)
 
 
 def make_link(mean_snr: float, bw_max: float = 10.0, covered: bool = True) -> LinkState:

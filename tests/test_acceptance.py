@@ -30,7 +30,6 @@ from hetnetsim.leader import expand_bw_pt, optimize_bid
 from hetnetsim.model import (
     Bid,
     NoBid,
-    SpKind,
     SpProfile,
     UserProfile,
     sp_cost,
@@ -44,7 +43,6 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def random_sp(rng) -> SpProfile:
     return SpProfile(
-        kind=SpKind.CELLULAR,
         alpha=float(rng.uniform(0.3, 2.0)),
         beta=float(rng.uniform(1.05, 1.6)),
         cost_rate=float(rng.uniform(0.01, 0.3)),

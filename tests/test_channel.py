@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from hypothesis import strategies as st
 
 from hetnetsim import (
     InfeasibleError,
-    SpKind,
-    SpProfile,
     UserProfile,
     allocate_bw,
     guarantee_inverse_bw,
@@ -22,6 +21,7 @@ from hetnetsim import (
 from hetnetsim import channel
 from hetnetsim.channel import MIN_DISTANCE_M, USER_HEIGHT_M, LinkState
 from conftest import bisect_bw, make_link
+from conftest import make_sp as shared_make_sp
 
 
 def hata_urban_reference(freq_mhz: float, d_km: float, h_bs: float, h_ue: float) -> float:
@@ -171,20 +171,16 @@ class TestHataPathLoss:
         )
 
 
-def make_sp(**overrides) -> SpProfile:
-    params = dict(
-        kind=SpKind.CELLULAR,
-        alpha=0.6,
-        beta=1.3,
-        cost_rate=0.12,
-        cost_bw=1.0,
-        bw_total=20.0,
-        tx_power_dbm=43.0,
-        g_ba=0.9,
-        position=(0.0, 0.0),
-    )
-    params.update(overrides)
-    return SpProfile(**params)
+# the shared make_sp with this file's macro-cell numbers as overrides
+make_sp = partial(
+    shared_make_sp,
+    alpha=0.6,
+    beta=1.3,
+    cost_rate=0.12,
+    cost_bw=1.0,
+    bw_total=20.0,
+    tx_power_dbm=43.0,
+)
 
 
 class TestAllocateBw:
@@ -263,7 +259,6 @@ class TestLinkState:
 
     def test_wifi_radius_cap(self):
         sp = make_sp(
-            kind=SpKind.WIFI,
             frequency_mhz=2400.0,
             tx_power_dbm=23.0,
             antenna_height_m=6.0,

@@ -9,7 +9,7 @@ import pytest
 
 from hetnetsim import cli
 from hetnetsim.cli import main
-from hetnetsim.harness import CSV_HEADER, DEFAULT_CONFIG, Scenario, solve_trial
+from hetnetsim.harness import DEFAULT_CONFIG, Scenario, solve_trial
 from hetnetsim.model import Bid, NeClass
 
 LABELS = {c.value for c in NeClass}
@@ -30,7 +30,8 @@ class TestSimulate:
         assert rc == 0
         assert "wrote 6 rows" in capsys.readouterr().out
         lines = out.read_text(encoding="utf-8").strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        committed = Path(__file__).parent / "data" / "default_sweep.csv"
+        assert lines[0] == committed.read_text(encoding="utf-8").split("\n", 1)[0]
         assert len(lines) == 7
 
     def test_writes_json(self, tiny_config, tmp_path):

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_link, oracle_best_response
-from hetnetsim.channel import LinkState
+from conftest import make_link, make_sp, oracle_best_response
+from hetnetsim.channel import LinkState, guarantee_inverse_bw
 from hetnetsim.equilibrium import (
     WITHDRAWN,
-    _expand_in_force,
     bids_symmetric,
     classify,
     make_eut_bids,
@@ -31,8 +30,6 @@ from hetnetsim.model import (
     GameOutcome,
     NeClass,
     NoBid,
-    SpKind,
-    SpProfile,
     UserProfile,
     doubling_gap,
     sp_cost,
@@ -45,18 +42,6 @@ from hetnetsim.prospect import FIXED_POINT, DecisionModel
 
 def make_user(delta, theta=2.0, b_min=2.0):
     return UserProfile(delta=delta, theta=theta, b_min=b_min)
-
-
-def make_sp(kind=SpKind.CELLULAR, alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.5):
-    return SpProfile(
-        kind=kind,
-        alpha=alpha,
-        beta=beta,
-        cost_rate=cost_rate,
-        cost_bw=cost_bw,
-        bw_total=40.0,
-        tx_power_dbm=40.0,
-    )
 
 
 def floor_bid(user, guarantee, price, bandwidth=1.0):
@@ -420,7 +405,7 @@ class TestClassify:
             bid_c = NoBid("quiet cellular")
         if pair in ("silent_w", "silent"):
             bid_w = NoBid("quiet WiFi")
-        cell, wifi = make_sp(), make_sp(SpKind.WIFI, cost_rate=0.05)
+        cell, wifi = make_sp(), make_sp(cost_rate=0.05)
         # no rng, then eight pairs of identically seeded ones, so that every
         # realization of the mixed draws comes up
         pairs = [(None, None)] + [
@@ -622,91 +607,44 @@ def solve_game(user, sps, links, model, expansion_enabled=False):
     return resolve_user_game(user, sps, links, bids, model, expansion_enabled=expansion_enabled)
 
 
-def reference_resolve_user_game(
-    user, sps, links, eut_bids, model, expansion_enabled=False, rng=None
-):
-    """resolve_user_game with its provider scan as first written: one walk
-    over sps by kind, every WiFi slot offered to select_wifi_sp, and a fresh
-    NoBid for an empty slot."""
-    cell_idx = None
-    wifi_offers = []
-    for i, sp in enumerate(sps):
-        if sp.kind is SpKind.WIFI:
-            wifi_offers.append((i, eut_bids[i]))
-        elif cell_idx is None:
-            cell_idx = i
-    wifi_idx = select_wifi_sp(wifi_offers, user, model)
+class TestSlotLayout:
+    """sps[0] is the cellular BS and sps[1:] are the APs, as build_sps lays
+    them out: the BS's bid holds the cellular slot without any WiFi offer."""
 
-    bid_c = eut_bids[cell_idx] if cell_idx is not None else NoBid("no cellular SP")
-    bid_w = eut_bids[wifi_idx] if wifi_idx is not None else NoBid("no WiFi offer")
-    sp_c = sps[cell_idx] if cell_idx is not None else None
-    sp_w = sps[wifi_idx] if wifi_idx is not None else None
-
-    if expansion_enabled and model.is_pt:
-        if isinstance(bid_c, Bid):
-            bid_c = _expand_in_force(bid_c, sp_c, links[cell_idx], user, model)
-        if isinstance(bid_w, Bid):
-            bid_w = _expand_in_force(bid_w, sp_w, links[wifi_idx], user, model)
-
-    return classify(bid_c, bid_w, user, model, sp_c, sp_w, rng=rng, wifi_index=wifi_idx)
-
-
-# one provider slot: its kind, its cost profile and its committed bid (a
-# floor bid, so PT can trigger expansion, or a NoBid)
-_SLOT = st.tuples(
-    st.sampled_from(list(SpKind)),
-    st.sampled_from([(0.1, 0.5), (0.3, 0.9), (0.05, 0.2)]),
-    st.none() | st.tuples(st.sampled_from([0.3, 0.5, 0.8, 0.95]), st.sampled_from([0.5, 3.0, 8.0])),
-)
-
-
-class TestProviderScan:
-    """resolve_user_game's provider scan against the reference walk."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        slots=st.lists(_SLOT, max_size=6),
-        delta=st.sampled_from([3.0, 6.0, 20.0]),
-        model=st.sampled_from([EUT, DecisionModel.pt(0.7)]),
-        expansion_enabled=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
+    @pytest.mark.parametrize("n_aps", [0, 2])
+    @pytest.mark.parametrize(
+        "model, expansion_enabled, label",
+        [
+            (EUT, False, NeClass.CELL_ONLY10),
+            (EUT, True, NeClass.CELL_ONLY10),
+            (DecisionModel.pt(0.7), False, NeClass.REJECT00),
+            (DecisionModel.pt(0.7), True, NeClass.CELL_ONLY10),
+        ],
     )
-    def test_matches_reference_for_any_provider_order(
-        self, slots, delta, model, expansion_enabled, seed
-    ):
-        # lists of kinds in any order: no cellular SP, several (the first
-        # takes the cellular slot), no WiFi SP or no WiFi bid
-        user = make_user(delta)
-        sps = [
-            make_sp(kind, cost_rate=cost_rate, cost_bw=cost_bw)
-            for kind, (cost_rate, cost_bw), _ in slots
-        ]
-        bids = [
-            NoBid("silent") if offer is None else floor_bid(user, *offer)
-            for _, _, offer in slots
-        ]
-        links = [make_link(50.0, bw_max=10.0)] * len(slots)
-        got = resolve_user_game(
-            user, sps, links, bids, model, expansion_enabled, rng=np.random.default_rng(seed)
-        )
-        want = reference_resolve_user_game(
-            user, sps, links, bids, model, expansion_enabled, rng=np.random.default_rng(seed)
-        )
-        assert got == want
-
-    def test_first_cellular_sp_takes_the_slot(self):
-        user = make_user(20.0)
-        sps = [make_sp(SpKind.WIFI), make_sp(SpKind.CELLULAR), make_sp(SpKind.CELLULAR)]
-        bids = [NoBid("silent"), floor_bid(user, 0.5, 1.0), floor_bid(user, 0.5, 2.0)]
-        links = [reference_link()] * 3
-        out = resolve_user_game(user, sps, links, bids, EUT)
-        assert out.bids[0] is bids[1]
-        assert out == reference_resolve_user_game(user, sps, links, bids, EUT)
+    def test_cellular_bid_alone(self, n_aps, model, expansion_enabled, label):
+        # no AP, or APs that all hold NoBids: the WiFi slot stays empty, and
+        # PT rejects the triggered floor bid unless expansion grows it
+        user = make_user(3.0)
+        sps = [make_sp()] + [make_sp(cost_rate=0.05)] * n_aps
+        links = [make_link(50.0, bw_max=10.0)] * (1 + n_aps)
+        rate = user.b_min / 0.8
+        bw = guarantee_inverse_bw(rate, 0.8, links[0])
+        bid = Bid(rate=rate, price=rate**1.2, bandwidth=bw, guarantee=0.8)
+        bids = [bid] + [NoBid("silent")] * n_aps
+        out = resolve_user_game(user, sps, links, bids, model, expansion_enabled)
+        assert out.ne_class is label
+        assert out.wifi_index is None and out.u_sp_w == 0.0
+        assert isinstance(out.bids[1], NoBid)
+        if label is NeClass.CELL_ONLY10:
+            in_force = out.bids[0]
+            assert (in_force.rate, in_force.price) == (bid.rate, bid.price)
+            assert (in_force.bandwidth > bw) == (expansion_enabled and model.is_pt)
+            assert out.u_sp_c == sp_utility(True, in_force, sps[0])
 
 
 class TestSolveGame:
     def two_sps(self):
-        return [make_sp(SpKind.CELLULAR), make_sp(SpKind.WIFI)]
+        return [make_sp(), make_sp()]
 
     def test_no_covering_sp_rejects_with_zero_utilities(self):
         user = make_user(3.0)
@@ -736,9 +674,9 @@ class TestSolveGame:
         # AP that select_wifi_sp chose and charge each slot its own SP's cost
         user = make_user(3.0)
         sps = [
-            make_sp(SpKind.CELLULAR, cost_rate=0.3, cost_bw=0.9),
-            make_sp(SpKind.WIFI),
-            make_sp(SpKind.WIFI, cost_rate=0.05, cost_bw=0.2),
+            make_sp(cost_rate=0.3, cost_bw=0.9),
+            make_sp(),
+            make_sp(cost_rate=0.05, cost_bw=0.2),
         ]
         links = [reference_link()] * 3
         model = DecisionModel.eut()
@@ -774,7 +712,7 @@ class TestSolveGame:
 
     def test_asymmetric_configuration_labels_cheaper_side(self):
         user = make_user(4.0)
-        sps = [make_sp(SpKind.CELLULAR, alpha=1.0), make_sp(SpKind.WIFI, alpha=0.5)]
+        sps = [make_sp(alpha=1.0), make_sp(alpha=0.5)]
         links = [reference_link(), reference_link()]
         out = solve_game(user, sps, links, DecisionModel.eut())
         bids = make_eut_bids(user, sps, links)
@@ -793,8 +731,6 @@ class TestSolveGame:
         links = [make_link(snr, bw_max=10.0), make_link(snr, bw_max=10.0)]
         g = 0.8
         rate = user.b_min / g
-        from hetnetsim.channel import guarantee_inverse_bw
-
         committed = guarantee_inverse_bw(rate, g, links[0])
         bid = Bid(rate=rate, price=rate**1.2, bandwidth=committed, guarantee=g)
         plain = resolve_user_game(user, sps, links, [bid, bid], model, expansion_enabled=False)

@@ -23,7 +23,6 @@ from hetnetsim import equilibrium, harness
 from hetnetsim.channel import LinkState
 from hetnetsim.equilibrium import resolve_user_game
 from hetnetsim.harness import (
-    CSV_HEADER,
     DEFAULT_CONFIG,
     Scenario,
     ScenarioConfig,
@@ -44,7 +43,6 @@ from hetnetsim.model import (
     GameOutcome,
     NeClass,
     NoBid,
-    SpKind,
     SpProfile,
     UserParams,
     UserProfile,
@@ -68,12 +66,13 @@ class TestTopology:
         assert [sp.position for sp in sps_a] == [sp.position for sp in sps_b]
 
     def test_station_count_and_kinds(self):
-        sps = build_sps(DEFAULT_CONFIG)
-        assert len(sps) == 1 + DEFAULT_CONFIG.n_wifi == 9
-        assert sps[0].kind is SpKind.CELLULAR
-        center = (DEFAULT_CONFIG.area_side_m / 2.0,) * 2
-        assert sps[0].position == center
-        assert all(sp.kind is SpKind.WIFI for sp in sps[1:])
+        # the positional layout the game reads: the BS first, then the APs
+        cfg = DEFAULT_CONFIG
+        sps = build_sps(cfg)
+        assert len(sps) == 1 + cfg.n_wifi == 9
+        center = (cfg.area_side_m / 2.0,) * 2
+        assert sps[0] == SpProfile(position=center, **vars(cfg.cellular))
+        assert all(sp == SpProfile(position=sp.position, **vars(cfg.wifi)) for sp in sps[1:])
 
     def test_access_points_sit_on_a_disjoint_ring(self):
         cfg = DEFAULT_CONFIG
@@ -112,8 +111,8 @@ class TestLinks:
         users, sps = generate_topology(DEFAULT_CONFIG, np.random.default_rng(5), 200)
         links = build_links(users, sps, DEFAULT_CONFIG)
         for user, row in zip(users, links):
-            for sp, ln in zip(sps, row):
-                if sp.kind is SpKind.WIFI and dist(user.position, sp.position) > sp.coverage_radius:
+            for sp, ln in zip(sps[1:], row[1:]):
+                if dist(user.position, sp.position) > sp.coverage_radius:
                     assert not ln.covered
                     assert ln.b_max == 0.0
 
@@ -227,14 +226,11 @@ def reference_pool_expansion_pass(
     Each SP ends up allocating at most (pool / served) to each of its served
     users, so total allocation never exceeds the discounted pool.
     """
-    cell_idx = next((i for i, sp in enumerate(sps) if sp.kind is SpKind.CELLULAR), None)
     pools = [sp.g_ba * sp.bw_total for sp in sps]
 
     def slots(outcome) -> list[tuple[int, bool]]:
         p_c, p_w = outcome.strategy_draw
-        pairs = []
-        if cell_idx is not None:
-            pairs.append((cell_idx, bool(p_c)))
+        pairs = [(0, bool(p_c))]
         if outcome.wifi_index is not None:
             pairs.append((outcome.wifi_index, bool(p_w)))
         return pairs
@@ -677,7 +673,8 @@ class TestEmission:
         emit(rows, "csv", path)
         text = path.read_text(encoding="utf-8")
         lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        committed = Path(__file__).resolve().parent / "data" / "default_sweep.csv"
+        assert lines[0] == committed.read_text(encoding="utf-8").split("\n", 1)[0]
         assert len(lines) == len(rows) + 1
         assert load_rows(path, "csv") == rows
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_bw, dense_grid_bid, make_link
+from conftest import bisect_bw, dense_grid_bid, make_link, make_sp
 from hetnetsim import equilibrium, leader
 from hetnetsim.channel import LinkState, guarantee_inverse_bw, service_guarantee
 from hetnetsim.harness import DEFAULT_CONFIG, solve_trial
@@ -27,20 +27,11 @@ from hetnetsim.model import (
     Bid,
     InfeasibleError,
     NoBid,
-    SpKind,
-    SpProfile,
     sp_cost,
     sp_price,
     sp_utility,
 )
 from hetnetsim.prospect import FIXED_POINT, DecisionModel, weight, weight_inverse
-
-
-def make_sp(alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.5, **kw):
-    kw.setdefault("kind", SpKind.CELLULAR)
-    kw.setdefault("bw_total", 40.0)
-    kw.setdefault("tx_power_dbm", 40.0)
-    return SpProfile(alpha=alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw, **kw)
 
 
 def signed_pow10(lo, hi):

@@ -1,17 +1,17 @@
 """Domain types and the closed-form utility, pricing, and cost functions."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from conftest import make_sp as shared_make_sp
 from hetnetsim import (
     Bid,
     GameOutcome,
     NeClass,
     NoBid,
-    SpKind,
-    SpProfile,
     UserProfile,
     sp_cost,
     sp_price,
@@ -21,19 +21,8 @@ from hetnetsim import (
 )
 from hetnetsim.model import SpParams, UserParams, doubling_gap
 
-
-def make_sp(**overrides) -> SpProfile:
-    params = dict(
-        kind=SpKind.WIFI,
-        alpha=1.0,
-        beta=1.2,
-        cost_rate=0.1,
-        cost_bw=0.5,
-        bw_total=10.0,
-        tx_power_dbm=23.0,
-    )
-    params.update(overrides)
-    return SpProfile(**params)
+# the shared make_sp with this file's access-point budget and power as overrides
+make_sp = partial(shared_make_sp, bw_total=10.0, tx_power_dbm=23.0)
 
 
 def make_user(**overrides) -> UserProfile:
