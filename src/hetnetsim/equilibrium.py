@@ -71,14 +71,14 @@ def _outcome(
     u: float,
     bid_c: Bid | NoBid,
     bid_w: Bid | NoBid,
-    sp_c: SpParams | None,
+    sp_c: SpParams,
     sp_w: SpParams | None,
     wifi_index: int | None,
     label: NeClass | None = None,
 ) -> GameOutcome:
     """The outcome with the given slots in force, each provider priced by
     whether its slot is accepted, labeled by the strategy unless a label is
-    given."""
+    given; sp_w is None only where no AP holds the WiFi slot."""
     label = label or _LABEL_BY_STRATEGY[strategy]
     u_sp_w = sp_utility(strategy[1] == 1, bid_w, sp_w)
     u_sp_c = sp_utility(strategy[0] == 1, bid_c, sp_c)
@@ -91,13 +91,14 @@ def classify(
     bid_w: Bid | NoBid,
     user: UserProfile,
     model: DecisionModel,
-    sp_c: SpParams | None,
+    sp_c: SpParams,
     sp_w: SpParams | None,
     rng=None,
     wifi_index: int | None = None,
 ) -> GameOutcome:
     """Label one game from the bids in force and price it with each slot's
-    provider profile (None only where the slot has no provider).
+    provider profile: sp_c the BS's, and sp_w the WiFi slot's AP's, None
+    only where no AP holds the slot.
 
     No bid in force is Reject00, with the slots as given.  Weighted
     perception, or a lone offer, is labeled from the follower's best

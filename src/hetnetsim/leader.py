@@ -13,8 +13,9 @@ is smooth but not unimodal in general, so a log-spaced grid locates the
 basin and a golden-section pass refines it.  The grid's argmax usually sits
 at its last feasible rate, the rate cap or the budget corner, and
 _certified_window proves that from three grid points when it holds; the
-full grid is evaluated only where that certificate fails.  It also skips
-the refinement at a rate cap that no rate the refinement prices can beat.
+full grid is evaluated only where that certificate fails.  At a rate cap
+that no rate the refinement prices can beat, the certificate returns the
+cap's Bid itself, priced once, and optimize_bid refines nothing.
 Both this search and the rate-conceding rebid compute only the grid rates
 they read, each with _grid_rate in math.*, so a bid's bits depend on the
 platform's libm and on nothing numpy dispatches for the host CPU.
@@ -101,12 +102,26 @@ def _grid_bw(b: float, b_min: float, snr: float) -> float:
     return b / d if d else math.inf
 
 
+def _bw_roundoff(x: float, snr: float) -> float:
+    """Bound on a grid bandwidth's relative roundoff at snr * L >= x."""
+    return _ROUNDOFF * (1.0 + (1.0 + snr + 6.0 * x) / ((1.0 + x) * math.log1p(x)))
+
+
+def _slope_bound(b: float, room: float, coeffs: tuple[float, float, float, float]) -> float:
+    """The certificate's h(b) = ab * b**(beta - 1) - cost_rate - bw_cost / b for
+    coeffs (ab, beta, cost_rate, bw_cost), less room times the size of its terms."""
+    ab, beta, cost_rate, bw_cost = coeffs
+    gain, cost = ab * b ** (beta - 1.0), cost_rate + bw_cost / b
+    return gain - cost - room * (gain + cost)
+
+
 def _certified_window(
     sp: SpParams, b_min: float, lo_edge: float, b_max: float, snr: float, budget: float
-) -> tuple[float, float, float, float] | NoBid | None:
+) -> tuple[float, float, float, float] | Bid | NoBid | None:
     """The full bid grid's argmax, found without the grid: the grid rates
-    around it and its profit, bit for bit; _NO_FEASIBLE_RATE when no grid
-    rate fits; or None where the certificate fails.
+    around it and its profit, bit for bit, or optimize_bid's answer at the
+    rate cap; _NO_FEASIBLE_RATE when no grid rate fits; or None where the
+    certificate fails.
 
     With L = ln(b / b_min) and x = snr * L, the bandwidth B has d ln B / dL =
     1 - snr / ((1 + x) ln(1 + x)), rising with L, and the grid g is uniform
@@ -123,16 +138,15 @@ def _certified_window(
         than rate j by at least h(g[j-1]) * (g[j] - g[j-1]).
     At the cap, the refinement prices no rate within gap = phi * (1 - phi) *
     min(RATE_TOL, g[j] - g[j-1]) of it, less a few ulps: if h(g[j-1]) * gap
-    exceeds twice eps, its bandwidth bound retaken at g[j-1], it collapses.
+    exceeds twice eps, its bandwidth bound retaken at g[j-1], it would price
+    only the cap, by best's operations with operands swapped around + and *,
+    which round alike, so the cap's Bid is built here from best's terms.
     """
     num = GRID_POINTS
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
     exp, log1p, ln2 = math.exp, math.log1p, math.log(2.0)
     # scalar rate i is lo_edge * e**(i * dl), at L = l0 + i * dl
     l0, dl = log1p(_LOW_EDGE), math.log(b_max / lo_edge) / (num - 1)
-
-    def bw_roundoff(x: float) -> float:  # a grid bandwidth's relative roundoff at snr * L >= x
-        return _ROUNDOFF * (1.0 + (1.0 + snr + 6.0 * x) / ((1.0 + x) * log1p(x)))
     lo, hi, i, bw_lo, bw_hi = -1, num, num - 1, math.inf, math.inf
     while hi - lo > 1:
         x = snr * (l0 + i * dl)
@@ -144,43 +158,44 @@ def _certified_window(
             hi, bw_hi = i, bw
         i = (lo + hi) // 2
     j = lo
-    if not bw_lo <= budget:  # bw_roundoff peaks at rate 0, where L is least
+    if not bw_lo <= budget:  # _bw_roundoff peaks at rate 0, where L is least
         no_fit = min(bw_lo, bw_hi) > budget * (1.0 + _NO_FIT_MARGIN)
-        return _NO_FEASIBLE_RATE if no_fit and bw_roundoff(snr * l0) <= _BW_ROUNDOFF else None
+        return _NO_FEASIBLE_RATE if no_fit and _bw_roundoff(snr * l0, snr) <= _BW_ROUNDOFF else None
 
     g_0, g_j = _grid_rate(max(j - 1, 0), lo_edge, b_max, num), _grid_rate(j, lo_edge, b_max, num)
-    bw_j = _grid_bw(g_j, b_min, snr)
-    best = g_j**beta * alpha - g_j * cost_rate - bw_j * cost_bw
+    bw_j, p_j = _grid_bw(g_j, b_min, snr), g_j**beta
+    best = p_j * alpha - g_j * cost_rate - bw_j * cost_bw
     if not (bw_j <= budget and best < math.inf and dl >= _MIN_LOG_STEP):
         return None
-    g_1 = _grid_rate(min(j + 1, num - 1), lo_edge, b_max, num)
-    # a grid bandwidth that fits is at most budget_hi exactly, and eps bounds
+    last = j == num - 1
+    g_1 = g_j if last else _grid_rate(j + 1, lo_edge, b_max, num)
+    # a grid bandwidth that fits costs at most bw_cost exactly, and eps bounds
     # the roundoff of the profits up to rate j
-    budget_hi = budget * (1.0 + 2.0 * _BW_ROUNDOFF)
-    eps = _ROUNDOFF * (alpha * g_j**beta + cost_rate * g_j + cost_bw * budget_hi)
-    eps += cost_bw * budget_hi * _BW_ROUNDOFF
+    bw_cost = cost_bw * (budget * (1.0 + 2.0 * _BW_ROUNDOFF))
+    eps = _ROUNDOFF * (alpha * p_j + cost_rate * g_j + bw_cost) + bw_cost * _BW_ROUNDOFF
     bound = (best - 2.0 * eps + cost_rate * b_min) / alpha
     i = math.floor((math.log(bound) / beta - math.log(lo_edge)) / dl) if bound > 0.0 else 0
     i = min(max(i, 0), j)
     g_i, x = lo_edge * exp(i * dl), snr * (l0 + i * dl)
-
-    def h(b: float, room: float) -> float:  # h(b), less room times its terms' size
-        gain, cost = alpha * beta * b ** (beta - 1.0), cost_rate + cost_bw * budget_hi / b
-        return gain - cost - room * (gain + cost)
-
     # the bandwidths' relative roundoff falls with L; h(g_i) has room for the
     # few-ulp gap between g_i and the grid's rate i
-    certified = (
-        (j == num - 1 or _grid_bw(g_1, b_min, snr) > max(budget, bw_j * (1.0 + 6.0 * _BW_ROUNDOFF)))
-        and bw_roundoff(x) <= _BW_ROUNDOFF
+    coeffs = alpha * beta, beta, cost_rate, bw_cost
+    h_0 = _slope_bound(g_0, _ROUNDOFF, coeffs)
+    if not (
+        (last or _grid_bw(g_1, b_min, snr) > max(budget, bw_j * (1.0 + 6.0 * _BW_ROUNDOFF)))
+        and _bw_roundoff(x, snr) <= _BW_ROUNDOFF
         and (i == 0 or alpha * g_i**beta - cost_rate * b_min < best - 2.0 * eps)
-        and (i == j or h(g_i, 1e-10) > 0.0 and h(g_0, _ROUNDOFF) * (g_j - g_0) > 2.0 * eps)
-    )
+        and (i == j or _slope_bound(g_i, 1e-10, coeffs) > 0.0 and h_0 * (g_j - g_0) > 2.0 * eps)
+    ):
+        return None
     gap = _GOLDEN * (1.0 - _GOLDEN) * min(RATE_TOL, g_j - g_0) - _ROUNDOFF * g_j
-    at_cap = certified and j == num - 1 and i < j and h(g_0, _ROUNDOFF) * gap > 2.0 * (
-        eps + cost_bw * budget_hi * (bw_roundoff(snr * (l0 + (j - 1) * dl)) - _BW_ROUNDOFF)
-    )
-    return (g_j if at_cap else g_0, g_j, g_1, best) if certified else None
+    if last and i < j and h_0 * gap > 2.0 * (
+        eps + bw_cost * (_bw_roundoff(snr * (l0 + (j - 1) * dl), snr) - _BW_ROUNDOFF)
+    ):
+        if best < 0:
+            return _UNPROFITABLE
+        return Bid(rate=g_j, price=p_j * alpha, bandwidth=bw_j, guarantee=b_min / g_j)
+    return g_0, g_j, g_1, best
 
 
 def _full_grid_window(
@@ -221,7 +236,7 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     window = _certified_window(sp, b_min, lo_edge, b_max, snr, budget) if snr >= _MIN_SNR else None
     if window is None:
         window = _full_grid_window(sp, b_min, lo_edge, b_max, snr, budget)
-    if isinstance(window, NoBid):
+    if not isinstance(window, tuple):  # a NoBid, or the certified cap's Bid
         return window
     lo, b_star, hi, best_profit = window
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
@@ -229,8 +244,8 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     # golden-section refinement around the winning grid point; the -inf
     # penalty keeps the search on the feasible side of a budget corner.  Each
     # pass prices the one inner point whose profit is missing (None): x1,
-    # then x2, then the point each step moves in; a window collapsed onto the
-    # rate cap prices the cap twice, to best_profit's bits, and stops.
+    # then x2, then the point each step moves in.  A certified rate cap never
+    # gets here, its Bid built by the certificate.
     golden, log, log2, inf, infeasible = _GOLDEN, math.log, math.log2, math.inf, -math.inf
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)

@@ -112,6 +112,8 @@ class SpParams:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.g_ba <= 1:
             raise ValueError(f"g_ba must lie in (0, 1], got {self.g_ba}")
+        if (radius := self.coverage_radius) is not None and radius <= 0:
+            raise ValueError(f"coverage_radius must be positive or null, got {radius}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -96,6 +96,11 @@ class TestSimulate:
                 {**asdict(DEFAULT_CONFIG.wifi), "coverage_radius": math.nan},
                 "wifi: coverage_radius: expected float | None, got nan",
             ),
+            (
+                "wifi",
+                {**asdict(DEFAULT_CONFIG.wifi), "coverage_radius": -91.44},
+                "wifi: coverage_radius must be positive or null, got -91.44",
+            ),
         ],
     )
     def test_malformed_config_fails_before_the_sweep(

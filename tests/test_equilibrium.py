@@ -358,7 +358,7 @@ class TestClassify:
     @pytest.mark.parametrize("model", [DecisionModel.eut(), DecisionModel.pt(0.7)])
     def test_both_silent_rejects_as_in_the_sweep(self, model):
         silent_c, silent_w = NoBid("a"), NoBid("b")
-        out = classify(silent_c, silent_w, make_user(3.0), model, None, None, wifi_index=4)
+        out = classify(silent_c, silent_w, make_user(3.0), model, SP, None, wifi_index=4)
         assert out.ne_class is NeClass.REJECT00
         assert out.strategy_draw == (0, 0)
         assert out.u_user == 0.0 and out.u_sp_w == 0.0 and out.u_sp_c == 0.0

@@ -893,6 +893,8 @@ class TestScenarioConfig:
             ("user", "delta", math.inf, "user: delta: expected float, got inf"),
             ("cellular", "tx_power_dbm", -math.inf, "cellular: tx_power_dbm: expected float"),
             ("wifi", "coverage_radius", math.nan, "wifi: coverage_radius: expected float | None"),
+            ("wifi", "coverage_radius", -91.44, "wifi: coverage_radius must be positive or null"),
+            ("cellular", "coverage_radius", 0.0, "cellular: coverage_radius must be positive or"),
             ("cellular", "bogus", 1, r"cellular: unknown config keys: \['bogus'\]"),
         ],
     )

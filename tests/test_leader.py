@@ -435,8 +435,8 @@ class TestOptimizeBidOracle:
     def test_rate_cap_skip_threshold_matches_reference(self, monkeypatch, snr, corner):
         # at these SNRs the grid bandwidths' roundoff, not the certificate,
         # decides the skip: alpha is bisected onto the least price at which
-        # the window collapses onto the cap, and on both sides of it the cap
-        # is certified and the bid matches the reference
+        # the certificate returns the cap's Bid itself, and on both sides of
+        # it the cap is certified and the bid matches the reference
         b_min, b_max = 2.0, 20.0
         cap_bw = b_max / math.log2(1.0 + snr * math.log(b_max / b_min))
         link = LinkState(0.0, snr, True, cap_bw * (1.0 + corner), b_max)
@@ -447,10 +447,14 @@ class TestOptimizeBidOracle:
 
         def skips(alpha):
             sp = make_sp(alpha=alpha, beta=1.3, cost_rate=0.12, cost_bw=1.0)
-            assert optimize_bid(sp, link, b_min) == reference_optimize_bid(sp, link, b_min)
+            bid = optimize_bid(sp, link, b_min)
+            assert bid == reference_optimize_bid(sp, link, b_min)
             window = windows.pop()
+            if isinstance(window, Bid):
+                assert window is bid and bid.rate == b_max
+                return True
             assert window is not None and window[1] == window[2] == b_max
-            return window[0] == b_max
+            return False
 
         lo, hi = 1.0 / snr, 1e3 / snr
         assert not skips(lo) and skips(hi)
@@ -461,9 +465,9 @@ class TestOptimizeBidOracle:
     @pytest.mark.parametrize("n", [50, 500])
     def test_sweep_grid_searches_take_the_certified_path(self, monkeypatch, n):
         # every default-trial search that gets past the early exits is
-        # answered from the certificate's three grid points, never by
-        # scanning the full grid; a Bid on its rate cap skips the refinement
-        # (its window collapses onto the cap) and every other Bid refines
+        # answered by the certificate, never by scanning the full grid; a Bid
+        # on its rate cap is the certificate's own return value, and every
+        # other Bid refines the certificate's window
         windows, full, bids = [], [], []
         certify, full_grid = leader._certified_window, leader._full_grid_window
         search = equilibrium.optimize_bid
@@ -471,7 +475,7 @@ class TestOptimizeBidOracle:
         def spy(sp, link, b_min):
             bid = search(sp, link, b_min)
             if isinstance(bid, Bid):
-                bids.append((bid.rate == link.b_max, windows[-1]))
+                bids.append((bid.rate == link.b_max, bid is windows[-1]))
             return bid
 
         monkeypatch.setattr(
@@ -484,9 +488,13 @@ class TestOptimizeBidOracle:
         solve_trial(DEFAULT_CONFIG, n, 0)
         assert windows and None not in windows
         assert not full
-        assert all((lo == rate) == at_cap for at_cap, (lo, rate, _, _) in bids)
-        # every n=50 Bid ends on its cap; at n=500 some do and most do not
-        assert {at_cap for at_cap, _ in bids} == ({True} if n == 50 else {True, False})
+        assert all(at_cap == built for at_cap, built in bids)
+        # every n=50 Bid is the certificate's; at n=500 some are and most refine
+        n_built = sum(built for _, built in bids)
+        if n == 50:
+            assert bids and n_built == len(bids)
+        else:
+            assert 0 < n_built < len(bids) / 2
 
 
 class TestBandwidthFloor:
