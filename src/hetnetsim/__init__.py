@@ -37,7 +37,6 @@ from .leader import (
 from .model import (
     Bid,
     GameOutcome,
-    InfeasibleError,
     NeClass,
     NoBid,
     SpProfile,
@@ -58,7 +57,6 @@ __all__ = [
     "DecisionModel",
     "DEFAULT_CONFIG",
     "GameOutcome",
-    "InfeasibleError",
     "LinkState",
     "NeClass",
     "NoBid",

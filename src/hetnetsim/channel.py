@@ -22,7 +22,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .model import InfeasibleError, SpProfile, UserProfile, _new_record
+from .model import SpProfile, UserProfile, _new_record
 
 # Hata validity window.  The upper edge stretches to cover the 2.4 GHz ISM
 # band via COST-231, a documented approximation.
@@ -58,8 +58,8 @@ class LinkState(NamedTuple):
 def _hata_terms(freq_mhz: float, h_bs_m: float, h_ue_m: float) -> tuple[float, float]:
     """(intercept, slope) of the Hata loss as a line in log10(d_km).
 
-    Checks the frequency window and the antenna heights; an exception is
-    not cached, so a bad profile raises on every call.
+    Checks the frequency window and the antenna heights, which SpParams
+    does when it is built.
     """
     if not FREQ_MIN_MHZ <= freq_mhz <= FREQ_MAX_MHZ:
         raise ValueError(
@@ -157,24 +157,15 @@ def service_guarantee(b: float, bw: float, link: LinkState) -> float:
 def guarantee_inverse_bw(b: float, target: float, link: LinkState) -> float:
     """Smallest bandwidth at which the rate-b guarantee reaches target.
 
-    Closed form: bw = b / log2(1 - mean_snr * ln(target)).  A target of 1,
-    or one so close to 1 that the logarithm rounds to zero, needs unbounded
-    bandwidth and raises InfeasibleError.
+    Closed form: bw = b / log2(1 - mean_snr * ln(target)).  A target of 1 or
+    more, a zero SNR, or a target so close to 1 that the logarithm rounds to
+    zero needs unbounded bandwidth: math.inf.
     """
     if b <= 0:
         raise ValueError(f"rate must be positive, got {b}")
     if target <= 0:
         raise ValueError(f"target guarantee must be positive, got {target}")
-    if target >= 1:
-        raise InfeasibleError(
-            f"guarantee {target} is unreachable at any finite bandwidth"
-        )
-    if link.mean_snr <= 0:
-        raise InfeasibleError("zero mean SNR cannot support any guarantee")
+    if target >= 1 or link.mean_snr <= 0:
+        return math.inf
     denom = math.log2(1.0 - link.mean_snr * math.log(target))
-    if denom <= 0.0:
-        raise InfeasibleError(
-            f"guarantee {target} is unreachable at any finite bandwidth"
-        )
-    return b / denom
-
+    return b / denom if denom > 0.0 else math.inf

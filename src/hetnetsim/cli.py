@@ -93,8 +93,8 @@ class _Params:
     def __post_init__(self) -> None:
         if self.model not in ("eut", "pt"):
             raise ValueError(f"model must be 'eut' or 'pt', got {self.model!r}")
-        if self.model == "pt" and not 0.0 < self.prelec_alpha < 1.0:
-            raise ValueError(f"prelec_alpha must lie in (0, 1), got {self.prelec_alpha}")
+        if self.model == "pt":
+            DecisionModel.pt(self.prelec_alpha)
 
 
 def _cmd_ne_classify(args: argparse.Namespace) -> int:

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import USER_HEIGHT_M, LinkState, allocate_bw, hata_path_loss, link_state
+from .channel import LinkState, allocate_bw, link_state
 from .equilibrium import make_eut_bids, resolve_user_game
 from .model import Bid, GameOutcome, NoBid, SpParams, SpProfile, UserParams, UserProfile
 from .model import _check_finite
@@ -105,20 +105,11 @@ class ScenarioConfig:
             raise ValueError("sweep loads must be positive")
         if self.area_side_m <= 0:
             raise ValueError(f"area_side_m must be positive, got {self.area_side_m}")
-        if not 0.0 < self.prelec_alpha < 1.0:
-            raise ValueError(f"prelec_alpha must lie in (0, 1), got {self.prelec_alpha}")
+        DecisionModel.pt(self.prelec_alpha)
         if not 0.0 <= self.activity_prob <= 1.0:
             raise ValueError("activity_prob must lie in [0, 1]")
         if self.n_wifi < 0:
             raise ValueError(f"n_wifi must be nonnegative, got {self.n_wifi}")
-        # the Hata frequency window and antenna heights, which the first trial
-        # would check, so a bad section fails here
-        for section in ("cellular", "wifi"):
-            params = getattr(self, section)
-            try:
-                hata_path_loss(params.frequency_mhz, 1.0, params.antenna_height_m, USER_HEIGHT_M)
-            except ValueError as exc:
-                raise ValueError(f"{section}: {exc}") from None
 
     def to_dict(self) -> dict:
         d = asdict(self)

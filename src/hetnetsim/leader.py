@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .channel import LinkState, guarantee_inverse_bw
-from .model import Bid, InfeasibleError, NoBid, SpParams, sp_price
+from .model import Bid, NoBid, SpParams, sp_price
 from .prospect import FIXED_POINT, DecisionModel, weight_inverse
 
 # rate grid sizes of the bid search and of the rate-conceding rebid's scan,
@@ -71,15 +71,13 @@ _BUDGET_EXHAUSTED = NoBid("budget exhausted")
 def marginal_bw(b: float, b_min: float, link: LinkState) -> float:
     """The unique bandwidth with b * guarantee(b, bw) = b_min.
 
-    Only rates above b_min are meaningful: at b = b_min the required
-    guarantee is 1, which no finite bandwidth reaches.
+    Only rates above b_min are meaningful: at or below it the required
+    guarantee is at least 1, which no finite bandwidth reaches, so math.inf.
     """
     if b_min <= 0:
         raise ValueError(f"b_min must be positive, got {b_min}")
-    if b <= b_min:
-        raise InfeasibleError(
-            f"rate {b} must exceed the floor {b_min} for a marginal bid"
-        )
+    if b <= 0:
+        raise ValueError(f"rate must be positive, got {b}")
     return guarantee_inverse_bw(b, b_min / b, link)
 
 
@@ -298,14 +296,11 @@ def expand_bw_pt(bid: Bid, model: DecisionModel, link: LinkState) -> Bid | NoBid
     price never change.  Returns NoBid when no finite bandwidth works or the
     required bandwidth exceeds the link budget.
     """
-    if not model.is_pt:
-        return bid
-    if bid.guarantee <= FIXED_POINT:
+    if not model.is_pt or bid.guarantee <= FIXED_POINT:
         return bid
     lam = weight_inverse(bid.guarantee, model)
-    try:
-        new_bw = guarantee_inverse_bw(bid.rate, lam, link)
-    except InfeasibleError:
+    new_bw = guarantee_inverse_bw(bid.rate, lam, link)
+    if new_bw == math.inf:
         return _UNEXPANDABLE
     if new_bw > link.bw_max * (1.0 + _BUDGET_SLACK):
         return _BUDGET_EXHAUSTED

@@ -23,10 +23,6 @@ from typing import NamedTuple
 _new_record = tuple.__new__
 
 
-class InfeasibleError(ValueError):
-    """Raised when a requested operating point cannot be met at any bandwidth."""
-
-
 def _check_finite(values: dict) -> None:
     """Reject a NaN or an infinity in a dataclass's field values (its vars) or their tuple
     items, naming the field."""
@@ -107,13 +103,18 @@ class SpParams:
         _check_finite(vars(self))
         if self.beta <= 1:
             raise ValueError(f"pricing exponent beta must exceed 1, got {self.beta}")
-        for name in ("alpha", "cost_rate", "cost_bw", "bw_total", "frequency_mhz"):
+        for name in ("alpha", "cost_rate", "cost_bw", "bw_total"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.g_ba <= 1:
             raise ValueError(f"g_ba must lie in (0, 1], got {self.g_ba}")
         if (radius := self.coverage_radius) is not None and radius <= 0:
             raise ValueError(f"coverage_radius must be positive or null, got {radius}")
+        # the Hata frequency window and antenna height, so that a bad profile
+        # fails here and not at its first link
+        from .channel import USER_HEIGHT_M, _hata_terms  # channel imports this module
+
+        _hata_terms(self.frequency_mhz, self.antenna_height_m, USER_HEIGHT_M)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -124,7 +125,7 @@ class SpProfile(SpParams):
 
     @functools.cached_property
     def hata_terms(self) -> tuple[float, float]:
-        """channel._hata_terms toward a user terminal, cached by the first read that succeeds."""
+        """channel._hata_terms toward a user terminal, cached by the first read."""
         from .channel import USER_HEIGHT_M, _hata_terms  # channel imports this module
 
         return _hata_terms(self.frequency_mhz, self.antenna_height_m, USER_HEIGHT_M)
@@ -265,11 +266,12 @@ def _cost(b: float, bw: float, sp: SpParams) -> float:
     return sp.cost_rate * b + sp.cost_bw * bw
 
 
-def sp_utility(accepted: bool, bid: Bid | NoBid, sp: SpParams) -> float:
+def sp_utility(accepted: bool, bid: Bid | NoBid, sp: SpParams | None) -> float:
     """Provider payoff: price if accepted, minus provisioning cost.
 
     The cost is sunk once the bid is placed, so a rejected bid yields a
-    strictly negative payoff.  A silent SP earns exactly zero.
+    strictly negative payoff.  A silent SP earns exactly zero; sp is None
+    only with a NoBid, for a game with no WiFi offer.
     """
     if isinstance(bid, NoBid):
         return 0.0

@@ -9,8 +9,9 @@ import pytest
 
 from hetnetsim import cli
 from hetnetsim.cli import main
-from hetnetsim.harness import DEFAULT_CONFIG, Scenario, solve_trial
+from hetnetsim.harness import DEFAULT_CONFIG, Scenario, ScenarioConfig, solve_trial
 from hetnetsim.model import Bid, NeClass
+from hetnetsim.prospect import DecisionModel
 
 LABELS = {c.value for c in NeClass}
 
@@ -288,15 +289,22 @@ class TestNeClassify:
         assert main(["ne-classify", "--params", str(path)]) == 2
         assert capsys.readouterr().err == "error: params: model must be 'eut' or 'pt', got 'cpt'\n"
 
-    def test_exponent_is_checked_only_where_used(self, tmp_path, capsys):
-        # the objective model ignores prelec_alpha, as DecisionModel.eut does
+    def test_exponent_is_checked_only_where_used(self, tmp_path):
+        # the objective model ignores prelec_alpha: DecisionModel.eut takes none
         path = self.params(tmp_path, prelec_alpha=1.5)
         assert main(["ne-classify", "--params", str(path)]) == 0
-        capsys.readouterr()
-        path = self.params(tmp_path, model="pt", prelec_alpha=1.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_exponent_has_one_check_on_every_entry_point(self, tmp_path, capsys, alpha):
+        message = f"prelec_alpha must lie in (0, 1), got {alpha}"
+        with pytest.raises(ValueError) as direct:
+            DecisionModel.pt(alpha)
+        with pytest.raises(ValueError) as config:
+            ScenarioConfig(prelec_alpha=alpha)
+        path = self.params(tmp_path, model="pt", prelec_alpha=alpha)
         assert main(["ne-classify", "--params", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: params: prelec_alpha must lie in (0, 1), got 1.5\n"
+        assert str(direct.value) == str(config.value) == message
+        assert capsys.readouterr().err == f"error: params: {message}\n"
 
     def test_matches_sweep_games_with_both_bids_in_force(self, tmp_path, capsys):
         # each default n=50 trial-0 EUT game whose cellular and selected WiFi

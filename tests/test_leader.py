@@ -25,7 +25,6 @@ from hetnetsim.leader import (
 )
 from hetnetsim.model import (
     Bid,
-    InfeasibleError,
     NoBid,
     sp_cost,
     sp_price,
@@ -48,10 +47,7 @@ def bid_profit(bid, sp):
 def scalar_expanded_bw(b, b_min, link, model):
     """Post-expansion bandwidth of a floor-tight rate-b bid, one rate at a
     time; inf where the expansion target is out of reach."""
-    try:
-        return guarantee_inverse_bw(b, weight_inverse(b_min / b, model), link)
-    except InfeasibleError:
-        return math.inf
+    return guarantee_inverse_bw(b, weight_inverse(b_min / b, model), link)
 
 
 def reference_grid(lo, hi, num):
@@ -188,10 +184,8 @@ def reference_expansion_rebid(sp, link, b_min, model, grid_points=256, tol=1e-9)
 class TestMarginalBw:
     def test_rate_at_or_below_floor_is_infeasible(self):
         link = make_link(10.0)
-        with pytest.raises(InfeasibleError):
-            marginal_bw(1.0, 1.0, link)
-        with pytest.raises(InfeasibleError):
-            marginal_bw(0.5, 1.0, link)
+        assert marginal_bw(1.0, 1.0, link) == math.inf
+        assert marginal_bw(0.5, 1.0, link) == math.inf
 
     def test_known_value(self):
         link = make_link(10.0)

@@ -143,6 +143,10 @@ class TestSpUtility:
         assert sp_utility(True, NoBid(), make_sp()) == 0.0
         assert sp_utility(False, NoBid("quiet"), make_sp()) == 0.0
 
+    def test_no_bid_without_a_provider_is_zero(self):
+        # a game with no WiFi offer has no WiFi profile either
+        assert sp_utility(False, NoBid(), None) == 0.0
+
     def test_accepted_arithmetic(self):
         bid = Bid(rate=2.0, price=5.0, bandwidth=4.0, guarantee=0.5)
         got = sp_utility(True, bid, make_sp(cost_rate=0.1, cost_bw=0.5))

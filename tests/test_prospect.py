@@ -53,6 +53,8 @@ class TestWeight:
         model = DecisionModel.pt(0.7)
         assert weight(0.0, model) == 0.0
         assert weight(1.0, model) == 1.0
+        # an endpoint comes back as given, sign of zero included
+        assert weight(-0.0, model).hex() == weight_inverse(-0.0, model).hex() == "-0x0.0p+0"
 
     def test_known_value(self):
         # 0.704721598... checked against a 60-digit Decimal evaluation
@@ -173,9 +175,19 @@ class TestDecisionModel:
         with pytest.raises(ValueError):
             DecisionModel.pt(1.0)
 
-    def test_kind_enforced(self):
-        with pytest.raises(ValueError):
-            DecisionModel(kind="other")
+    def test_objective_is_exponent_one(self):
+        assert DecisionModel() == DecisionModel.eut() == DecisionModel(1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0 + 1e-12, 1.5, math.nan])
+    def test_direct_exponent_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"prelec_alpha must lie in \(0, 1\]"):
+            DecisionModel(alpha)
+
+    @given(p=st.floats(0.0, 1.0))
+    def test_objective_weights_are_bit_exact(self, p):
+        model = DecisionModel.eut()
+        assert weight(p, model).hex() == p.hex()
+        assert weight_inverse(p, model).hex() == p.hex()
 
     def test_flags(self):
         assert DecisionModel.pt(0.7).is_pt
