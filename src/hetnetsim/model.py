@@ -23,6 +23,19 @@ from typing import NamedTuple
 _new_record = tuple.__new__
 
 
+# Places a user of a built, hence checked, UserProfile: a copy of its fields
+# with a new position and activity, neither of which UserProfile checks, made
+# without __init__, so that UserParams' checks run once per trial and not
+# once per user.
+def _stamp_user(profile: UserProfile, position: tuple[float, float], active: bool) -> UserProfile:
+    user = object.__new__(UserProfile)
+    fields = user.__dict__
+    fields.update(profile.__dict__)
+    fields["position"] = position
+    fields["active"] = active
+    return user
+
+
 def _check_finite(values: dict) -> None:
     """Reject a NaN or an infinity in a dataclass's field values (its vars) or their tuple
     items, naming the field."""

@@ -138,6 +138,44 @@ def test_negative_seed_fails_before_any_trial(tmp_path, capsys, monkeypatch, com
     assert capsys.readouterr().err == "error: seed must be nonnegative, got -3\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--out", "o.csv"], ["game", "--user-index", "0", "--model", "pt"]],
+)
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (
+            "cellular",
+            {**asdict(DEFAULT_CONFIG.cellular), "tx_power_dbm": 4000.0},
+            "cellular: tx_power_dbm 4000.0 dBm over noise_density_dbm_hz -174.0 dBm/Hz "
+            "gives a link SNR beyond the float range",
+        ),
+        (
+            "noise_density_dbm_hz",
+            -4000.0,
+            "cellular: tx_power_dbm 43.0 dBm over noise_density_dbm_hz -4000.0 dBm/Hz "
+            "gives a link SNR beyond the float range",
+        ),
+    ],
+)
+def test_out_of_range_radio_config_fails_at_load(
+    tmp_path, capsys, monkeypatch, command, key, value, message
+):
+    # both ran until the mean SNR overflowed: "error: (34, 'Numerical
+    # result out of range')"
+    def never(*args):
+        raise AssertionError("a trial ran on an out-of-range radio config")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "solve_trial", never)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestGame:
     @pytest.mark.parametrize("model", ["eut", "pt"])
     def test_outcome_json(self, tiny_config, capsys, model):

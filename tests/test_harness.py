@@ -11,7 +11,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetnetsim import equilibrium, harness
-from hetnetsim.channel import LinkState
+from hetnetsim.channel import LinkState, allocate_bw, link_state
 from hetnetsim.equilibrium import resolve_user_game
 from hetnetsim.harness import (
     DEFAULT_CONFIG,
@@ -43,6 +43,7 @@ from hetnetsim.model import (
     GameOutcome,
     NeClass,
     NoBid,
+    SpParams,
     SpProfile,
     UserParams,
     UserProfile,
@@ -127,6 +128,190 @@ class TestLinks:
         users, sps = generate_topology(cfg, np.random.default_rng(5), 30)
         links = build_links(users, sps, cfg)
         assert all(not ln.covered for row in links for ln in row)
+
+
+def two_pass_links(users, sps, cfg) -> tuple[list[list[LinkState]], int]:
+    """build_links with both passes computed from scratch, then a fix-up that
+    keeps a pair outside first-pass coverage outside; also the number of
+    pairs the fix-up changed."""
+    noise = cfg.noise_density_dbm_hz
+    links_by_sp = []
+    fixed = 0
+    for sp in sps:
+        reference = [link_state(u, sp, noise) for u in users]
+        bw_each = allocate_bw(sp, sum(ln.covered for ln in reference))
+        final = []
+        for u, ref in zip(users, reference, strict=True):
+            ln = link_state(u, sp, noise, bw_max=bw_each)
+            if ln.covered and not ref.covered:
+                ln = ln._replace(covered=False, b_max=0.0)
+                fixed += 1
+            final.append(ln)
+        links_by_sp.append(final)
+    return [list(row) for row in zip(*links_by_sp)], fixed
+
+
+def link_bits(links) -> list:
+    """Each link's fields, every float as its exact bit pattern."""
+    return [
+        [tuple(x.hex() if isinstance(x, float) else x for x in ln) for ln in row]
+        for row in links
+    ]
+
+
+_COORD = st.floats(0.0, 600.0)
+
+
+def test_build_links_matches_the_two_pass_body():
+    fixed_examples = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8), label="n")
+        users = [
+            UserProfile(
+                position=data.draw(st.tuples(_COORD, _COORD)),
+                active=data.draw(st.sampled_from([True, True, False])),
+            )
+            for _ in range(n)
+        ]
+        radius = data.draw(st.none() | st.floats(20.0, 400.0), label="radius")
+        cfg = replace(
+            DEFAULT_CONFIG,
+            n_wifi=data.draw(st.integers(0, 3), label="n_wifi"),
+            noise_density_dbm_hz=data.draw(st.floats(-180.0, -100.0), label="noise"),
+            wifi=replace(DEFAULT_CONFIG.wifi, coverage_radius=radius),
+        )
+        # each SP's threshold just above one user's first-pass SNR, by less
+        # than the gain of a split over n users, so that the second pass can
+        # lift a pair that the first left outside
+        sps = []
+        for sp in build_sps(cfg):
+            user = users[data.draw(st.integers(0, n - 1))]
+            snr_db = 10.0 * math.log10(link_state(user, sp, cfg.noise_density_dbm_hz).mean_snr)
+            margin = data.draw(st.floats(0.0, 10.0 * math.log10(n)))
+            sps.append(replace(sp, coverage_snr_threshold_db=snr_db + margin))
+        got = build_links(users, sps, cfg)
+        want, fixed = two_pass_links(users, sps, cfg)
+        assert all(is_record(ln, LinkState) for row in got for ln in row)
+        assert link_bits(got) == link_bits(want)
+        fixed_examples.append(fixed > 0)
+
+    check()
+    # some example has a pair that only the second pass covers
+    assert any(fixed_examples)
+
+
+def fresh_layout(cfg) -> list[SpProfile]:
+    """build_sps's layout built anew, with no profile shared."""
+    center = (cfg.area_side_m / 2.0, cfg.area_side_m / 2.0)
+    sps = [SpProfile(position=center, **vars(cfg.cellular))]
+    ring = cfg.wifi_ring_fraction * cfg.area_side_m
+    for k in range(cfg.n_wifi):
+        angle = 2.0 * math.pi * k / cfg.n_wifi
+        pos = (center[0] + ring * math.cos(angle), center[1] + ring * math.sin(angle))
+        sps.append(SpProfile(position=pos, **vars(cfg.wifi)))
+    return sps
+
+
+def _changed(value):
+    """A valid value of an SpParams field other than value."""
+    if value is None:
+        return 50.0
+    return 0.95 * value if value else 1.0
+
+
+# one config per layout or radio field, each differing from TINY there alone
+_LAYOUT_CHANGES = [
+    pytest.param({"n_wifi": 3}, id="n_wifi"),
+    pytest.param({"area_side_m": 500.0}, id="area_side_m"),
+    pytest.param({"wifi_ring_fraction": 0.3}, id="wifi_ring_fraction"),
+    *[
+        pytest.param(
+            {section: replace(params, **{f.name: _changed(getattr(params, f.name))})},
+            id=f"{section}.{f.name}",
+        )
+        for section, params in (("cellular", TINY.cellular), ("wifi", TINY.wifi))
+        for f in fields(SpParams)
+    ],
+]
+
+
+class TestSpLayout:
+    """build_sps hands every config with one layout the same profiles."""
+
+    def test_trials_of_one_config_share_the_profiles(self):
+        first, second = solve_trial(TINY, 5, 0).sps, solve_trial(TINY, 5, 1).sps
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert first == fresh_layout(TINY)
+
+    def test_fields_outside_the_layout_share_the_profiles(self):
+        other = replace(
+            TINY,
+            seed=1,
+            n_users=3,
+            sweep=(7,),
+            trials=1,
+            prelec_alpha=0.5,
+            noise_density_dbm_hz=-170.0,
+            activity_prob=0.5,
+            user=UserParams(delta=300.0),
+        )
+        assert all(a is b for a, b in zip(build_sps(TINY), build_sps(other), strict=True))
+
+    @pytest.mark.parametrize("change", _LAYOUT_CHANGES)
+    def test_a_different_layout_gets_its_own_profiles(self, change):
+        cfg = replace(TINY, **change)
+        own, tiny = build_sps(cfg), build_sps(TINY)
+        assert own == fresh_layout(cfg) != tiny
+        assert not any(a is b for a in own for b in tiny)
+        assert build_sps(TINY) == fresh_layout(TINY)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({"n_wifi": 3}, id="n_wifi"),
+            pytest.param({"area_side_m": 500.0}, id="area_side_m"),
+            pytest.param({"wifi": replace(TINY.wifi, tx_power_dbm=30.0)}, id="wifi.tx_power_dbm"),
+            pytest.param(
+                {"cellular": replace(TINY.cellular, bw_total=12.0)}, id="cellular.bw_total"
+            ),
+        ],
+    )
+    def test_rows_do_not_depend_on_an_earlier_sweep(self, change):
+        tiny, other = replace(TINY, trials=1), replace(TINY, trials=1, **change)
+        harness._layout_sps.cache_clear()
+        tiny_first = run_sweep(tiny)
+        other_second = run_sweep(other)
+        harness._layout_sps.cache_clear()
+        other_first = run_sweep(other)
+        tiny_second = run_sweep(tiny)
+        assert tiny_first == tiny_second
+        assert other_first == other_second
+        assert tiny_first != other_first
+
+    def test_users_are_stamped_from_the_configs_profile(self):
+        cfg = replace(
+            DEFAULT_CONFIG, user=UserParams(delta=120.0, theta=1.5, b_min=0.5), activity_prob=0.5
+        )
+        users, _ = generate_topology(cfg, np.random.default_rng(9), 40)
+        assert {u.active for u in users} == {True, False}
+        for u in users:
+            want = UserProfile(position=u.position, active=u.active, **vars(cfg.user))
+            assert type(u) is UserProfile
+            assert u == want and hash(u) == hash(want) and repr(u) == repr(want)
+            assert vars(u) == vars(want)
+        assert len({id(u) for u in users}) == len(users)
+
+    def test_user_parameters_are_checked_for_every_trial(self):
+        # a section altered after its checks ran still fails the trial
+        bad = UserParams()
+        object.__setattr__(bad, "theta", 0.5)
+        cfg = replace(TINY, user=bad)
+        with pytest.raises(ValueError, match="^theta must exceed 1, got 0.5$"):
+            generate_topology(cfg, np.random.default_rng(9), 5)
 
 
 class TestRunTrial:
@@ -896,6 +1081,22 @@ class TestScenarioConfig:
             ("wifi", "coverage_radius", -91.44, "wifi: coverage_radius must be positive or null"),
             ("cellular", "coverage_radius", 0.0, "cellular: coverage_radius must be positive or"),
             ("cellular", "bogus", 1, r"cellular: unknown config keys: \['bogus'\]"),
+            # a best-link SNR beyond the float range: the mean SNR overflowed
+            # mid-run
+            (
+                "cellular",
+                "tx_power_dbm",
+                4000.0,
+                "cellular: tx_power_dbm 4000.0 dBm over noise_density_dbm_hz -174.0 dBm/Hz "
+                "gives a link SNR beyond the float range$",
+            ),
+            ("wifi", "tx_power_dbm", 4000.0, "wifi: tx_power_dbm 4000.0 dBm over"),
+            (
+                None,
+                "noise_density_dbm_hz",
+                -4000.0,
+                "cellular: tx_power_dbm 43.0 dBm over noise_density_dbm_hz -4000.0 dBm/Hz",
+            ),
         ],
     )
     def test_invalid_field_rejected_at_load(self, section, key, value, message):
@@ -908,6 +1109,37 @@ class TestScenarioConfig:
         assert "\n" not in text
         # the section and the key are named once
         assert text.count(section or key) == 1
+
+    @pytest.mark.parametrize("section", ["cellular", "wifi"])
+    def test_radio_range_ends_where_the_best_link_overflows(self, section):
+        small = replace(TINY, sweep=(5,), n_users=4, trials=1)
+
+        def with_power(tx_power_dbm):
+            params = replace(getattr(small, section), tx_power_dbm=tx_power_dbm)
+            return replace(small, **{section: params})
+
+        def best_link(tx_power_dbm):
+            # a user at the 1 m clamp on the pool split over the largest load
+            sp = SpProfile(**{**vars(getattr(small, section)), "tx_power_dbm": tx_power_dbm})
+            user = UserProfile(position=(1.0, 0.0))
+            return link_state(user, sp, small.noise_density_dbm_hz, sp.g_ba * sp.bw_total / 5)
+
+        # 400 dBm ran before the range was checked, and still does
+        run_sweep(with_power(400.0))
+        lo, hi = 400.0, 4000.0
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2.0
+            try:
+                with_power(mid)
+                lo = mid
+            except ValueError:
+                hi = mid
+        best_link(lo)
+        run_sweep(with_power(lo))
+        with pytest.raises(OverflowError):
+            best_link(hi)
+        with pytest.raises(ValueError, match=f"^{section}: tx_power_dbm {hi} dBm over"):
+            with_power(hi)
 
     def test_partial_section_names_missing_keys(self):
         payload = DEFAULT_CONFIG.to_dict()
