@@ -113,6 +113,61 @@ def _slope_bound(b: float, room: float, coeffs: tuple[float, float, float, float
     return gain - cost - room * (gain + cost)
 
 
+def _rise(l: float, snr: float, k: float) -> tuple[float, float]:
+    """d ln B / dL = 1 - k x / (L (1 + x) ln(1 + x)) at x = snr * L**k, for B(L)
+    = b_min e**L ln 2 / ln(1 + x) (_expanded_bw's bandwidth at k = inv_alpha),
+    less its roundoff at a float L, and rho, the bound on _expanded_bw's
+    relative roundoff at L >= l; -inf and inf where x is 0."""
+    x = snr * l**k
+    d = l * (1.0 + x) * math.log1p(x)
+    if not d > 0.0:
+        return -math.inf, math.inf
+    rho = _ROUNDOFF * (1.0 + (1.0 + snr + (6.0 + k + k / l) * x) * l / d)
+    return 1.0 - k * x / d - _ROUNDOFF * (1.0 + k + k / l), rho
+
+
+def _budget_crossing(
+    b_min: float, top: float, snr: float, k: float, budget: float
+) -> tuple[float, float] | None:
+    """(c, slope) with B(c) = budget on B's rising side below top, B of _rise
+    (with k = 1 / alpha, _expanded_bw).  ln B is convex in L, so Newton from L =
+    ln(top / b_min), where B exceeds the budget, falls onto c; None where a
+    slope is not positive or the steps do not settle."""
+    log, log1p = math.log, math.log1p
+    want, l = log(budget / b_min / log(2.0)), log(top / b_min)
+    for _ in range(64):
+        x = snr * l**k
+        y = log1p(x)
+        d = l * (1.0 + x) * y
+        if not d > k * x:  # the slope is not positive
+            return None
+        slope = 1.0 - k * x / d
+        step = (l - log(y) - want) / slope
+        l -= step
+        if not l > 0.0:
+            return None
+        if abs(step) <= 1e-9 * l:
+            return b_min * math.exp(l), slope
+    return None
+
+
+def _crossing_band(
+    c: float, slope: float, rho: float, lo: float, hi: float, bw_max: float, *args
+) -> tuple[float, float]:
+    """The band (c_lo, c_hi) around a crossing c, w = 8 rho / slope < 1: c (1 - w)
+    if strictly inside (lo, hi) with _expanded_bw(c_lo, *args) <= bw_max (1 - 3
+    rho), else 0.0, and c (1 + w) if inside with _expanded_bw(c_hi, *args) >
+    bw_max (1 + 3 rho), else inf.  Where E rises from lo on with relative
+    roundoff rho, a computed E then fits at or below c_lo and not at or above
+    c_hi, as (1 - 3 rho) (1 + rho) <= 1 - rho and (1 + 3 rho) (1 - rho) >= 1 +
+    rho for rho <= 1/3."""
+    w = 8.0 * rho / slope
+    c_lo, c_hi = c * (1.0 - w), c * (1.0 + w)
+    fits = lo < c_lo < hi and _expanded_bw(c_lo, *args) <= bw_max * (1.0 - 3.0 * rho)
+    over = w < 1.0 and lo < c_hi < hi and _expanded_bw(c_hi, *args) > bw_max * (1.0 + 3.0 * rho)
+    return c_lo if fits else 0.0, c_hi if over else math.inf
+
+
 def _certified_window(
     sp: SpParams, b_min: float, lo_edge: float, b_max: float, snr: float, budget: float
 ) -> tuple[float, float, float, float] | Bid | NoBid | None:
@@ -312,7 +367,12 @@ def _expanded_bw(b: float, b_min: float, snr: float, inv_alpha: float) -> float:
     user with Prelec exponent 1 / inv_alpha: guarantee_inverse_bw of
     weight_inverse(b_min / b), in their operation order.  inf when no finite
     bandwidth reaches the expansion target: a target that rounds to 1 (small
-    exponents just above b_min) or an SNR of 0 leaves no positive logarithm."""
+    exponents just above b_min) or an SNR of 0 leaves no positive logarithm.
+
+    With k = inv_alpha, L = ln(b / b_min) > 0 and x = snr * L**k its relative
+    roundoff is at most rho = 1e-15 * (1 + (1 + snr + (6 + k + k / L) x) / ((1 + x)
+    ln(1 + x))) (_rise), falling with L: the quotient's ulp costs L**k k / L ulps,
+    the exp-log trip 1 / L**k, each times x / (1 + x), and 1 + x a log ulp."""
     target = math.exp(-((-math.log(b_min / b)) ** inv_alpha))
     denom = math.log2(1.0 - snr * math.log(target))
     return b / denom if denom > 0.0 else math.inf
@@ -359,6 +419,51 @@ def _last_feasible(
     return j
 
 
+def _rebid_rate(
+    lo: float, hi: float, b_min: float, snr: float, inv_alpha: float, bw_max: float
+) -> float | None:
+    """grid[j], j the last index whose E fits bw_max, bisected toward grid[j + 1]
+    (only inside _crossing_band's band); None where none fits.  Past a cap that
+    does not fit, j is m or m - 1 as grid[m], the rate nearest _budget_crossing's
+    c, fits or not, kept where grid[j] fits, grid[j + 1] does not and E rises so
+    that each later rate, dl beyond grid[j + 1], needs more past both roundoffs
+    (rho falls with L); else _last_feasible finds j and the band is (0, inf)."""
+    num, args = REBID_POINTS, (b_min, snr, inv_alpha)
+    if _expanded_bw(hi, *args) <= bw_max:
+        return hi
+    # the L step less the few-ulp roundoff of two grid rates' L
+    dl = math.log(hi / lo) / (num - 1) - 16.0 * _ROUNDOFF * (1.0 + abs(math.log10(lo)))
+    crossing = _budget_crossing(b_min, hi, snr, inv_alpha, bw_max) if dl > 0.0 < bw_max else None
+    j, c_lo, c_hi = -1, 0.0, math.inf
+    if crossing:
+        m = min(max(round(math.log(crossing[0] / lo) / dl), 1), num - 2)
+        g_m = _grid_rate(m, lo, hi, num)
+        # grid[m] is grid[j] where it fits, else grid[j + 1]; then the other end
+        if _expanded_bw(g_m, *args) <= bw_max:
+            j, g_j, g_1 = m, g_m, _grid_rate(m + 1, lo, hi, num)
+            bracketed = _expanded_bw(g_1, *args) > bw_max
+        else:
+            j, g_j, g_1 = m - 1, _grid_rate(m - 1, lo, hi, num), g_m
+            bracketed = _expanded_bw(g_j, *args) <= bw_max
+        rise, rho = _rise(math.log(g_j / b_min), snr, inv_alpha)
+        if bracketed and rise * dl > 3.0 * rho:
+            c_lo, c_hi = _crossing_band(*crossing, rho, g_j, g_1, bw_max, *args)
+        else:
+            j = -1
+    if j < 0:
+        j = _last_feasible(lo, hi, b_min, snr, inv_alpha, bw_max)
+        if j < 0:
+            return None
+        g_j, g_1 = _grid_rate(j, lo, hi, num), _grid_rate(j + 1, lo, hi, num)
+    while g_1 - g_j > RATE_TOL:
+        mid = 0.5 * (g_j + g_1)
+        if mid <= c_lo or mid < c_hi and _expanded_bw(mid, *args) <= bw_max:
+            g_j = mid
+        else:
+            g_1 = mid
+    return g_j
+
+
 def expansion_rebid(
     sp: SpParams, link: LinkState, b_min: float, model: DecisionModel
 ) -> Bid | NoBid:
@@ -372,10 +477,11 @@ def expansion_rebid(
     which decreases, d ln E / dL = 1 - (k / L) * h(snr * L**k) rises with L:
     E falls, then rises.  So over the log-spaced rate grid "feasible, or E
     still falls" holds on a prefix ended by the last feasible index j, which
-    _last_feasible finds with _expanded_bw, the one scalar formula for E; a
-    bisection pins the budget crossing between grid[j] and grid[j + 1].
-    Bidding there maximizes revenue among expandable bids and spends the
-    whole budget, as an unexpanded bid would have.
+    _rebid_rate finds from the budget crossing solved once (else with
+    _last_feasible), judged by _expanded_bw, the one scalar formula for E,
+    and bisects toward grid[j + 1] to the crossing.  Bidding there maximizes
+    revenue among expandable bids and spends the whole budget, as an
+    unexpanded bid would have.
 
     Returns NoBid when the link is down, no rate admits an expansion within
     budget, or the crossing bid loses money once the expanded bandwidth is
@@ -395,20 +501,9 @@ def expansion_rebid(
 
     inv_alpha = 1.0 / model.prelec_alpha
     snr, bw_max = link.mean_snr, link.bw_max
-    j = _last_feasible(lo_edge, cap, b_min, snr, inv_alpha, bw_max)
-    if j < 0:
+    b_up = _rebid_rate(lo_edge, cap, b_min, snr, inv_alpha, bw_max)
+    if b_up is None:
         return _NO_EXPANDABLE_RATE
-
-    b_up = _grid_rate(j, lo_edge, cap, REBID_POINTS)
-    if j + 1 < REBID_POINTS:
-        lo, hi = b_up, _grid_rate(j + 1, lo_edge, cap, REBID_POINTS)
-        while hi - lo > RATE_TOL:
-            mid = 0.5 * (lo + hi)
-            if _expanded_bw(mid, b_min, snr, inv_alpha) <= bw_max:
-                lo = mid
-            else:
-                hi = mid
-        b_up = lo
 
     # b_up passed the budget test, so bw is finite and within bw_max: it is
     # the bandwidth expand_bw_pt gives the floor-tight bid, whose marginal
