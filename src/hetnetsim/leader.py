@@ -16,9 +16,13 @@ _certified_window proves that from three grid points when it holds; the
 full grid is evaluated only where that certificate fails.  At a rate cap
 that no rate the refinement prices can beat, the certificate returns the
 cap's Bid itself, priced once, and optimize_bid refines nothing.
-Both this search and the rate-conceding rebid compute only the grid rates
-they read, each with _grid_rate in math.*, so a bid's bits depend on the
-platform's libm and on nothing numpy dispatches for the host CPU.
+This search and the rate-conceding rebid find their last feasible grid rate
+alike, with _grid_bracket: the log of either bandwidth is convex in the
+log-rate, so Newton's method solves the budget crossing once and only the
+grid rates next to it are judged, or tangents show that no rate fits.  Both
+compute only the grid rates they read, each with _grid_rate in math.*, so a
+bid's bits depend on the platform's libm and on nothing numpy dispatches for
+the host CPU.
 
 Under prospect-theoretic users a guarantee above 1/e is perceived as smaller
 than it is; expand_bw_pt grows the allocated bandwidth until the *perceived*
@@ -29,6 +33,7 @@ price untouched.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .channel import LinkState, guarantee_inverse_bw
 from .model import Bid, NoBid, SpParams, sp_price
@@ -45,9 +50,9 @@ _LOW_EDGE = 1e-6
 # relative slack when testing the bandwidth budget, to absorb roundoff at
 # corner solutions
 _BUDGET_SLACK = 1e-12
-# the bid grid's certificate: the least SNR it runs at, the excess over the
-# budget that answers NoBid without a grid, bounds on the relative roundoff
-# of a float operation (a few ulps) and of a grid bandwidth, and the least
+# the certificates: the least SNR of the bid grid's, the least excess of ln B
+# over ln budget that shows no rate fits, bounds on the relative roundoff of a
+# float operation (a few ulps) and of a bid-grid bandwidth, and the least
 # log-rate step, far above the few-ulp gap between its rates and the grid's
 _MIN_SNR = 1e-8
 _NO_FIT_MARGIN = 1e-6
@@ -100,11 +105,6 @@ def _grid_bw(b: float, b_min: float, snr: float) -> float:
     return b / d if d else math.inf
 
 
-def _bw_roundoff(x: float, snr: float) -> float:
-    """Bound on a grid bandwidth's relative roundoff at snr * L >= x."""
-    return _ROUNDOFF * (1.0 + (1.0 + snr + 6.0 * x) / ((1.0 + x) * math.log1p(x)))
-
-
 def _slope_bound(b: float, room: float, coeffs: tuple[float, float, float, float]) -> float:
     """The certificate's h(b) = ab * b**(beta - 1) - cost_rate - bw_cost / b for
     coeffs (ab, beta, cost_rate, bw_cost), less room times the size of its terms."""
@@ -115,9 +115,9 @@ def _slope_bound(b: float, room: float, coeffs: tuple[float, float, float, float
 
 def _rise(l: float, snr: float, k: float) -> tuple[float, float]:
     """d ln B / dL = 1 - k x / (L (1 + x) ln(1 + x)) at x = snr * L**k, for B(L)
-    = b_min e**L ln 2 / ln(1 + x) (_expanded_bw's bandwidth at k = inv_alpha),
-    less its roundoff at a float L, and rho, the bound on _expanded_bw's
-    relative roundoff at L >= l; -inf and inf where x is 0."""
+    = b_min e**L ln 2 / ln(1 + x) (_expanded_bw's bandwidth at k = inv_alpha,
+    _grid_bw's at k = 1), less its roundoff at a float L, and rho, the bound
+    on their relative roundoff at L >= l; -inf and inf where x is 0."""
     x = snr * l**k
     d = l * (1.0 + x) * math.log1p(x)
     if not d > 0.0:
@@ -127,28 +127,90 @@ def _rise(l: float, snr: float, k: float) -> tuple[float, float]:
 
 
 def _budget_crossing(
-    b_min: float, top: float, snr: float, k: float, budget: float
-) -> tuple[float, float] | None:
-    """(c, slope) with B(c) = budget on B's rising side below top, B of _rise
-    (with k = 1 / alpha, _expanded_bw).  ln B is convex in L, so Newton from L =
-    ln(top / b_min), where B exceeds the budget, falls onto c; None where a
-    slope is not positive or the steps do not settle."""
+    b_min: float, lo: float, top: float, snr: float, k: float, budget: float
+) -> tuple[float, float] | tuple[()] | None:
+    """(c, slope) with B(c) = budget on B's rising side below top, B of _rise;
+    () where every computed B of a grid from lo up to top exceeds the budget;
+    None where neither is shown.
+
+    ln B is convex in L, so Newton from L = ln(top / b_min) falls onto c
+    without passing B's bottom, and each tangent bounds ln B from below.  A
+    step past L = 0 or onto B's falling side shows that no c exists; then the
+    rising tangent's value at L = 0, or the lower of the last rising and
+    falling tangents where they meet (the next point, closing in on the
+    bottom), bounds ln B - ln budget.  A bound above a few times rho at lo
+    and above _NO_FIT_MARGIN answers (); a point at or below that, None."""
     log, log1p = math.log, math.log1p
     want, l = log(budget / b_min / log(2.0)), log(top / b_min)
+    # the last (L, ln B - ln budget, slope) on each side of B's bottom, and
+    # the margin once a bound needs it
+    rising = falling = margin = None
     for _ in range(64):
         x = snr * l**k
         y = log1p(x)
         d = l * (1.0 + x) * y
-        if not d > k * x:  # the slope is not positive
+        if not d > 0.0:
             return None
-        slope = 1.0 - k * x / d
-        step = (l - log(y) - want) / slope
-        l -= step
-        if not l > 0.0:
+        f, slope = l - log(y) - want, 1.0 - k * x / d
+        if slope > 0.0:
+            rising = l, f, slope
+        else:
+            falling = l, f, slope
+        if falling is None:
+            step = f / slope
+            if step < l:
+                l -= step
+                if abs(step) <= 1e-9 * l:
+                    return b_min * math.exp(l), slope
+                continue
+            bound = f - slope * l
+        elif rising is None:  # B falls up to top
+            bound = f
+        else:
+            (a, f_a, s_a), (b, f_b, s_b) = falling, rising
+            l = (f_a - f_b + s_b * b - s_a * a) / (s_b - s_a)
+            bound = min(f_a + s_a * (l - a), f_b + s_b * (l - b))
+        if margin is None:
+            margin = max(_NO_FIT_MARGIN, 4.0 * _rise(log(lo / b_min), snr, k)[1])
+        if bound > margin:
+            return ()
+        if f <= margin or not (rising and falling):
             return None
-        if abs(step) <= 1e-9 * l:
-            return b_min * math.exp(l), slope
     return None
+
+
+def _grid_bracket(
+    bw: Callable[..., float], args: tuple, k: float, lo: float, hi: float, num: int, budget: float
+) -> tuple[int, float, float, tuple[float, float] | None] | tuple[()] | None:
+    """(j, grid[j], grid[j + 1], crossing) for j the last index of the num-point
+    grid from lo to hi whose bw(rate, *args) fits the budget (args = (b_min,
+    snr, ...), B of _rise at exponent k), crossing None where the cap fits;
+    () where no grid rate fits; None where neither is certified.  Past the
+    cap, j is m or m - 1 as grid[m], the rate nearest _budget_crossing's c,
+    fits or not, kept where grid[j] fits, grid[j + 1] does not and B rises
+    there so that each later rate, dl beyond grid[j + 1], needs more past
+    both roundoffs (rho falls with L)."""
+    b_min, snr = args[0], args[1]
+    if bw(hi, *args) <= budget:
+        return num - 1, hi, hi, None
+    # the L step less the few-ulp roundoff of two grid rates' L
+    dl = math.log(hi / lo) / (num - 1) - 16.0 * _ROUNDOFF * (1.0 + abs(math.log10(lo)))
+    if not dl > 0.0 < budget:
+        return None
+    crossing = _budget_crossing(b_min, lo, hi, snr, k, budget)
+    if not crossing:
+        return crossing
+    m = min(max(round(math.log(crossing[0] / lo) / dl), 1), num - 2)
+    g_m = _grid_rate(m, lo, hi, num)
+    # grid[m] is grid[j] where it fits, else grid[j + 1]; then the other end
+    if bw(g_m, *args) <= budget:
+        j, g_j, g_1 = m, g_m, _grid_rate(m + 1, lo, hi, num)
+        bracketed = bw(g_1, *args) > budget
+    else:
+        j, g_j, g_1 = m - 1, _grid_rate(m - 1, lo, hi, num), g_m
+        bracketed = bw(g_j, *args) <= budget
+    rise, rho = _rise(math.log(g_1 / b_min), snr, k)
+    return (j, g_j, g_1, crossing) if bracketed and rise * dl > 3.0 * rho else None
 
 
 def _crossing_band(
@@ -178,11 +240,9 @@ def _certified_window(
 
     With L = ln(b / b_min) and x = snr * L, the bandwidth B has d ln B / dL =
     1 - snr / ((1 + x) ln(1 + x)), rising with L, and the grid g is uniform
-    in L.  So the rates that fit form one run, and a binary search finds j,
-    the last index that fits or where B still falls; if j does not fit, the
-    least bandwidth is at j or j + 1.  The grid's values at j - 1, j and j + 1
-    then certify j as the argmax, with margins above the roundoff:
-      - B[j] fits and B[j + 1] does not and exceeds it, so no later rate fits;
+    in L.  So the rates that fit form one run, and _grid_bracket finds j, the
+    last index that fits, or shows that none does.  The grid's values at
+    j - 1 and j then certify j as the argmax, with margins above the roundoff:
       - no rate below an index i earns more than alpha * g[i]**beta -
         cost_rate * b_min, since the bandwidth term only subtracts;
       - where B fits, B' <= B / b, so with beta > 1 the profit's slope is at
@@ -196,32 +256,19 @@ def _certified_window(
     which round alike, so the cap's Bid is built here from best's terms.
     """
     num = GRID_POINTS
+    bracket = _grid_bracket(_grid_bw, (b_min, snr), 1.0, lo_edge, b_max, num, budget)
+    if not bracket:
+        return None if bracket is None else _NO_FEASIBLE_RATE
+    j, g_j, g_1, _ = bracket
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
-    exp, log1p, ln2 = math.exp, math.log1p, math.log(2.0)
     # scalar rate i is lo_edge * e**(i * dl), at L = l0 + i * dl
-    l0, dl = log1p(_LOW_EDGE), math.log(b_max / lo_edge) / (num - 1)
-    lo, hi, i, bw_lo, bw_hi = -1, num, num - 1, math.inf, math.inf
-    while hi - lo > 1:
-        x = snr * (l0 + i * dl)
-        y = log1p(x)
-        bw = lo_edge * exp(i * dl) * ln2 / y
-        if bw <= budget or (1.0 + x) * y < snr:
-            lo, bw_lo = i, bw
-        else:
-            hi, bw_hi = i, bw
-        i = (lo + hi) // 2
-    j = lo
-    if not bw_lo <= budget:  # _bw_roundoff peaks at rate 0, where L is least
-        no_fit = min(bw_lo, bw_hi) > budget * (1.0 + _NO_FIT_MARGIN)
-        return _NO_FEASIBLE_RATE if no_fit and _bw_roundoff(snr * l0, snr) <= _BW_ROUNDOFF else None
-
-    g_0, g_j = _grid_rate(max(j - 1, 0), lo_edge, b_max, num), _grid_rate(j, lo_edge, b_max, num)
+    l0, dl = math.log1p(_LOW_EDGE), math.log(b_max / lo_edge) / (num - 1)
+    g_0 = _grid_rate(max(j - 1, 0), lo_edge, b_max, num)
     bw_j, p_j = _grid_bw(g_j, b_min, snr), g_j**beta
     best = p_j * alpha - g_j * cost_rate - bw_j * cost_bw
-    if not (bw_j <= budget and best < math.inf and dl >= _MIN_LOG_STEP):
+    if not (best < math.inf and dl >= _MIN_LOG_STEP):
         return None
     last = j == num - 1
-    g_1 = g_j if last else _grid_rate(j + 1, lo_edge, b_max, num)
     # a grid bandwidth that fits costs at most bw_cost exactly, and eps bounds
     # the roundoff of the profits up to rate j
     bw_cost = cost_bw * (budget * (1.0 + 2.0 * _BW_ROUNDOFF))
@@ -229,21 +276,20 @@ def _certified_window(
     bound = (best - 2.0 * eps + cost_rate * b_min) / alpha
     i = math.floor((math.log(bound) / beta - math.log(lo_edge)) / dl) if bound > 0.0 else 0
     i = min(max(i, 0), j)
-    g_i, x = lo_edge * exp(i * dl), snr * (l0 + i * dl)
+    g_i = lo_edge * math.exp(i * dl)
     # the bandwidths' relative roundoff falls with L; h(g_i) has room for the
     # few-ulp gap between g_i and the grid's rate i
     coeffs = alpha * beta, beta, cost_rate, bw_cost
     h_0 = _slope_bound(g_0, _ROUNDOFF, coeffs)
     if not (
-        (last or _grid_bw(g_1, b_min, snr) > max(budget, bw_j * (1.0 + 6.0 * _BW_ROUNDOFF)))
-        and _bw_roundoff(x, snr) <= _BW_ROUNDOFF
+        _rise(l0 + i * dl, snr, 1.0)[1] <= _BW_ROUNDOFF
         and (i == 0 or alpha * g_i**beta - cost_rate * b_min < best - 2.0 * eps)
         and (i == j or _slope_bound(g_i, 1e-10, coeffs) > 0.0 and h_0 * (g_j - g_0) > 2.0 * eps)
     ):
         return None
     gap = _GOLDEN * (1.0 - _GOLDEN) * min(RATE_TOL, g_j - g_0) - _ROUNDOFF * g_j
     if last and i < j and h_0 * gap > 2.0 * (
-        eps + bw_cost * (_bw_roundoff(snr * (l0 + (j - 1) * dl), snr) - _BW_ROUNDOFF)
+        eps + bw_cost * (_rise(l0 + (j - 1) * dl, snr, 1.0)[1] - _BW_ROUNDOFF)
     ):
         if best < 0:
             return _UNPROFITABLE
@@ -378,83 +424,29 @@ def _expanded_bw(b: float, b_min: float, snr: float, inv_alpha: float) -> float:
     return b / denom if denom > 0.0 else math.inf
 
 
-def _last_feasible(
-    lo: float, hi: float, b_min: float, snr: float, inv_alpha: float, bw_max: float
-) -> int:
-    """Index of the last rate of the REBID_POINTS-point grid from lo to hi
-    whose _expanded_bw fits bw_max, or -1.
-
-    A binary search finds the end of the prefix where "feasible, or still
-    falling" holds (see expansion_rebid).  It leaves out the lowest rates,
-    where the relative roundoff of _expanded_bw, about
-    eps * (1 + 1 / snr) / L**k, exceeds a thousandth of the relative step
-    k * dL / L to the next rate, so that the two can come out of order;
-    those are scanned top down when no higher rate fits."""
-    num = REBID_POINTS
-
-    def expanded(i: int) -> float:
-        return _expanded_bw(_grid_rate(i, lo, hi, num), b_min, snr, inv_alpha)
-
-    # the scanned rates have L**(k - 1) <= 1e3 * eps * (1 + 1 / snr) / (k * dL),
-    # where L = ln(rate i / b_min) grows by dL per index
-    dl = max(math.log(hi / lo) / (num - 1), 1e-300)
-    noise = 2.2e-13 * (1.0 + 1.0 / snr) if snr > 0.0 else math.inf
-    ln_l = min((math.log(noise) - math.log(inv_alpha * dl)) / (inv_alpha - 1.0), 1.0)
-    scanned = (math.exp(ln_l) - math.log(lo / b_min)) / dl
-    i_lo = max(0, math.ceil(min(scanned, num))) - 1
-    scan, i_hi, j = i_lo, num, -1
-    while i_hi - i_lo > 1:
-        mid = (i_lo + i_hi) // 2
-        bw = expanded(mid)
-        if bw <= bw_max:
-            i_lo = j = mid
-        elif mid + 1 < num and bw > expanded(mid + 1):
-            i_lo, j = mid, -1
-        else:
-            i_hi = mid
-    while j < 0 <= scan:
-        if expanded(scan) <= bw_max:
-            j = scan
-        scan -= 1
-    return j
-
-
 def _rebid_rate(
     lo: float, hi: float, b_min: float, snr: float, inv_alpha: float, bw_max: float
 ) -> float | None:
-    """grid[j], j the last index whose E fits bw_max, bisected toward grid[j + 1]
-    (only inside _crossing_band's band); None where none fits.  Past a cap that
-    does not fit, j is m or m - 1 as grid[m], the rate nearest _budget_crossing's
-    c, fits or not, kept where grid[j] fits, grid[j + 1] does not and E rises so
-    that each later rate, dl beyond grid[j + 1], needs more past both roundoffs
-    (rho falls with L); else _last_feasible finds j and the band is (0, inf)."""
+    """grid[j], j the last index whose E fits bw_max, bisected toward grid[j + 1];
+    None where none fits.  _grid_bracket finds j; where it certifies nothing,
+    the reference's definition does, scanning the grid top down.  Where E rises
+    from grid[j] on, only midpoints inside _crossing_band's band are judged."""
     num, args = REBID_POINTS, (b_min, snr, inv_alpha)
-    if _expanded_bw(hi, *args) <= bw_max:
-        return hi
-    # the L step less the few-ulp roundoff of two grid rates' L
-    dl = math.log(hi / lo) / (num - 1) - 16.0 * _ROUNDOFF * (1.0 + abs(math.log10(lo)))
-    crossing = _budget_crossing(b_min, hi, snr, inv_alpha, bw_max) if dl > 0.0 < bw_max else None
-    j, c_lo, c_hi = -1, 0.0, math.inf
+    bracket = _grid_bracket(_expanded_bw, args, inv_alpha, lo, hi, num, bw_max)
+    if bracket is None:  # the cap does not fit
+        for j in range(num - 2, -1, -1):
+            g_j = _grid_rate(j, lo, hi, num)
+            if _expanded_bw(g_j, *args) <= bw_max:
+                bracket = j, g_j, _grid_rate(j + 1, lo, hi, num), None
+                break
+    if not bracket:
+        return None
+    _, g_j, g_1, crossing = bracket
+    c_lo, c_hi = 0.0, math.inf
     if crossing:
-        m = min(max(round(math.log(crossing[0] / lo) / dl), 1), num - 2)
-        g_m = _grid_rate(m, lo, hi, num)
-        # grid[m] is grid[j] where it fits, else grid[j + 1]; then the other end
-        if _expanded_bw(g_m, *args) <= bw_max:
-            j, g_j, g_1 = m, g_m, _grid_rate(m + 1, lo, hi, num)
-            bracketed = _expanded_bw(g_1, *args) > bw_max
-        else:
-            j, g_j, g_1 = m - 1, _grid_rate(m - 1, lo, hi, num), g_m
-            bracketed = _expanded_bw(g_j, *args) <= bw_max
         rise, rho = _rise(math.log(g_j / b_min), snr, inv_alpha)
-        if bracketed and rise * dl > 3.0 * rho:
+        if rise > 0.0:
             c_lo, c_hi = _crossing_band(*crossing, rho, g_j, g_1, bw_max, *args)
-        else:
-            j = -1
-    if j < 0:
-        j = _last_feasible(lo, hi, b_min, snr, inv_alpha, bw_max)
-        if j < 0:
-            return None
-        g_j, g_1 = _grid_rate(j, lo, hi, num), _grid_rate(j + 1, lo, hi, num)
     while g_1 - g_j > RATE_TOL:
         mid = 0.5 * (g_j + g_1)
         if mid <= c_lo or mid < c_hi and _expanded_bw(mid, *args) <= bw_max:
@@ -477,11 +469,12 @@ def expansion_rebid(
     which decreases, d ln E / dL = 1 - (k / L) * h(snr * L**k) rises with L:
     E falls, then rises.  So over the log-spaced rate grid "feasible, or E
     still falls" holds on a prefix ended by the last feasible index j, which
-    _rebid_rate finds from the budget crossing solved once (else with
-    _last_feasible), judged by _expanded_bw, the one scalar formula for E,
-    and bisects toward grid[j + 1] to the crossing.  Bidding there maximizes
-    revenue among expandable bids and spends the whole budget, as an
-    unexpanded bid would have.
+    _grid_bracket finds from the budget crossing solved once, as the bid
+    search does (else the reference's top-down scan), judged by _expanded_bw,
+    the one scalar formula for E; _rebid_rate bisects toward grid[j + 1] to
+    the crossing.  Bidding there maximizes revenue among expandable bids and
+    spends the whole budget, as an unexpanded bid would have.  The Bid is the
+    one expand_bw_pt would make of the floor-tight bid at that rate.
 
     Returns NoBid when the link is down, no rate admits an expansion within
     budget, or the crossing bid loses money once the expanded bandwidth is
@@ -513,7 +506,7 @@ def expansion_rebid(
     price = sp_price(b_up, sp)
     if price - sp.cost_rate * b_up - sp.cost_bw * bw < 0:
         return _UNPROFITABLE_EXPANSION
-    floor_tight = Bid(
-        rate=b_up, price=price, bandwidth=marginal_bw(b_up, b_min, link), guarantee=b_min / b_up
-    )
-    return expand_bw_pt(floor_tight, model, link)
+    guarantee = b_min / b_up
+    if guarantee <= FIXED_POINT:
+        return Bid(b_up, price, marginal_bw(b_up, b_min, link), guarantee)
+    return Bid(b_up, price, bw, weight_inverse(guarantee, model))

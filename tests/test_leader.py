@@ -828,8 +828,12 @@ class TestExpansionRebidOracle:
             assert bws.index(math.inf) == 0 and all(
                 bw == math.inf for bw in bws[: bws.count(math.inf)]
             )
-        want = feasible[-1] if feasible else -1
-        assert leader._last_feasible(grid[0], grid[-1], b_min, snr, inv_alpha, bw_max) == want
+        # these costs leave every expandable rate profitable, so the rebid's
+        # rate, bisected up from the last feasible grid rate, pins that index
+        sp, model = make_sp(cost_rate=1e-20, cost_bw=1e-20), DecisionModel.pt(alpha)
+        got = expansion_rebid(sp, link, b_min, model)
+        assert got == reference_expansion_rebid(sp, link, b_min, model)
+        assert isinstance(got, Bid) == bool(feasible)
 
     @pytest.mark.parametrize(
         "snr, alpha, cap_factor, bw_max",
@@ -850,10 +854,15 @@ class TestExpansionRebidOracle:
         grid = reference_rebid_grid(link, b_min)
         fits = [scalar_expanded_bw(b, b_min, link, model) <= bw_max for b in grid]
         want = max(i for i, ok in enumerate(fits) if ok)
-        assert leader._last_feasible(grid[0], grid[-1], b_min, snr, 1.0 / alpha, bw_max) == want
         assert expansion_rebid(sp, link, b_min, model) == reference_expansion_rebid(
             sp, link, b_min, model
         )
+        # these costs leave every expandable rate profitable, so the rebid's
+        # rate, bisected up from the last feasible grid rate, pins that index
+        cheap = make_sp(cost_rate=1e-20, cost_bw=1e-20)
+        got = expansion_rebid(cheap, link, b_min, model)
+        assert got == reference_expansion_rebid(cheap, link, b_min, model)
+        assert grid[want] <= got.rate <= grid[min(want + 1, len(grid) - 1)]
 
     def test_unreachable_target_is_infeasible_not_an_error(self):
         # at alpha = 0.3 the target for the lowest grid rates rounds to 1
@@ -882,8 +891,8 @@ def decimal_bw(b, b_min, snr, k):
 
 
 class TestBandwidthRoundoff:
-    """The relative roundoff bounds the crossing band is built from, against
-    exact decimal arithmetic."""
+    """The relative roundoff bounds that _grid_bracket and the crossing band
+    are built from, against exact decimal arithmetic."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -914,7 +923,8 @@ class TestBandwidthRoundoff:
         b = b_min * (1.0 + 10.0**log_headroom)
         got = leader._grid_bw(b, b_min, snr)
         assume(math.isfinite(got))
-        rho = leader._bw_roundoff(snr * math.log(b / b_min), snr)
+        # _rise's bound at exponent 1 holds term by term: (7 + 1 / L) x >= 6 x
+        rho = leader._rise(math.log(b / b_min), snr, 1.0)[1]
         assert abs(got / decimal_bw(b, b_min, snr, 1.0) - 1.0) <= rho
 
 
@@ -1044,21 +1054,128 @@ class TestBudgetCrossing:
         # at n=500 every rebid that returns a Bid is answered from a band
         # around the crossing; at n=50 no rebid runs.  A regression to
         # "always fall back" passes every equality test and loses the gain
-        crossings, bands, found = [], [], []
-        self.record(monkeypatch, "_budget_crossing", crossings)
+        bands, runs = [], []
         self.record(monkeypatch, "_crossing_band", bands)
         rebid = equilibrium.expansion_rebid
 
         def spy(*args):
             start = len(bands)
             out = rebid(*args)
-            if isinstance(out, Bid):
-                found.append(bands[start:])
+            runs.append((out, bands[start:]))
             return out
 
         monkeypatch.setattr(equilibrium, "expansion_rebid", spy)
         solve_trial(DEFAULT_CONFIG, n, 0)
+        found = [b for out, b in runs if isinstance(out, Bid)]
         if n == 50:
-            assert not crossings and not found
+            assert not runs
         else:
             assert found and all(len(b) == 1 and 0.0 < b[0][0] < b[0][1] < math.inf for b in found)
+
+
+class TestGridBracket:
+    """_grid_bracket, the last-fit search the bid grid (k = 1, _grid_bw) and
+    the rebid's grid (k = 1 / alpha, _expanded_bw) share, against the full
+    scan of the grid."""
+
+    @staticmethod
+    def answer(bid_grid, alpha, b_min, snr, lo, hi, budget_of):
+        """_grid_bracket's answer on one grid, checked against the scan; the
+        budget is budget_of(the grid's scalar bandwidths)."""
+        k = 1.0 if bid_grid else 1.0 / alpha
+        if bid_grid:
+            bw, args, num = leader._grid_bw, (b_min, snr), leader.GRID_POINTS
+        else:
+            bw, args, num = leader._expanded_bw, (b_min, snr, k), leader.REBID_POINTS
+        grid = reference_grid(lo, hi, num)
+        bws = [bw(b, *args) for b in grid]
+        budget = budget_of(bws)
+        assume(0.0 < budget < math.inf)
+        bracket = leader._grid_bracket(bw, args, k, lo, hi, num, budget)
+        fits = [i for i, b in enumerate(bws) if b <= budget]
+        if bracket == ():
+            assert not fits
+        elif bracket is not None:
+            j, g_j, g_1, _ = bracket
+            assert j == fits[-1] and (g_j, g_1) == (grid[j], grid[min(j + 1, num - 1)])
+        return bracket
+
+    def test_no_fit_answers_match_the_full_scan(self):
+        no_fit = []
+
+        @settings(max_examples=400, deadline=None)
+        @given(
+            snr=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+            alpha=st.floats(0.05, 0.999),
+            bid_grid=st.booleans(),
+            b_min=st.floats(0.2, 8.0),
+            headroom=st.floats(-5.0, 2.0),
+            rel=signed_pow10(-9.0, -2.0),
+        )
+        def check(snr, alpha, bid_grid, b_min, headroom, rel):
+            # budgets within rel of the least grid bandwidth, on either side:
+            # below it, "no rate fits" must clear the roundoff of every rate
+            lo, hi = b_min * (1.0 + 1e-6), b_min * (1.0 + 10.0**headroom)
+            hi = hi if bid_grid else min(hi, math.e * b_min)
+            assume(hi > lo)
+            bracket = self.answer(
+                bid_grid, alpha, b_min, snr, lo, hi, lambda bws: min(bws) * (1.0 + rel)
+            )
+            if rel < -1e-5:
+                no_fit.append(bracket == ())
+
+        check()
+        # a certificate that never answered would pass the checks above; most
+        # budgets 1e-5 or more below the least bandwidth get the answer
+        assert sum(no_fit) >= 0.5 * len(no_fit)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        snr=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+        alpha=st.floats(0.05, 0.999),
+        bid_grid=st.booleans(),
+        b_min=st.floats(0.2, 8.0),
+        width=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+        shift=st.floats(-1.0, 1.0),
+        index=st.integers(0, 1023),
+        ulps=st.integers(-50, 50),
+    )
+    def test_last_fit_near_the_bottom_matches_the_full_scan(
+        self, snr, alpha, bid_grid, b_min, width, shift, index, ulps
+    ):
+        # a grid a relative width wide in L around B's bottom, where the
+        # bandwidths of neighbouring rates differ by little more than their
+        # roundoff, and a budget on one of them, nudged by up to 50 ulps
+        k = 1.0 if bid_grid else 1.0 / alpha
+        a, b = 1e-12, 50.0  # bisected on the sign of d ln B / dL onto the bottom
+        for _ in range(200):
+            mid = math.sqrt(a * b)
+            x = snr * mid**k
+            a, b = (a, mid) if mid * (1.0 + x) * math.log1p(x) > k * x else (mid, b)
+        lo, hi = (b_min * math.exp(a * (1.0 + (shift + s) * width)) for s in (-1.0, 1.0))
+        assume(b_min < lo < hi and (bid_grid or hi <= math.e * b_min))
+        self.answer(
+            bid_grid, alpha, b_min, snr, lo, hi, lambda bws: nudged(bws[index % len(bws)], ulps)
+        )
+
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_sweep_needs_no_fallback(self, monkeypatch, n):
+        # every default-trial search gets a certified answer, a bracket or
+        # "no rate fits", so neither the bid grid's full scan nor the rebid's
+        # top-down scan runs; the rebid runs only at n=500
+        answers, full = {}, []
+        bracket, full_grid = leader._grid_bracket, leader._full_grid_window
+
+        def spy(bw, *args):
+            out = bracket(bw, *args)
+            answers.setdefault(bw.__name__, []).append(out)
+            return out
+
+        monkeypatch.setattr(leader, "_grid_bracket", spy)
+        monkeypatch.setattr(
+            leader, "_full_grid_window", lambda *args: full.append(args) or full_grid(*args)
+        )
+        solve_trial(DEFAULT_CONFIG, n, 0)
+        assert not full
+        assert set(answers) == ({"_grid_bw"} if n == 50 else {"_grid_bw", "_expanded_bw"})
+        assert all(None not in out for out in answers.values())
