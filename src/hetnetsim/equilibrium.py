@@ -198,9 +198,9 @@ def resolve_user_game(
     sweep reuses across the scenarios that share them: WiFi pre-selection,
     optional expansion, withdrawal of bids that would be rejected, the
     follower's best response, and classification.  The slots are build_sps'
-    positions: sps[0] is the cellular BS and sps[1:] are the WiFi APs,
-    offered to select_wifi_sp in index order."""
-    wifi_idx = select_wifi_sp(list(enumerate(eut_bids))[1:], user, model)
+    positions: sps[0] is the cellular BS and sps[1:] are the WiFi APs, whose
+    slots of eut_bids select_wifi_sp scans."""
+    wifi_idx = select_wifi_sp(eut_bids, user, model)
 
     bid_c = eut_bids[0]
     bid_w: Bid | NoBid = eut_bids[wifi_idx] if wifi_idx is not None else _NO_WIFI_OFFER

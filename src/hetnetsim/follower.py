@@ -108,22 +108,23 @@ def best_response(
 
 
 def select_wifi_sp(
-    offers: list[tuple[int, Bid | NoBid]],
+    bids: list[Bid | NoBid],
     user: UserProfile,
     model: DecisionModel,
 ) -> int | None:
-    """The WiFi SP whose lone acceptance gives the highest perceived utility.
+    """The WiFi slot of make_eut_bids' list (slots 1 and up; slot 0 is the
+    cellular BS) whose lone acceptance gives the highest perceived utility.
 
-    Entries without a real bid are skipped; ties go to the lowest SP index, so
-    the result does not depend on the order of offers.  Returns None when
-    no real offer exists.
+    Silent slots are skipped; scanning the slots in order and keeping strict
+    improvements sends a tie to the lowest slot.  Returns None when no WiFi
+    slot holds a real offer.
     """
     best: int | None = None
     best_u = -float("inf")
-    for index, bid in offers:
+    for index, bid in enumerate(bids[1:], 1):
         if not isinstance(bid, Bid):
             continue
         u = user_benefit(bid.rate * weight(bid.guarantee, model), user) - bid.price
-        if u > best_u or (u == best_u and index < best):
+        if u > best_u:
             best, best_u = index, u
     return best

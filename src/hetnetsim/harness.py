@@ -41,7 +41,7 @@ from . import channel
 from .channel import MIN_DISTANCE_M, LinkState, allocate_bw, link_state
 from .equilibrium import make_eut_bids, resolve_user_game
 from .model import Bid, GameOutcome, NoBid, SpParams, SpProfile, UserParams, UserProfile
-from .model import _check_finite, _stamp_user
+from .model import _check_finite
 from .prospect import FIXED_POINT, DecisionModel
 
 
@@ -96,7 +96,7 @@ class ScenarioConfig:
     )
 
     def __post_init__(self) -> None:
-        _check_finite(vars(self))
+        _check_finite(self)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_users < 1:
@@ -241,7 +241,7 @@ def build_sps(cfg: ScenarioConfig) -> list[SpProfile]:
     ring: the one SP layout, which resolve_user_game and the pool pass read.
 
     A fresh list of SpProfiles shared by every config with the same layout:
-    the profiles are frozen, and each caches its Hata terms on first use.
+    the profiles are frozen, and each computed its Hata terms when built.
     """
     layout = (cfg.cellular, cfg.wifi, cfg.n_wifi, cfg.area_side_m, cfg.wifi_ring_fraction)
     return list(_layout_sps(*layout))
@@ -275,9 +275,9 @@ def generate_topology(
     n = cfg.n_users if n_users is None else n_users
     positions = rng.random((n, 2)) * cfg.area_side_m
     activity = rng.random(n) < cfg.activity_prob
-    profile = UserProfile(**vars(cfg.user))
+    params = vars(cfg.user)
     users = [
-        _stamp_user(profile, (x, y), a)
+        UserProfile(position=(x, y), active=a, **params)
         for (x, y), a in zip(positions.tolist(), activity.tolist(), strict=True)
     ]
     return users, build_sps(cfg)

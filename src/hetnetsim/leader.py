@@ -181,18 +181,18 @@ def _budget_crossing(
 
 def _grid_bracket(
     bw: Callable[..., float], args: tuple, k: float, lo: float, hi: float, num: int, budget: float
-) -> tuple[int, float, float, tuple[float, float] | None] | tuple[()] | None:
-    """(j, grid[j], grid[j + 1], crossing) for j the last index of the num-point
-    grid from lo to hi whose bw(rate, *args) fits the budget (args = (b_min,
-    snr, ...), B of _rise at exponent k), crossing None where the cap fits;
+) -> tuple[int, float, float, float, tuple[float, float] | None] | tuple[()] | None:
+    """(j, grid[j], grid[j + 1], bw(grid[j]), crossing) for j the last index of
+    the num-point grid from lo to hi whose bw(rate, *args) fits the budget (args
+    = (b_min, snr, ...), B of _rise at exponent k), crossing None where the cap fits;
     () where no grid rate fits; None where neither is certified.  Past the
     cap, j is m or m - 1 as grid[m], the rate nearest _budget_crossing's c,
     fits or not, kept where grid[j] fits, grid[j + 1] does not and B rises
     there so that each later rate, dl beyond grid[j + 1], needs more past
     both roundoffs (rho falls with L)."""
     b_min, snr = args[0], args[1]
-    if bw(hi, *args) <= budget:
-        return num - 1, hi, hi, None
+    if (bw_hi := bw(hi, *args)) <= budget:
+        return num - 1, hi, hi, bw_hi, None
     # the L step less the few-ulp roundoff of two grid rates' L
     dl = math.log(hi / lo) / (num - 1) - 16.0 * _ROUNDOFF * (1.0 + abs(math.log10(lo)))
     if not dl > 0.0 < budget:
@@ -203,14 +203,14 @@ def _grid_bracket(
     m = min(max(round(math.log(crossing[0] / lo) / dl), 1), num - 2)
     g_m = _grid_rate(m, lo, hi, num)
     # grid[m] is grid[j] where it fits, else grid[j + 1]; then the other end
-    if bw(g_m, *args) <= budget:
+    if (bw_j := bw(g_m, *args)) <= budget:
         j, g_j, g_1 = m, g_m, _grid_rate(m + 1, lo, hi, num)
         bracketed = bw(g_1, *args) > budget
     else:
         j, g_j, g_1 = m - 1, _grid_rate(m - 1, lo, hi, num), g_m
-        bracketed = bw(g_j, *args) <= budget
+        bracketed = (bw_j := bw(g_j, *args)) <= budget
     rise, rho = _rise(math.log(g_1 / b_min), snr, k)
-    return (j, g_j, g_1, crossing) if bracketed and rise * dl > 3.0 * rho else None
+    return (j, g_j, g_1, bw_j, crossing) if bracketed and rise * dl > 3.0 * rho else None
 
 
 def _crossing_band(
@@ -259,12 +259,12 @@ def _certified_window(
     bracket = _grid_bracket(_grid_bw, (b_min, snr), 1.0, lo_edge, b_max, num, budget)
     if not bracket:
         return None if bracket is None else _NO_FEASIBLE_RATE
-    j, g_j, g_1, _ = bracket
+    j, g_j, g_1, bw_j, _ = bracket
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
     # scalar rate i is lo_edge * e**(i * dl), at L = l0 + i * dl
     l0, dl = math.log1p(_LOW_EDGE), math.log(b_max / lo_edge) / (num - 1)
     g_0 = _grid_rate(max(j - 1, 0), lo_edge, b_max, num)
-    bw_j, p_j = _grid_bw(g_j, b_min, snr), g_j**beta
+    p_j = g_j**beta
     best = p_j * alpha - g_j * cost_rate - bw_j * cost_bw
     if not (best < math.inf and dl >= _MIN_LOG_STEP):
         return None
@@ -436,12 +436,12 @@ def _rebid_rate(
     if bracket is None:  # the cap does not fit
         for j in range(num - 2, -1, -1):
             g_j = _grid_rate(j, lo, hi, num)
-            if _expanded_bw(g_j, *args) <= bw_max:
-                bracket = j, g_j, _grid_rate(j + 1, lo, hi, num), None
+            if (bw_j := _expanded_bw(g_j, *args)) <= bw_max:
+                bracket = j, g_j, _grid_rate(j + 1, lo, hi, num), bw_j, None
                 break
     if not bracket:
         return None
-    _, g_j, g_1, crossing = bracket
+    _, g_j, g_1, _, crossing = bracket
     c_lo, c_hi = 0.0, math.inf
     if crossing:
         rise, rho = _rise(math.log(g_j / b_min), snr, inv_alpha)

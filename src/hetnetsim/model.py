@@ -13,9 +13,8 @@ positions in meters.  Currency units are abstract but consistent.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 # Builds the hot-path records, LinkState and GameOutcome, from every field in
@@ -23,26 +22,14 @@ from typing import NamedTuple
 _new_record = tuple.__new__
 
 
-# Places a user of a built, hence checked, UserProfile: a copy of its fields
-# with a new position and activity, neither of which UserProfile checks, made
-# without __init__, so that UserParams' checks run once per trial and not
-# once per user.
-def _stamp_user(profile: UserProfile, position: tuple[float, float], active: bool) -> UserProfile:
-    user = object.__new__(UserProfile)
-    fields = user.__dict__
-    fields.update(profile.__dict__)
-    fields["position"] = position
-    fields["active"] = active
-    return user
-
-
-def _check_finite(values: dict) -> None:
-    """Reject a NaN or an infinity in a dataclass's field values (its vars) or their tuple
-    items, naming the field."""
-    for name, value in values.items():
+def _check_finite(record) -> None:
+    """Reject a NaN or an infinity in a dataclass's declared field values or their
+    tuple items, naming the field."""
+    for f in fields(record):
+        value = getattr(record, f.name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, float) and not math.isfinite(item):
-                raise ValueError(f"{name} must be finite, got {item}")
+                raise ValueError(f"{f.name} must be finite, got {item}")
 
 
 class NeClass(enum.Enum):
@@ -73,7 +60,7 @@ class UserParams:
     def __post_init__(self) -> None:
         # built for every placed user: one sum is finite only if all three are
         if not math.isfinite(self.delta + self.theta + self.b_min):
-            _check_finite(vars(self))
+            _check_finite(self)
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.theta <= 1:
@@ -113,7 +100,7 @@ class SpParams:
     coverage_radius: float | None = None
 
     def __post_init__(self) -> None:
-        _check_finite(vars(self))
+        _check_finite(self)
         if self.beta <= 1:
             raise ValueError(f"pricing exponent beta must exceed 1, got {self.beta}")
         for name in ("alpha", "cost_rate", "cost_bw", "bw_total"):
@@ -132,16 +119,18 @@ class SpParams:
 
 @dataclass(frozen=True, kw_only=True)
 class SpProfile(SpParams):
-    """One placed service provider."""
+    """One placed service provider.  hata_terms, channel._hata_terms toward a
+    user terminal, is set once here and is no field: equality, hashing, repr
+    and asdict leave it out."""
 
     position: tuple[float, float] = (0.0, 0.0)
 
-    @functools.cached_property
-    def hata_terms(self) -> tuple[float, float]:
-        """channel._hata_terms toward a user terminal, cached by the first read."""
+    def __post_init__(self) -> None:
+        super().__post_init__()
         from .channel import USER_HEIGHT_M, _hata_terms  # channel imports this module
 
-        return _hata_terms(self.frequency_mhz, self.antenna_height_m, USER_HEIGHT_M)
+        terms = _hata_terms(self.frequency_mhz, self.antenna_height_m, USER_HEIGHT_M)
+        object.__setattr__(self, "hata_terms", terms)
 
 
 @dataclass(frozen=True)
@@ -157,7 +146,7 @@ class Bid:
     def __post_init__(self) -> None:
         # built on the hot path: one sum is finite only if all three are
         if not math.isfinite(self.rate + self.price + self.bandwidth):
-            _check_finite(vars(self))
+            _check_finite(self)
         if self.rate < 0 or self.price < 0 or self.bandwidth < 0:
             raise ValueError("bid fields must be nonnegative")
         if not 0.0 <= self.guarantee <= 1.0:

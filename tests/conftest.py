@@ -12,7 +12,6 @@ import math
 import re
 
 import numpy as np
-import pytest
 
 from hetnetsim import Bid, LinkState, SpProfile
 from hetnetsim.channel import service_guarantee
@@ -103,11 +102,6 @@ def bisect_bw(b, target, link):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@pytest.fixture
-def link_factory():
-    return make_link
 
 
 def pytest_runtest_logreport(report):

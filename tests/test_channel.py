@@ -353,12 +353,11 @@ class TestProfileHataTerms:
         assert sp.hata_terms == channel._hata_terms(freq, height, USER_HEIGHT_M)
 
     def test_not_a_field(self):
-        # reading the terms leaves equality, hashing and asdict as they were
+        # the terms stored at construction stay out of equality, hashing,
+        # repr and asdict
         sp, twin = make_sp(), make_sp()
-        before = asdict(sp)
-        assert sp.hata_terms
-        assert sp == twin and hash(sp) == hash(twin)
-        assert asdict(sp) == before
+        assert sp.hata_terms and sp == twin and hash(sp) == hash(twin)
+        assert "hata_terms" not in repr(sp) and "hata_terms" not in asdict(sp)
         assert "hata_terms" not in {f.name for f in fields(sp)}
 
 
@@ -376,6 +375,11 @@ class TestServiceGuarantee:
     def test_high_rate_limit(self):
         link = make_link(10.0)
         assert service_guarantee(1e6, 1.0, link) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("b, bw", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_negative_rate_or_bandwidth_rejected(self, b, bw):
+        with pytest.raises(ValueError, match="^rate and bandwidth must be nonnegative$"):
+            service_guarantee(b, bw, make_link(10.0))
 
     def test_edge_conventions(self):
         link = make_link(10.0)

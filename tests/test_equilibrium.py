@@ -687,7 +687,7 @@ class TestSolveGame:
         ):
             bid = floor_bid(user, 0.5, price=price)
             bids = [bid, NoBid("silent"), bid]
-            assert select_wifi_sp([(1, bids[1]), (2, bids[2])], user, model) == 2
+            assert select_wifi_sp(bids, user, model) == 2
             out = resolve_user_game(user, sps, links, bids, model, rng=StubRng(draws))
             assert out.ne_class is label
             assert out.strategy_draw == strategy

@@ -261,63 +261,64 @@ class TestBestResponse:
 
 
 class TestSelectWifiSp:
+    """select_wifi_sp on make_eut_bids' slot list: slot 0 is the cellular
+    BS's, which the pre-selection never picks."""
+
+    cell = Bid(rate=50.0, price=0.0, bandwidth=1.0, guarantee=1.0)
+
     def test_empty_or_silent(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
         model = DecisionModel.eut()
         assert select_wifi_sp([], user, model) is None
-        assert select_wifi_sp([(1, NoBid()), (2, NoBid("x"))], user, model) is None
+        assert select_wifi_sp([self.cell], user, model) is None
+        assert select_wifi_sp([self.cell, NoBid(), NoBid("x")], user, model) is None
 
-    def test_identical_offers_tie_to_lowest_id(self):
+    def test_identical_offers_tie_to_lowest_slot(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
         bid = Bid(rate=2.0, price=0.1, bandwidth=1.0, guarantee=0.5)
-        assert select_wifi_sp([(4, bid), (2, bid)], user, DecisionModel.eut()) == 2
+        bids = [self.cell, NoBid(), bid, NoBid(), bid]
+        assert select_wifi_sp(bids, user, DecisionModel.eut()) == 2
 
     def test_higher_single_acceptance_utility_wins(self):
         user = UserProfile(delta=3.0, theta=2.0, b_min=1.0)
         good = Bid(rate=4.0, price=0.2, bandwidth=1.0, guarantee=0.9)
         meh = Bid(rate=4.0, price=1.5, bandwidth=1.0, guarantee=0.6)
-        assert select_wifi_sp([(1, meh), (2, good)], user, DecisionModel.eut()) == 2
+        assert select_wifi_sp([NoBid(), meh, good], user, DecisionModel.eut()) == 2
+        assert select_wifi_sp([NoBid(), good, meh], user, DecisionModel.eut()) == 1
 
     def test_perception_changes_ranking(self):
         # a shallow-guarantee offer gains under weighting, a deep one loses
         user = UserProfile(delta=3.0, theta=2.0, b_min=1.0)
         deep = Bid(rate=3.0, price=1.0, bandwidth=1.0, guarantee=0.85)
         shallow = Bid(rate=12.0, price=1.0, bandwidth=1.0, guarantee=0.2)
-        offers = [(1, deep), (2, shallow)]
-        assert select_wifi_sp(offers, user, DecisionModel.eut()) == 1
-        assert select_wifi_sp(offers, user, DecisionModel.pt(0.3)) == 2
+        bids = [NoBid(), deep, shallow]
+        assert select_wifi_sp(bids, user, DecisionModel.eut()) == 1
+        assert select_wifi_sp(bids, user, DecisionModel.pt(0.3)) == 2
 
-    def test_order_independent_ties_and_bad_utilities(self):
+    def test_ties_and_bad_utilities(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0)
         model = DecisionModel.eut()
         # a Bid's price is finite, so the worst offer is a ruinous one, whose
         # utility still beats having no offer
         bid = Bid(rate=2.0, price=0.1, bandwidth=1.0, guarantee=0.5)
         ruinous = Bid(rate=2.0, price=1e300, bandwidth=1.0, guarantee=0.5)
-        for offers, want in (
-            ([(5, bid), (3, bid), (4, bid)], 3),
-            ([(2, ruinous), (1, ruinous)], 1),
-            ([(1, ruinous), (6, bid)], 6),
-            ([(2, ruinous), (7, bid), (1, ruinous), (6, bid)], 6),
-            ([(3, NoBid()), (1, NoBid("x"))], None),
+        silent = NoBid()
+        for wifi, want in (
+            ([silent, silent, bid, bid, bid], 3),
+            ([ruinous, ruinous], 1),
+            ([ruinous, silent, silent, silent, silent, bid], 6),
+            ([ruinous, silent, silent, silent, silent, bid, bid, ruinous], 6),
+            ([NoBid("x"), silent, silent], None),
         ):
-            for order in (offers, offers[::-1]):
-                assert select_wifi_sp(order, user, model) == want
-                assert reference_select_wifi_sp(order, user, model) == want
+            bids = [self.cell, *wifi]
+            assert select_wifi_sp(bids, user, model) == want
+            assert reference_select_wifi_sp(list(enumerate(bids))[1:], user, model) == want
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        offers=st.lists(st.tuples(st.integers(1, 6), _BIDS), max_size=8),
-        user=_USERS,
-        model=_MODELS,
-        order=st.randoms(use_true_random=False),
-    )
-    def test_shuffled_offers_equal_sorted_reference(self, offers, user, model, order):
-        want = reference_select_wifi_sp(offers, user, model)
-        shuffled = list(offers)
-        order.shuffle(shuffled)
-        assert select_wifi_sp(shuffled, user, model) == want
-        assert select_wifi_sp(offers, user, model) == want
+    @given(bids=st.lists(_BIDS, max_size=9), user=_USERS, model=_MODELS)
+    def test_slot_lists_equal_sorted_reference(self, bids, user, model):
+        want = reference_select_wifi_sp(list(enumerate(bids))[1:], user, model)
+        assert select_wifi_sp(bids, user, model) == want
 
 
 class TestFloorSlack:

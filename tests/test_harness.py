@@ -292,17 +292,17 @@ class TestSpLayout:
         assert other_first == other_second
         assert tiny_first != other_first
 
-    def test_users_are_stamped_from_the_configs_profile(self):
+    def test_users_are_built_from_the_configs_parameters(self):
         cfg = replace(
             DEFAULT_CONFIG, user=UserParams(delta=120.0, theta=1.5, b_min=0.5), activity_prob=0.5
         )
         users, _ = generate_topology(cfg, np.random.default_rng(9), 40)
         assert {u.active for u in users} == {True, False}
         for u in users:
-            want = UserProfile(position=u.position, active=u.active, **vars(cfg.user))
+            want = UserProfile(position=u.position, active=u.active, **asdict(cfg.user))
             assert type(u) is UserProfile
             assert u == want and hash(u) == hash(want) and repr(u) == repr(want)
-            assert vars(u) == vars(want)
+            assert asdict(u) == asdict(want)
         assert len({id(u) for u in users}) == len(users)
 
     def test_user_parameters_are_checked_for_every_trial(self):
@@ -974,8 +974,12 @@ class TestEmission:
             emit([], "csv", tmp_path / "x.csv")
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        message = "unknown format 'xml'; expected 'csv' or 'json'"
+        with pytest.raises(ValueError, match=message):
             emit(self.rows(), "xml", tmp_path / "x.xml")
+        # checked before the file is opened
+        with pytest.raises(ValueError, match=message):
+            load_rows(tmp_path / "x.xml", "xml")
 
     def test_unwritable_path_reports_target(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"

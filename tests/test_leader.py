@@ -204,6 +204,20 @@ class TestMarginalBw:
         assert marginal_bw(1.0, 1.0, link) == math.inf
         assert marginal_bw(0.5, 1.0, link) == math.inf
 
+    @pytest.mark.parametrize(
+        "b, b_min, message",
+        [
+            (2.0, 0.0, "b_min must be positive, got 0.0"),
+            (2.0, -1.0, "b_min must be positive, got -1.0"),
+            (0.0, 1.0, "rate must be positive, got 0.0"),
+            (-2.0, 1.0, "rate must be positive, got -2.0"),
+        ],
+    )
+    def test_nonpositive_rate_or_floor_rejected(self, b, b_min, message):
+        with pytest.raises(ValueError) as err:
+            marginal_bw(b, b_min, make_link(10.0))
+        assert str(err.value) == message
+
     def test_known_value(self):
         link = make_link(10.0)
         bw = marginal_bw(2.0, 1.0, link)
@@ -358,6 +372,18 @@ class TestOptimizeBid:
         out = optimize_bid(make_sp(), link, b_min=3.03)
         assert out == reference_optimize_bid(make_sp(), link, 3.03)
         assert out.reason == "no profitable rate"
+
+    def test_grid_narrower_than_the_least_log_step_is_scanned(self):
+        # a rate cap 1e-8 above the grid's low edge spaces the grid's rates
+        # below _MIN_LOG_STEP apart in log-rate, so the certificate gives no
+        # answer and the full grid runs
+        b_min, snr = 2.0, 100.0
+        lo_edge = b_min * (1.0 + 1e-6)
+        link = LinkState(0.0, snr, True, 1e5, lo_edge * (1.0 + 1e-8))
+        budget = link.bw_max * (1.0 + 1e-12)
+        sp = make_sp()
+        assert leader._certified_window(sp, b_min, lo_edge, link.b_max, snr, budget) is None
+        assert optimize_bid(sp, link, b_min) == reference_optimize_bid(sp, link, b_min)
 
 
 class TestOptimizeBidOracle:
@@ -877,6 +903,23 @@ class TestExpansionRebidOracle:
         assert out == reference_expansion_rebid(make_sp(), link, b_min, model)
         assert isinstance(out, Bid)
 
+    @pytest.mark.parametrize("b_max", [2.2, 5.0])
+    def test_subnormal_snr_is_scanned(self, b_max):
+        # at the least subnormal SNR, snr * L**k rounds to 0 at every rate of
+        # a cap of 2.2 and near the low edge of a cap of 5.0: neither the
+        # crossing nor the roundoff bound of such a rate exists, and the
+        # top-down scan answers
+        b_min, snr, model = 2.0, 5e-324, DecisionModel.pt(0.7)
+        k = 1.0 / model.prelec_alpha
+        lo_edge, cap = b_min * (1.0 + 1e-6), min(b_max, math.e * b_min)
+        assert leader._rise(math.log(lo_edge / b_min), snr, k) == (-math.inf, math.inf)
+        if b_max == 2.2:
+            assert leader._budget_crossing(b_min, lo_edge, cap, snr, k, 10.0) is None
+        link = LinkState(0.0, snr, True, 10.0, b_max)
+        got = expansion_rebid(make_sp(), link, b_min, model)
+        assert got == reference_expansion_rebid(make_sp(), link, b_min, model)
+        assert got.reason == "expansion exceeds the budget at every rate"
+
 
 def decimal_bw(b, b_min, snr, k):
     """b * ln 2 / ln(1 + snr * L**k), L = ln(b / b_min), in 50-digit decimal
@@ -1096,8 +1139,9 @@ class TestGridBracket:
         if bracket == ():
             assert not fits
         elif bracket is not None:
-            j, g_j, g_1, _ = bracket
+            j, g_j, g_1, bw_j, _ = bracket
             assert j == fits[-1] and (g_j, g_1) == (grid[j], grid[min(j + 1, num - 1)])
+            assert bw_j == bws[j]
         return bracket
 
     def test_no_fit_answers_match_the_full_scan(self):

@@ -58,3 +58,34 @@ def test_benchmark_patch_targets_resolve():
     assert params(harness._pool_expansion_pass)[4:6] == ("outcomes", "model")
     assert params(harness.resolve_user_game)[4:6] == ("model", "expansion_enabled")
     assert params(harness.run_trial)[:2] == ("cfg", "n")
+
+
+def test_no_record_loses_its_attribute_fast_path():
+    # reading an instance's __dict__ (vars(self) or .__dict__), building a
+    # record without __init__ (object.__new__) and caching into the instance
+    # dict (cached_property) make CPython 3.11 drop the instance's inline
+    # attribute values, and every later field read pays for it; copying a
+    # config section with vars(cfg.user) touches no record on the trial path
+    found = []
+    for path in sorted(Path(hetnetsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "vars"
+                and any(isinstance(a, ast.Name) and a.id == "self" for a in node.args)
+            ):
+                found.append(f"{where} vars(self)")
+            elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                found.append(f"{where} .__dict__")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append(f"{where} object.__new__")
+            elif "cached_property" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                found.append(f"{where} cached_property")
+    assert found == []

@@ -1,18 +1,25 @@
-"""The Prelec exponent alpha as the paper's axis: users who underestimate
+"""The paper's claims.
+
+The Prelec exponent alpha as the paper's axis: users who underestimate
 the advertised guarantees.  PT rows do not depend on alpha, and
 PT_EXPANSION recovers association as alpha rises and reaches EUT's rows as
-alpha nears 1.
+alpha nears 1.  Default config at n = 300 and 500, trials 0 and 1; the
+values quoted below were measured on these four trials, and the 16
+run_trial calls take about 0.5 s in all.
 
-Default config at n = 300 and 500, trials 0 and 1; the values quoted below
-were measured on these four trials, and the 16 run_trial calls take about
-0.5 s in all.
+The paper's example: one BS, one AP and one user over a plane of prices.
+Some EUT equilibria become infeasible under PT, and where a label survives
+PT's utility is lower, for guarantees above 1/e; below it, PT's is higher.
+The four maps take about 0.6 s.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
+from hetnetsim import Bid, NeClass, UserProfile, classify
 from hetnetsim.harness import DEFAULT_CONFIG, Scenario, run_trial
+from hetnetsim.prospect import DecisionModel
 
 TRIALS = [(300, 0), (300, 1), (500, 0), (500, 1)]
 NEAR_ONE = 1.0 - 1e-6
@@ -61,3 +68,66 @@ def test_expansion_reaches_eut_as_alpha_nears_one(rows, n, trial):
     assert expansion.association_rate == eut.association_rate
     for c in COLUMNS:
         assert getattr(expansion, c) == pytest.approx(getattr(eut, c), rel=1e-6, abs=0.0), c
+
+
+# every price 5k for k = 0..120 on each offer: the default user's benefit at
+# the floor, H(b_min) = 494.97, and doubling gap, 205.03, split the plane
+PRICES = [5.0 * k for k in range(121)]
+SINGLE = {NeClass.WIFI_ONLY01, NeClass.CELL_ONLY10}
+
+
+@pytest.fixture(scope="module")
+def price_maps():
+    """By guarantee g: the (EUT, PT(0.7)) outcome pair of each price cell for
+    a floor-tight cellular bid with guarantee g and a floor-tight WiFi bid
+    at 1.01 times its rate, each priced with DEFAULT_CONFIG's profile."""
+    user = UserProfile(**asdict(DEFAULT_CONFIG.user))
+    models = DecisionModel.eut(), DecisionModel.pt(0.7)
+    sp_c, sp_w = DEFAULT_CONFIG.cellular, DEFAULT_CONFIG.wifi
+    maps = {}
+    for g in (0.3, 0.6, 0.8, 0.95):
+        rate_c = user.b_min / g
+        rate_w = 1.01 * rate_c
+        cells = []
+        for p_c in PRICES:
+            for p_w in PRICES:
+                bid_c = Bid(rate_c, p_c, 1.0, g)
+                bid_w = Bid(rate_w, p_w, 1.0, user.b_min / rate_w)
+                cells.append(tuple(classify(bid_c, bid_w, user, m, sp_c, sp_w) for m in models))
+        maps[g] = cells
+    return maps
+
+
+def shared_labels(cells):
+    """The cells both models give the same label other than Reject00."""
+    return [
+        (eut, pt)
+        for eut, pt in cells
+        if eut.ne_class is pt.ne_class and eut.ne_class is not NeClass.REJECT00
+    ]
+
+
+@pytest.mark.parametrize("g", [0.6, 0.8, 0.95])
+def test_pt_relabels_every_eut_single_acceptance(price_maps, g):
+    # above 1/e a floor-tight offer alone is perceived below the floor
+    single = [pt for eut, pt in price_maps[g] if eut.ne_class in SINGLE]
+    assert len(single) == 12393
+    assert all(pt.ne_class not in SINGLE for pt in single)
+
+
+@pytest.mark.parametrize("g", [0.6, 0.8, 0.95])
+def test_labels_both_models_give_are_worth_less_under_pt(price_maps, g):
+    # the Both11 cells, where both prices are within the doubling gap
+    shared = shared_labels(price_maps[g])
+    assert len(shared) == 1764
+    assert all(pt.u_user <= eut.u_user for eut, pt in shared)
+
+
+def test_below_one_over_e_pt_utility_is_higher(price_maps):
+    # at g = 0.3 < 1/e the guarantees are perceived above their value: 85 of
+    # the 12,393 EUT single acceptances become Both11 and 160 Reject00 cells
+    # single acceptances, and every label both models give is worth more
+    # under PT
+    shared = shared_labels(price_maps[0.3])
+    assert len(shared) == 14072
+    assert all(pt.u_user > eut.u_user for eut, pt in shared)
