@@ -20,8 +20,8 @@ the first pass is conservative and the committed split is never invalidated
 (nor widened: users outside the first-pass coverage stay outside, since no
 budget was reserved for them).
 
-Determinism: every (seed, N, trial) triple derives its own generator, so
-results are bit-identical for a fixed config regardless of execution order.
+Determinism: each (seed, N, trial) spawns a topology stream and an EUT
+mixed-draw stream; rows are bit-identical whatever the execution order.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import typing
+from collections import Counter
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -326,22 +327,20 @@ def _pool_expansion_pass(
     users, so total allocation never exceeds the discounted pool.
     """
     pools = [sp.g_ba * sp.bw_total for sp in sps]
+    # a retry resolves the same bids under one model, so a user's slots (the
+    # BS's, then select_wifi_sp's AP) and triggered slots (committed guarantee
+    # above the weighting fixed point) hold; only users with a triggered one retry
+    own = [(0,) if o.wifi_index is None else (0, o.wifi_index) for o in outcomes]
+    triggered = [
+        {j for j in slots if isinstance(bids[j], Bid) and bids[j].guarantee > FIXED_POINT}
+        for bids, slots in zip(all_bids, own)
+    ]
+    tried = [i for i, trig in enumerate(triggered) if trig]
 
-    def slots(i: int, outcome) -> tuple[set[int], set[int]]:
-        """User i's accepted slots, and its triggered ones: the slots whose
-        committed bid guarantees more than the weighting fixed point."""
-        accepted, triggered = set(), set()
-        for j, p in zip((0, outcome.wifi_index), outcome.strategy_draw):
-            if j is None:
-                continue
-            if p:
-                accepted.add(j)
-            bid = all_bids[i][j]
-            if isinstance(bid, Bid) and bid.guarantee > FIXED_POINT:
-                triggered.add(j)
-        return accepted, triggered
+    def accepted_by(i: int, outcome) -> set[int]:
+        return {j for j, p in zip(own[i], outcome.strategy_draw) if p}
 
-    def retry(i: int, widen: set[int], heads: list[int]):
+    def retry(i: int, widen: set[int], heads: Counter):
         """User i's game resolved again with each covered link in widen
         widened to the share pools[j] / heads[j], or None when no link
         widens.  Every slot in widen is counted in heads, so no share
@@ -356,16 +355,10 @@ def _pool_expansion_pass(
             return None
         return resolve_user_game(users[i], sps, row, all_bids[i], model, expansion_enabled=True)
 
-    # per user, the (accepted, triggered) slots of its current outcome;
-    # heads[j] counts the users who accept slot j or are triggered on it
-    pairs = [slots(i, outcome) for i, outcome in enumerate(outcomes)]
-    served = [0] * len(sps)
-    heads = [0] * len(sps)
-    for accepted, triggered in pairs:
-        for j in accepted:
-            served[j] += 1
-        for j in accepted | triggered:
-            heads[j] += 1
+    # per user, the slots its current outcome accepts; heads[j] counts the
+    # users who accept slot j or are triggered on it
+    accepted = [accepted_by(i, outcome) for i, outcome in enumerate(outcomes)]
+    heads = Counter(j for acc, trig in zip(accepted, triggered) for j in acc | trig)
 
     # Rescue at the conservative share.  Only the failed slots are widened,
     # so already-accepted offers keep their first-pass pricing; a retry is
@@ -373,23 +366,22 @@ def _pool_expansion_pass(
     # all of them wanted, which keeps the served head counts exact and
     # monotone.
     result = list(outcomes)
-    for i, (accepted, triggered) in enumerate(pairs):
-        wanted = triggered - accepted
+    for i in tried:
+        wanted = triggered[i] - accepted[i]
         retried = retry(i, wanted, heads)
         if retried is None:
             continue
-        now, now_triggered = slots(i, retried)
-        if accepted < now <= accepted | wanted:
-            result[i], pairs[i] = retried, (now, now_triggered)
-            for j in now - accepted:
-                served[j] += 1
+        now = accepted_by(i, retried)
+        if accepted[i] < now <= accepted[i] | wanted:
+            result[i], accepted[i] = retried, now
 
     # Re-expand everything served at the final share.  Adopt the retry only
     # when the acceptance pattern is unchanged; otherwise the prior outcome
     # stands, whose allocations were priced at shares no larger than these.
-    for i, (accepted, triggered) in enumerate(pairs):
-        retried = retry(i, accepted & triggered, served)
-        if retried is not None and slots(i, retried)[0] == accepted:
+    served = Counter(j for acc in accepted for j in acc)
+    for i in tried:
+        retried = retry(i, accepted[i] & triggered[i], served)
+        if retried is not None and accepted_by(i, retried) == accepted[i]:
             result[i] = retried
     return result
 
@@ -415,21 +407,18 @@ def solve_trial(cfg: ScenarioConfig, n: int, trial: int) -> TrialSolution:
     weighted scenarios differ only in perception and (for PT_EXPANSION) in
     the expansion policy applied to the bids in force.
     """
-    seq = np.random.SeedSequence([cfg.seed, n, trial])
-    streams = seq.spawn(1 + len(Scenario))
-    topo_rng = np.random.default_rng(streams[0])
-
-    users, sps = generate_topology(cfg, topo_rng, n)
+    topology, draws = np.random.SeedSequence([cfg.seed, n, trial]).spawn(2)
+    users, sps = generate_topology(cfg, np.random.default_rng(topology), n)
     links = build_links(users, sps, cfg)
     all_bids = [make_eut_bids(u, sps, links[i]) for i, u in enumerate(users)]
 
     outcomes: dict[Scenario, list[GameOutcome]] = {}
-    for s_idx, scenario in enumerate(Scenario):
-        model = (
-            DecisionModel.eut() if scenario is Scenario.EUT else DecisionModel.pt(cfg.prelec_alpha)
-        )
+    for scenario in Scenario:
+        eut = scenario is Scenario.EUT
+        model = DecisionModel.eut() if eut else DecisionModel.pt(cfg.prelec_alpha)
         expand = scenario is Scenario.PT_EXPANSION
-        rng = np.random.default_rng(streams[1 + s_idx])
+        # only EUT games draw: a weighted game never reaches classify's mixed branch
+        rng = np.random.default_rng(draws) if eut else None
         resolved = [
             resolve_user_game(user, sps, ln, bids, model, expansion_enabled=expand, rng=rng)
             for user, ln, bids in zip(users, links, all_bids)
@@ -452,10 +441,11 @@ def run_trial(cfg: ScenarioConfig, n: int, trial: int) -> dict[Scenario, SweepRo
                 associated += 1
             sp_sum += outcome.u_sp_w + outcome.u_sp_c
             user_sum += outcome.u_user
+            # classify keeps each accepted slot's Bid
             bid_c, bid_w = outcome.bids
-            if p_c and isinstance(bid_c, Bid):
+            if p_c:
                 bw_sum += bid_c.bandwidth
-            if p_w and isinstance(bid_w, Bid):
+            if p_w:
                 bw_sum += bid_w.bandwidth
         avg_bw = bw_sum / associated if associated else 0.0
         rows[scenario] = SweepRow(

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from hetnetsim import equilibrium, harness
 from hetnetsim.channel import LinkState, allocate_bw, link_state
-from hetnetsim.equilibrium import resolve_user_game
+from hetnetsim.equilibrium import make_eut_bids, resolve_user_game
 from hetnetsim.harness import (
     DEFAULT_CONFIG,
     Scenario,
@@ -367,6 +367,43 @@ class TestRunTrial:
             assert outcome.u_sp_c == sp_utility(p_c == 1, bid_c, solved.sps[0])
             assert outcome.u_sp_w == sp_utility(p_w == 1, bid_w, solved.sps[1])
 
+    def test_mixed_draws_come_from_the_trials_second_stream(self, monkeypatch):
+        # the colocated-AP config above, whose one Mixed0110 game draws: the
+        # EUT games draw, in user order, from the second child of the trial's
+        # seed sequence, and a weighted game gets no generator at all
+        cfg = replace(
+            DEFAULT_CONFIG, wifi=DEFAULT_CONFIG.cellular, n_wifi=1, wifi_ring_fraction=0.0
+        )
+        original = harness.resolve_user_game
+        eut_states, weighted_rngs = [], []
+
+        def resolve(*args, **kwargs):
+            rng = args[6] if len(args) > 6 else kwargs.get("rng")
+            if args[4].is_pt:
+                weighted_rngs.append(rng)
+            else:
+                eut_states.append(rng.bit_generator.state)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "resolve_user_game", resolve)
+        solved = solve_trial(cfg, 5, 0)
+        assert weighted_rngs == [None] * (2 * 5)
+
+        topology, draws = np.random.SeedSequence([cfg.seed, 5, 0]).spawn(2)
+        users, sps = generate_topology(cfg, np.random.default_rng(topology), 5)
+        links = build_links(users, sps, cfg)
+        rng = np.random.default_rng(draws)
+        states, want = [], []
+        for user, row in zip(users, links, strict=True):
+            states.append(rng.bit_generator.state)
+            bids = make_eut_bids(user, sps, row)
+            want.append(resolve_user_game(user, sps, row, bids, DecisionModel.eut(), rng=rng))
+        assert solved[Scenario.EUT] == want
+        # the generator, not only what its draws decided: each game starts
+        # where the replay's does, which a wrong stream whose three draws
+        # happen to give the same realization would not
+        assert eut_states == states
+
     def test_expansion_never_loses_users_to_plain_weighting(self):
         rows = run_trial(DEFAULT_CONFIG, 400, 0)
         assert rows[Scenario.PT_EXPANSION].association_rate >= rows[Scenario.PT].association_rate
@@ -550,6 +587,37 @@ def test_pool_pass_matches_reference(monkeypatch, n, trial, prelec_alpha, activi
     cfg = replace(DEFAULT_CONFIG, prelec_alpha=prelec_alpha, activity_prob=activity_prob)
     solve_trial(cfg, n, trial)
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("prelec_alpha", [0.3, 0.7])
+@pytest.mark.parametrize("trial", [0, 1])
+def test_pool_retries_keep_the_first_pass_wifi_slot(monkeypatch, trial, prelec_alpha):
+    # the pass fixes each user's slots from its first-pass outcome: a retry
+    # re-resolves the same committed bids under the same model, and
+    # select_wifi_sp reads no link, so it picks the same AP
+    original_pass = harness._pool_expansion_pass
+    original_resolve = harness.resolve_user_game
+    first = {}  # while the pass runs, each user's first-pass wifi_index
+    retried = []  # (first-pass wifi_index, the retry's), per retry
+
+    def pool_pass(users, sps, links, all_bids, outcomes, model):
+        first.update((id(u), o.wifi_index) for u, o in zip(users, outcomes, strict=True))
+        try:
+            return original_pass(users, sps, links, all_bids, outcomes, model)
+        finally:
+            first.clear()
+
+    def resolve(user, *args, **kwargs):
+        outcome = original_resolve(user, *args, **kwargs)
+        if first:
+            retried.append((first[id(user)], outcome.wifi_index))
+        return outcome
+
+    monkeypatch.setattr(harness, "_pool_expansion_pass", pool_pass)
+    monkeypatch.setattr(harness, "resolve_user_game", resolve)
+    solve_trial(replace(DEFAULT_CONFIG, prelec_alpha=prelec_alpha), 500, trial)
+    assert any(wifi is not None for wifi, _ in retried)
+    assert all(got == want for want, got in retried)
 
 
 @functools.cache

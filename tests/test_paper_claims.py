@@ -10,15 +10,19 @@ run_trial calls take about 0.5 s in all.
 The paper's example: one BS, one AP and one user over a plane of prices.
 Some EUT equilibria become infeasible under PT, and where a label survives
 PT's utility is lower, for guarantees above 1/e; below it, PT's is higher.
-The four maps take about 0.6 s.
+Expanding both bids brings the lost labels back.  The four maps take about
+0.6 s, and the three expanded ones about 0.8 s.
 """
 
+import math
 from dataclasses import asdict, replace
 
 import pytest
 
 from hetnetsim import Bid, NeClass, UserProfile, classify
+from hetnetsim.channel import LinkState
 from hetnetsim.harness import DEFAULT_CONFIG, Scenario, run_trial
+from hetnetsim.leader import expand_bw_pt
 from hetnetsim.prospect import DecisionModel
 
 TRIALS = [(300, 0), (300, 1), (500, 0), (500, 1)]
@@ -74,28 +78,35 @@ def test_expansion_reaches_eut_as_alpha_nears_one(rows, n, trial):
 # the floor, H(b_min) = 494.97, and doubling gap, 205.03, split the plane
 PRICES = [5.0 * k for k in range(121)]
 SINGLE = {NeClass.WIFI_ONLY01, NeClass.CELL_ONLY10}
+USER = UserProfile(**asdict(DEFAULT_CONFIG.user))
+SP_C, SP_W = DEFAULT_CONFIG.cellular, DEFAULT_CONFIG.wifi
+
+
+def price_plane(g):
+    """The (cellular, WiFi) bid pair of each price cell, in the maps' order:
+    a floor-tight cellular bid with guarantee g and a floor-tight WiFi bid
+    at 1.01 times its rate."""
+    rate_c = USER.b_min / g
+    rate_w = 1.01 * rate_c
+    return [
+        (Bid(rate_c, p_c, 1.0, g), Bid(rate_w, p_w, 1.0, USER.b_min / rate_w))
+        for p_c in PRICES
+        for p_w in PRICES
+    ]
 
 
 @pytest.fixture(scope="module")
 def price_maps():
-    """By guarantee g: the (EUT, PT(0.7)) outcome pair of each price cell for
-    a floor-tight cellular bid with guarantee g and a floor-tight WiFi bid
-    at 1.01 times its rate, each priced with DEFAULT_CONFIG's profile."""
-    user = UserProfile(**asdict(DEFAULT_CONFIG.user))
+    """By guarantee g: the (EUT, PT(0.7)) outcome pair of each price_plane
+    cell, each bid priced with DEFAULT_CONFIG's profile."""
     models = DecisionModel.eut(), DecisionModel.pt(0.7)
-    sp_c, sp_w = DEFAULT_CONFIG.cellular, DEFAULT_CONFIG.wifi
-    maps = {}
-    for g in (0.3, 0.6, 0.8, 0.95):
-        rate_c = user.b_min / g
-        rate_w = 1.01 * rate_c
-        cells = []
-        for p_c in PRICES:
-            for p_w in PRICES:
-                bid_c = Bid(rate_c, p_c, 1.0, g)
-                bid_w = Bid(rate_w, p_w, 1.0, user.b_min / rate_w)
-                cells.append(tuple(classify(bid_c, bid_w, user, m, sp_c, sp_w) for m in models))
-        maps[g] = cells
-    return maps
+    return {
+        g: [
+            tuple(classify(bid_c, bid_w, USER, m, SP_C, SP_W) for m in models)
+            for bid_c, bid_w in price_plane(g)
+        ]
+        for g in (0.3, 0.6, 0.8, 0.95)
+    }
 
 
 def shared_labels(cells):
@@ -131,3 +142,31 @@ def test_below_one_over_e_pt_utility_is_higher(price_maps):
     shared = shared_labels(price_maps[0.3])
     assert len(shared) == 14072
     assert all(pt.u_user > eut.u_user for eut, pt in shared)
+
+
+# a 20 MHz budget at a mean SNR of 100 (20 dB): the widest expansion of
+# the three maps, the cellular bid's at g = 0.95, needs 1.64 MHz
+WIDE_LINK = LinkState(
+    path_loss_db=100.0, mean_snr=100.0, covered=True, bw_max=20.0, b_max=20.0 * math.log2(101.0)
+)
+
+
+@pytest.mark.parametrize("g", [0.6, 0.8, 0.95])
+def test_expanding_both_bids_restores_every_eut_single_acceptance(price_maps, g):
+    # expand_bw_pt keeps rate and price and raises the guarantee to the
+    # pre-image of g under PT(0.7)'s weighting, so the offer is perceived as
+    # EUT sees it, and every cell test_pt_relabels_every_eut_single_acceptance
+    # finds relabeled gets its EUT label back
+    pt = DecisionModel.pt(0.7)
+    single = [
+        (eut, bids)
+        for (eut, _), bids in zip(price_maps[g], price_plane(g), strict=True)
+        if eut.ne_class in SINGLE
+    ]
+    assert len(single) == 12393
+    restored = 0
+    for eut, (bid_c, bid_w) in single:
+        expanded = expand_bw_pt(bid_c, pt, WIDE_LINK), expand_bw_pt(bid_w, pt, WIDE_LINK)
+        assert all(isinstance(bid, Bid) for bid in expanded)
+        restored += classify(*expanded, USER, pt, SP_C, SP_W).ne_class is eut.ne_class
+    assert restored == 12393
