@@ -20,8 +20,9 @@ from pathlib import Path
 from .equilibrium import classify
 from .harness import DEFAULT_CONFIG, Scenario, ScenarioConfig, emit, run_sweep, solve_trial
 from .harness import _from_json
-from .model import Bid, NoBid, UserParams, doubling_gap, user_benefit
-from .prospect import DecisionModel, weight
+from .follower import perceived_guarantee
+from .model import Bid, NoBid, UserParams, doubling_gap, joint_rate_and_price, user_benefit
+from .prospect import DecisionModel
 
 
 def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
@@ -113,12 +114,10 @@ def _cmd_ne_classify(args: argparse.Namespace) -> int:
         "price_c": bid_c.price if isinstance(bid_c, Bid) else None,
     }
     if model.is_pt:
-        joint = 0.0
-        total_price = 0.0
-        for b in (bid_w, bid_c):
-            if isinstance(b, Bid):
-                joint += b.rate * weight(b.guarantee, model)
-                total_price += b.price
+        # every offer in force accepted, at its perceived guarantee
+        in_force = isinstance(bid_c, Bid), isinstance(bid_w, Bid)
+        g_c, g_w = (perceived_guarantee(b, model) for b in (bid_c, bid_w))
+        joint, total_price = joint_rate_and_price(in_force, bid_c, bid_w, g_c, g_w)
         thresholds["perceived_joint_rate"] = joint
         thresholds["rate_floor"] = user.b_min
         thresholds["perceived_joint_benefit"] = user_benefit(joint, user)

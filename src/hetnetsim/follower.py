@@ -12,7 +12,7 @@ the decision model's weighting before entering rate and utility arithmetic.
 
 from __future__ import annotations
 
-from .model import Bid, NoBid, Strategy, UserProfile, user_benefit
+from .model import Bid, NoBid, Strategy, UserProfile, joint_rate_and_price, user_benefit
 from .prospect import DecisionModel, weight
 
 # Relative slack on the minimum-rate floor.  Profit-optimal bids sit exactly
@@ -33,37 +33,29 @@ def _feasible_utilities(
     bid_c: Bid | NoBid,
     bid_w: Bid | NoBid,
     user: UserProfile,
-    g_c: float,
-    g_w: float,
+    model: DecisionModel,
 ) -> list[tuple[Strategy, float]]:
     """Each feasible strategy other than (0, 0), in the order (0,1), (1,0),
-    (1,1), with its perceived utility, given the perceived guarantees.
+    (1,1), with its perceived utility.
 
     The utility is user_utility's arithmetic: the benefit of the expected
     joint rate, already computed for the price test, minus the prices.
     """
+    g_c = perceived_guarantee(bid_c, model)
+    g_w = perceived_guarantee(bid_w, model)
     has_c = isinstance(bid_c, Bid)
     has_w = isinstance(bid_w, Bid)
     floor = user.b_min * (1.0 - FLOOR_REL_TOL)
     feasible = []
     for strategy in ((0, 1), (1, 0), (1, 1)):
-        p_c, p_w = strategy
-        if (p_c and not has_c) or (p_w and not has_w):
+        if strategy[0] > has_c or strategy[1] > has_w:  # accepts a silent slot
             continue
-        b_joint = 0.0
-        paid = 0.0
-        if p_c:
-            b_joint += bid_c.rate * g_c
-            paid += bid_c.price
-        if p_w:
-            b_joint += bid_w.rate * g_w
-            paid += bid_w.price
+        b_joint, paid = joint_rate_and_price(strategy, bid_c, bid_w, g_c, g_w)
         if b_joint < floor:
             continue
         benefit = user_benefit(b_joint, user)
-        if benefit < paid:
-            continue
-        feasible.append((strategy, benefit - paid))
+        if benefit >= paid:
+            feasible.append((strategy, benefit - paid))
     return feasible
 
 
@@ -78,11 +70,7 @@ def feasible_set(
     A strategy is excluded outright if it accepts a slot with no bid in
     force.  (0, 0) is always feasible.
     """
-    g_c = perceived_guarantee(bid_c, model)
-    g_w = perceived_guarantee(bid_w, model)
-    feasible: set[Strategy] = {(0, 0)}
-    feasible.update(s for s, _ in _feasible_utilities(bid_c, bid_w, user, g_c, g_w))
-    return feasible
+    return {(0, 0)}.union(s for s, _ in _feasible_utilities(bid_c, bid_w, user, model))
 
 
 def best_response(
@@ -97,11 +85,9 @@ def best_response(
     iterating (0,0), (0,1), (1,0), (1,1) and keeping strict improvements
     implements exactly that order.
     """
-    g_c = perceived_guarantee(bid_c, model)
-    g_w = perceived_guarantee(bid_w, model)
     best: Strategy = (0, 0)
     best_u = 0.0
-    for strategy, u in _feasible_utilities(bid_c, bid_w, user, g_c, g_w):
+    for strategy, u in _feasible_utilities(bid_c, bid_w, user, model):
         if u > best_u:
             best, best_u = strategy, u
     return best, best_u

@@ -217,6 +217,27 @@ def user_benefit(b_joint: float, user: UserProfile) -> float:
     return user.delta * b_joint ** (1.0 / user.theta)
 
 
+def joint_rate_and_price(
+    strategy: Strategy, bid_c: Bid | NoBid, bid_w: Bid | NoBid, g_c: float, g_w: float
+) -> tuple[float, float]:
+    """A strategy's expected joint rate and total price, summed cellular then
+    WiFi: each accepted bid counts at rate * perceived guarantee (g_c, g_w),
+    and at its price.  Accepting a silent SP is a programming error."""
+    p_c, p_w = strategy
+    b_joint = paid = 0.0
+    if p_c:
+        if not isinstance(bid_c, Bid):
+            raise ValueError("strategy accepts the cellular slot but no cellular bid is in force")
+        b_joint += bid_c.rate * g_c
+        paid += bid_c.price
+    if p_w:
+        if not isinstance(bid_w, Bid):
+            raise ValueError("strategy accepts the WiFi slot but no WiFi bid is in force")
+        b_joint += bid_w.rate * g_w
+        paid += bid_w.price
+    return b_joint, paid
+
+
 def user_utility(
     strategy: Strategy,
     bid_c: Bid | NoBid,
@@ -225,25 +246,10 @@ def user_utility(
     perceived_gc: float,
     perceived_gw: float,
 ) -> float:
-    """Benefit of the expected aggregate rate minus the prices paid.
-
-    The expected rate counts each accepted bid at rate * perceived_guarantee,
-    where the perceived guarantees have already been transformed by the
-    caller's decision model.  Accepting a silent SP is a programming error.
-    """
-    p_c, p_w = strategy
-    if p_c and not isinstance(bid_c, Bid):
-        raise ValueError("strategy accepts the cellular slot but no cellular bid is in force")
-    if p_w and not isinstance(bid_w, Bid):
-        raise ValueError("strategy accepts the WiFi slot but no WiFi bid is in force")
-    b_joint = 0.0
-    paid = 0.0
-    if p_c:
-        b_joint += bid_c.rate * perceived_gc
-        paid += bid_c.price
-    if p_w:
-        b_joint += bid_w.rate * perceived_gw
-        paid += bid_w.price
+    """Benefit of the expected aggregate rate minus the prices paid
+    (joint_rate_and_price), where the perceived guarantees have already been
+    transformed by the caller's decision model."""
+    b_joint, paid = joint_rate_and_price(strategy, bid_c, bid_w, perceived_gc, perceived_gw)
     return user_benefit(b_joint, user) - paid
 
 

@@ -10,7 +10,8 @@ import pytest
 from hetnetsim import cli
 from hetnetsim.cli import main
 from hetnetsim.harness import DEFAULT_CONFIG, Scenario, ScenarioConfig, solve_trial
-from hetnetsim.model import Bid, NeClass
+from hetnetsim.follower import best_response
+from hetnetsim.model import Bid, NeClass, UserProfile
 from hetnetsim.prospect import DecisionModel
 
 LABELS = {c.value for c in NeClass}
@@ -367,6 +368,37 @@ class TestNeClassify:
             assert printed["outcome"] == {**outcome.to_dict(), "wifi_index": None}
             checked += 1
         assert checked >= 10
+
+    # the default user, H(b_min) = 494.97, and two offers that each expect
+    # 90 Mbps, far above the 2 Mbps floor
+    _OFF_FLOOR = {
+        "user": asdict(DEFAULT_CONFIG.user),
+        "bid_c": {"rate": 100.0, "price": 1000.0, "guarantee": 0.9},
+        "bid_w": {"rate": 100.0, "price": 1200.0, "guarantee": 0.9},
+    }
+
+    def test_off_floor_offers_are_worth_accepting_both(self, tmp_path, capsys):
+        # the premise of the test below: the user's best response accepts
+        # both offers, and a nearly objective weighting user is labeled so
+        bid_c, bid_w = (Bid(**self._OFF_FLOOR[k], bandwidth=0.0) for k in ("bid_c", "bid_w"))
+        user = UserProfile(**self._OFF_FLOOR["user"])
+        strategy, u = best_response(bid_c, bid_w, user, DecisionModel.eut())
+        assert strategy == (1, 1)
+        assert u == pytest.approx(2495.7427527495583, rel=1e-12)
+        path = self.params(tmp_path, **self._OFF_FLOOR, model="pt", prelec_alpha=0.999)
+        assert main(["ne-classify", "--params", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ne_class"] == "Both11"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="classify's EUT price regions hold only for floor-tight offers "
+        "(rate * guarantee == b_min): they test H(b_min) against the cheaper "
+        "price, so two offers far above the floor are rejected",
+    )
+    def test_eut_label_is_the_best_response_off_the_floor(self, tmp_path, capsys):
+        path = self.params(tmp_path, **self._OFF_FLOOR)
+        assert main(["ne-classify", "--params", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ne_class"] == "Both11"
 
     @pytest.mark.parametrize(
         "payload, message",

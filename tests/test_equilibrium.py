@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_link, make_sp, oracle_best_response
@@ -42,6 +42,9 @@ from hetnetsim.prospect import FIXED_POINT, DecisionModel
 
 def make_user(delta, theta=2.0, b_min=2.0):
     return UserProfile(delta=delta, theta=theta, b_min=b_min)
+
+
+DEFAULT_USER = make_user(350.0)
 
 
 def floor_bid(user, guarantee, price, bandwidth=1.0):
@@ -530,6 +533,77 @@ class TestOracleAgreement:
             strategy, best_u = oracle_best_response(bid_c, bid_w, user, model.prelec_alpha)
             assert out.ne_class is STRATEGY_LABEL[strategy]
             assert out.u_user == pytest.approx(best_u, rel=1e-9, abs=1e-12)
+
+
+class TestFloorTightBitAgreement:
+    """Under EUT, on floor-tight pairs that are not the same offer, classify's
+    price regions give the follower's best response to the bit: the fact
+    that lets the labels come from best_response without moving a byte.
+    At a price tie or on a region threshold the two break the tie
+    differently (test_ties_and_thresholds_break_like_the_best_response)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        delta=st.floats(0.2, 400.0),
+        theta=st.floats(1.1, 5.0),
+        b_min=st.floats(0.1, 8.0),
+        g_c=st.floats(0.01, 1.0),
+        g_w=st.floats(0.01, 1.0),
+        scale_c=st.floats(0.0, 3.0),
+        scale_w=st.floats(0.0, 3.0),
+    )
+    def test_strategy_and_utility_bits_equal_the_best_response(
+        self, delta, theta, b_min, g_c, g_w, scale_c, scale_w
+    ):
+        user = make_user(delta, theta, b_min)
+        h = user_benefit(b_min, user)
+        bid_c = floor_bid(user, g_c, scale_c * h)
+        bid_w = floor_bid(user, g_w, scale_w * h)
+        assume(not bids_symmetric(bid_c, bid_w))
+        # the regions' three ties: the two prices, and a price on H(b_min)
+        # or on the doubling gap
+        p_c, p_w = bid_c.price, bid_w.price
+        assume(abs(p_c - p_w) > 1e-9 * max(p_c, p_w))
+        for threshold in (h, doubling_gap(user)):
+            assume(abs(p_c - threshold) > 1e-9 * threshold)
+            assume(abs(p_w - threshold) > 1e-9 * threshold)
+        out = classify(bid_c, bid_w, user, EUT, SP, SP)
+        strategy, u = best_response(bid_c, bid_w, user, EUT)
+        assert out.strategy_draw == strategy
+        assert out.u_user.hex() == u.hex()
+
+    # the default user, H(b_min) = 494.97 and doubling gap 205.03, and two
+    # floor-tight offers at guarantees 0.05 and 0.06 (0.09 for the tie)
+    @pytest.mark.xfail(
+        strict=True,
+        reason="classify's regions break ties toward more acceptances and toward "
+        "WiFi on equal prices; best_response breaks them toward fewer acceptances "
+        "and by the rounded utility",
+    )
+    @pytest.mark.parametrize(
+        "g_w, price_c, price_w, strategy",
+        [
+            # equal prices: the regions pick WiFi, but 2/0.05*0.05 rounds to
+            # 2.0 and 2/0.09*0.09 to one ulp below it
+            (0.09, 300.0, 300.0, (1, 0)),
+            # the cheaper price on H(b_min): the regions accept the cellular
+            # offer at utility 0, which the best response does not prefer to
+            # rejecting
+            (0.06, user_benefit(2.0, DEFAULT_USER), 600.0, (0, 0)),
+            # the dearer price on the doubling gap: the regions accept both,
+            # the best response keeps the lone cheaper offer
+            (0.06, 100.0, doubling_gap(DEFAULT_USER), (1, 0)),
+        ],
+        ids=["price_tie", "floor_benefit", "doubling_gap"],
+    )
+    def test_ties_and_thresholds_break_like_the_best_response(
+        self, g_w, price_c, price_w, strategy
+    ):
+        bid_c = floor_bid(DEFAULT_USER, 0.05, price_c)
+        bid_w = floor_bid(DEFAULT_USER, g_w, price_w)
+        assert best_response(bid_c, bid_w, DEFAULT_USER, EUT)[0] == strategy
+        out = classify(bid_c, bid_w, DEFAULT_USER, EUT, SP, SP)
+        assert out.ne_class is STRATEGY_LABEL[strategy]
 
 
 class TestPtCollapse:

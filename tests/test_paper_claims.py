@@ -10,8 +10,10 @@ run_trial calls take about 0.5 s in all.
 The paper's example: one BS, one AP and one user over a plane of prices.
 Some EUT equilibria become infeasible under PT, and where a label survives
 PT's utility is lower, for guarantees above 1/e; below it, PT's is higher.
-Expanding both bids brings the lost labels back.  The four maps take about
-0.6 s, and the three expanded ones about 0.8 s.
+Expanding both bids brings the lost labels back, and every cell is the
+exhaustive enumerator's best response.  The four maps take about 0.6 s,
+the three expanded ones about 0.8 s, and the enumerator's pass over all
+eight (map, model) pairs about 1.5 s.
 """
 
 import math
@@ -19,8 +21,10 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from conftest import oracle_best_response
 from hetnetsim import Bid, NeClass, UserProfile, classify
 from hetnetsim.channel import LinkState
+from hetnetsim.equilibrium import WITHDRAWN
 from hetnetsim.harness import DEFAULT_CONFIG, Scenario, run_trial
 from hetnetsim.leader import expand_bw_pt
 from hetnetsim.prospect import DecisionModel
@@ -78,6 +82,12 @@ def test_expansion_reaches_eut_as_alpha_nears_one(rows, n, trial):
 # the floor, H(b_min) = 494.97, and doubling gap, 205.03, split the plane
 PRICES = [5.0 * k for k in range(121)]
 SINGLE = {NeClass.WIFI_ONLY01, NeClass.CELL_ONLY10}
+LABEL = {
+    (0, 0): NeClass.REJECT00,
+    (0, 1): NeClass.WIFI_ONLY01,
+    (1, 0): NeClass.CELL_ONLY10,
+    (1, 1): NeClass.BOTH11,
+}
 USER = UserProfile(**asdict(DEFAULT_CONFIG.user))
 SP_C, SP_W = DEFAULT_CONFIG.cellular, DEFAULT_CONFIG.wifi
 
@@ -107,6 +117,24 @@ def price_maps():
         ]
         for g in (0.3, 0.6, 0.8, 0.95)
     }
+
+
+@pytest.mark.parametrize("model", [0, 1], ids=["eut", "pt"])
+@pytest.mark.parametrize("g", [0.3, 0.6, 0.8, 0.95])
+def test_every_cell_is_the_oracle_best_response(price_maps, g, model):
+    # each cell's strategy, label and perceived utility are the exhaustive
+    # enumerator's, at PT(0.7) for the weighting user (no cell is mixed: the
+    # two offers differ); a slot the user rejects is withdrawn and an
+    # accepted one keeps its bid
+    alpha = (None, 0.7)[model]
+    for outcomes, (bid_c, bid_w) in zip(price_maps[g], price_plane(g), strict=True):
+        out = outcomes[model]
+        strategy, u = oracle_best_response(bid_c, bid_w, USER, alpha)
+        assert out.strategy_draw == strategy
+        assert out.ne_class is LABEL[strategy]
+        assert out.u_user == pytest.approx(u, rel=1e-9, abs=0.0)
+        p_c, p_w = strategy
+        assert out.bids == (bid_c if p_c else WITHDRAWN, bid_w if p_w else WITHDRAWN)
 
 
 def shared_labels(cells):
