@@ -5,7 +5,6 @@ from .channel import (
     LinkState,
     allocate_bw,
     guarantee_inverse_bw,
-    hata_path_loss,
     link_state,
     service_guarantee,
 )
@@ -42,7 +41,6 @@ from .model import (
     SpProfile,
     Strategy,
     UserProfile,
-    sp_cost,
     sp_price,
     sp_utility,
     user_benefit,
@@ -75,7 +73,6 @@ __all__ = [
     "feasible_set",
     "generate_topology",
     "guarantee_inverse_bw",
-    "hata_path_loss",
     "link_state",
     "load_rows",
     "make_eut_bids",
@@ -89,7 +86,6 @@ __all__ = [
     "select_wifi_sp",
     "service_guarantee",
     "solve_trial",
-    "sp_cost",
     "sp_price",
     "sp_utility",
     "user_benefit",

@@ -1,10 +1,8 @@
 """Propagation, coverage, per-user bandwidth budgets, and the service
 guarantee model.
 
-Path loss follows the empirical Hata urban model (small/medium city mobile
-correction) up to 1500 MHz and its COST-231 extension above that; the 2.4 GHz
-WiFi band sits slightly past COST-231's formal ceiling and is treated as an
-approximation.
+Path loss is the Hata urban model (COST-231 above 1500 MHz) as a line in
+log10(distance), whose terms each SpProfile carries (model._hata_terms).
 
 The advertised-rate guarantee assumes Rayleigh fading: the instantaneous
 rate is bw * log2(1 + snr * X) with channel power X ~ Exponential(mean 1),
@@ -18,24 +16,14 @@ invertible in bandwidth.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
 from .model import SpProfile, UserProfile, _new_record
 
-# Hata validity window.  The upper edge stretches to cover the 2.4 GHz ISM
-# band via COST-231, a documented approximation.
-FREQ_MIN_MHZ = 150.0
-FREQ_MAX_MHZ = 2500.0
-COST231_CROSSOVER_MHZ = 1500.0
-
 # Distances below one meter are clamped before the propagation formula,
 # which is not meant for the near field.
 MIN_DISTANCE_M = 1.0
-
-# Antenna height of every user terminal, in meters.
-USER_HEIGHT_M = 1.5
 
 
 class LinkState(NamedTuple):
@@ -54,41 +42,6 @@ class LinkState(NamedTuple):
     covered: bool
     bw_max: float
     b_max: float
-
-
-@functools.cache
-def _hata_terms(freq_mhz: float, h_bs_m: float, h_ue_m: float) -> tuple[float, float]:
-    """(intercept, slope) of the Hata loss as a line in log10(d_km).
-
-    Checks the frequency window and the antenna heights, which SpParams
-    does when it is built.
-    """
-    if not FREQ_MIN_MHZ <= freq_mhz <= FREQ_MAX_MHZ:
-        raise ValueError(
-            f"frequency {freq_mhz} MHz outside supported range "
-            f"[{FREQ_MIN_MHZ}, {FREQ_MAX_MHZ}]"
-        )
-    if h_bs_m <= 0 or h_ue_m <= 0:
-        raise ValueError("antenna heights must be positive")
-
-    lf = math.log10(freq_mhz)
-    lhb = math.log10(h_bs_m)
-    # small/medium city mobile antenna correction
-    a_hm = (1.1 * lf - 0.7) * h_ue_m - (1.56 * lf - 0.8)
-    slope = 44.9 - 6.55 * lhb
-    if freq_mhz <= COST231_CROSSOVER_MHZ:
-        base = 69.55 + 26.16 * lf
-    else:
-        base = 46.3 + 33.9 * lf  # COST-231, medium city (C = 0)
-    return base - 13.82 * lhb - a_hm, slope
-
-
-def hata_path_loss(freq_mhz: float, d_km: float, h_bs_m: float, h_ue_m: float) -> float:
-    """Median urban path loss in dB at distance d_km kilometers."""
-    if d_km <= 0:
-        raise ValueError(f"distance must be positive, got {d_km} km")
-    intercept, slope = _hata_terms(freq_mhz, h_bs_m, h_ue_m)
-    return intercept + slope * math.log10(d_km)
 
 
 def allocate_bw(sp: SpProfile, n_covered: int) -> float:

@@ -98,6 +98,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         _check_finite(self)
+        # a float or a bool count would build and then fail mid-sweep
+        for name in ("seed", "n_users", "n_wifi", "trials", "sweep"):
+            value = getattr(self, name)
+            for item in value if name == "sweep" else (value,):
+                if isinstance(item, bool) or not isinstance(item, int):
+                    raise ValueError(f"{name} must be an integer, got {item!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_users < 1:
@@ -326,7 +332,6 @@ def _pool_expansion_pass(
     Each SP ends up allocating at most (pool / served) to each of its served
     users, so total allocation never exceeds the discounted pool.
     """
-    pools = [sp.g_ba * sp.bw_total for sp in sps]
     # a retry resolves the same bids under one model, so a user's slots (the
     # BS's, then select_wifi_sp's AP) and triggered slots (committed guarantee
     # above the weighting fixed point) hold; only users with a triggered one retry
@@ -342,12 +347,12 @@ def _pool_expansion_pass(
 
     def retry(i: int, widen: set[int], heads: Counter):
         """User i's game resolved again with each covered link in widen
-        widened to the share pools[j] / heads[j], or None when no link
-        widens.  Every slot in widen is counted in heads, so no share
-        divides by zero."""
+        widened to the share allocate_bw(sps[j], heads[j]), or None when no
+        link widens.  Every slot in widen is counted in heads, so each share
+        splits the pool over at least one head."""
         row = None
         for j in widen:
-            ln, share = links[i][j], pools[j] / heads[j]
+            ln, share = links[i][j], allocate_bw(sps[j], heads[j])
             if ln.covered and share > ln.bw_max:
                 row = row or list(links[i])
                 row[j] = ln._replace(bw_max=share, b_max=share * math.log2(1.0 + ln.mean_snr))

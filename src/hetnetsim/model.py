@@ -1,4 +1,5 @@
-"""Core domain types and closed-form utility, pricing, and cost functions.
+"""Core domain types, the Hata path-loss terms a provider profile is checked
+against, and the closed-form utility and pricing functions.
 
 A two-tier access network is modeled as a leader/follower game: service
 providers (one cellular macro BS plus several WiFi APs) lead by offering a
@@ -77,6 +78,44 @@ class UserProfile(UserParams):
     active: bool = True
 
 
+# Hata validity window.  The upper edge stretches to cover the 2.4 GHz ISM
+# band via COST-231, a documented approximation.
+FREQ_MIN_MHZ = 150.0
+FREQ_MAX_MHZ = 2500.0
+COST231_CROSSOVER_MHZ = 1500.0
+
+# Antenna height of every user terminal, in meters.
+USER_HEIGHT_M = 1.5
+
+
+def _hata_terms(freq_mhz: float, h_bs_m: float) -> tuple[float, float]:
+    """(intercept, slope) of the Hata loss toward a user terminal as a line in
+    log10(d_km): the urban model (small/medium city mobile correction) up to
+    1500 MHz and its COST-231 extension above that.
+
+    Checks the frequency window and the antenna height, which SpParams does
+    when it is built.
+    """
+    if not FREQ_MIN_MHZ <= freq_mhz <= FREQ_MAX_MHZ:
+        raise ValueError(
+            f"frequency {freq_mhz} MHz outside supported range "
+            f"[{FREQ_MIN_MHZ}, {FREQ_MAX_MHZ}]"
+        )
+    if h_bs_m <= 0:
+        raise ValueError("antenna heights must be positive")
+
+    lf = math.log10(freq_mhz)
+    lhb = math.log10(h_bs_m)
+    # small/medium city mobile antenna correction
+    a_hm = (1.1 * lf - 0.7) * USER_HEIGHT_M - (1.56 * lf - 0.8)
+    slope = 44.9 - 6.55 * lhb
+    if freq_mhz <= COST231_CROSSOVER_MHZ:
+        base = 69.55 + 26.16 * lf
+    else:
+        base = 46.3 + 33.9 * lf  # COST-231, medium city (C = 0)
+    return base - 13.82 * lhb - a_hm, slope
+
+
 @dataclass(frozen=True)
 class SpParams:
     """Pricing, cost, radio, and coverage parameters of a provider class.
@@ -112,24 +151,20 @@ class SpParams:
             raise ValueError(f"coverage_radius must be positive or null, got {radius}")
         # the Hata frequency window and antenna height, so that a bad profile
         # fails here and not at its first link
-        from .channel import USER_HEIGHT_M, _hata_terms  # channel imports this module
-
-        _hata_terms(self.frequency_mhz, self.antenna_height_m, USER_HEIGHT_M)
+        _hata_terms(self.frequency_mhz, self.antenna_height_m)
 
 
 @dataclass(frozen=True, kw_only=True)
 class SpProfile(SpParams):
-    """One placed service provider.  hata_terms, channel._hata_terms toward a
-    user terminal, is set once here and is no field: equality, hashing, repr
-    and asdict leave it out."""
+    """One placed service provider.  hata_terms, _hata_terms toward a user
+    terminal, is set once here and is no field: equality, hashing, repr and
+    asdict leave it out."""
 
     position: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        from .channel import USER_HEIGHT_M, _hata_terms  # channel imports this module
-
-        terms = _hata_terms(self.frequency_mhz, self.antenna_height_m, USER_HEIGHT_M)
+        terms = _hata_terms(self.frequency_mhz, self.antenna_height_m)
         object.__setattr__(self, "hata_terms", terms)
 
 
@@ -262,20 +297,9 @@ def sp_price(b: float, sp: SpParams) -> float:
     return sp.alpha * b**sp.beta
 
 
-def sp_cost(b: float, bw: float, sp: SpParams) -> float:
-    """Linear provisioning cost cost_rate * b + cost_bw * bw."""
-    if b < 0 or bw < 0:
-        raise ValueError("rate and bandwidth must be nonnegative")
-    return _cost(b, bw, sp)
-
-
-def _cost(b: float, bw: float, sp: SpParams) -> float:
-    """sp_cost without the sign check, for a Bid's already checked fields."""
-    return sp.cost_rate * b + sp.cost_bw * bw
-
-
 def sp_utility(accepted: bool, bid: Bid | NoBid, sp: SpParams | None) -> float:
-    """Provider payoff: price if accepted, minus provisioning cost.
+    """Provider payoff: price if accepted, minus the linear provisioning cost
+    cost_rate * rate + cost_bw * bandwidth.
 
     The cost is sunk once the bid is placed, so a rejected bid yields a
     strictly negative payoff.  A silent SP earns exactly zero; sp is None
@@ -284,7 +308,7 @@ def sp_utility(accepted: bool, bid: Bid | NoBid, sp: SpParams | None) -> float:
     if isinstance(bid, NoBid):
         return 0.0
     revenue = bid.price if accepted else 0.0
-    return revenue - _cost(bid.rate, bid.bandwidth, sp)
+    return revenue - (sp.cost_rate * bid.rate + sp.cost_bw * bid.bandwidth)
 
 
 def doubling_gap(user: UserProfile) -> float:

@@ -6,6 +6,7 @@ rather than from the code under test:
   - oracle_best_response enumerates the follower's four strategies;
   - dense_grid_bid maximizes an SP's profit over a dense rate grid;
   - bisect_bw inverts the service guarantee in the bandwidth.
+  - provider_cost is an SP's linear provisioning cost.
 """
 
 import math
@@ -26,6 +27,11 @@ def make_sp(**overrides) -> SpProfile:
     params = dict(alpha=1.0, beta=1.2, cost_rate=0.1, cost_bw=0.5, bw_total=40.0, tx_power_dbm=40.0)
     params.update(overrides)
     return SpProfile(**params)
+
+
+def provider_cost(rate: float, bw: float, sp) -> float:
+    """Linear provisioning cost cost_rate * rate + cost_bw * bw."""
+    return sp.cost_rate * rate + sp.cost_bw * bw
 
 
 def make_link(mean_snr: float, bw_max: float = 10.0, covered: bool = True) -> LinkState:

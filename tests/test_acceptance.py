@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import conftest
-from conftest import dense_grid_bid, make_link, oracle_best_response
+from conftest import dense_grid_bid, make_link, oracle_best_response, provider_cost
 
 from hetnetsim.channel import guarantee_inverse_bw, service_guarantee
 from hetnetsim.cli import main as cli_main
@@ -32,7 +32,6 @@ from hetnetsim.model import (
     NoBid,
     SpProfile,
     UserProfile,
-    sp_cost,
 )
 from hetnetsim.prospect import DecisionModel, weight, weight_inverse
 
@@ -79,8 +78,8 @@ def test_criterion_1_marginal_bid_floor():
         assert abs(floor - b_min) <= 1e-6 * b_min
         shaved = bid.rate * service_guarantee(bid.rate, 0.99 * bid.bandwidth, link)
         assert shaved < b_min
-        base = bid.price - sp_cost(bid.rate, bid.bandwidth, sp)
-        padded = bid.price - sp_cost(bid.rate, 1.01 * bid.bandwidth, sp)
+        base = bid.price - provider_cost(bid.rate, bid.bandwidth, sp)
+        padded = bid.price - provider_cost(bid.rate, 1.01 * bid.bandwidth, sp)
         assert padded < base
     assert emitted >= 250
     assert time.perf_counter() - start < 5.0
@@ -223,7 +222,7 @@ def test_criterion_7_optimizer_beats_dense_grid():
             # meaningfully profitable rate
             assert oracle is None or oracle[1] <= 1e-6
             continue
-        achieved = bid.price - sp_cost(bid.rate, bid.bandwidth, sp)
+        achieved = bid.price - provider_cost(bid.rate, bid.bandwidth, sp)
         assert achieved >= 0.0
         if oracle is None:
             continue

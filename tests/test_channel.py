@@ -13,13 +13,11 @@ from hetnetsim import (
     UserProfile,
     allocate_bw,
     guarantee_inverse_bw,
-    hata_path_loss,
     link_state,
     service_guarantee,
 )
-from hetnetsim import channel
-from hetnetsim.channel import MIN_DISTANCE_M, USER_HEIGHT_M, LinkState
-from hetnetsim.model import SpParams
+from hetnetsim.channel import MIN_DISTANCE_M, LinkState
+from hetnetsim.model import USER_HEIGHT_M, SpParams, _hata_terms
 from conftest import bisect_bw, make_link
 from conftest import make_sp as shared_make_sp
 
@@ -52,8 +50,8 @@ def cost231_reference(freq_mhz: float, d_km: float, h_bs: float, h_ue: float) ->
 
 
 def reference_hata_path_loss(freq_mhz, d_km, h_bs_m, h_ue_m):
-    """hata_path_loss as first written, every constant recomputed per call;
-    the rewritten one must agree with it bit for bit."""
+    """The Hata path loss as first written, every constant recomputed per
+    call; link_state's must agree with it bit for bit."""
     if d_km <= 0:
         raise ValueError(f"distance must be positive, got {d_km} km")
     if not 150.0 <= freq_mhz <= 2500.0:
@@ -119,55 +117,58 @@ frequencies = st.one_of(
 heights = st.floats(0.5, 300.0)
 
 
+def path_loss(freq_mhz: float, d_km: float, h_bs_m: float) -> float:
+    """The path loss link_state reports for a user d_km east of a provider
+    at the origin with the given frequency and antenna height."""
+    sp = make_sp(frequency_mhz=freq_mhz, antenna_height_m=h_bs_m)
+    return link_state(UserProfile(position=(d_km * 1000.0, 0.0)), sp).path_loss_db
+
+
 class TestHataPathLoss:
     def test_textbook_900mhz_point(self):
-        got = hata_path_loss(900.0, 1.0, 50.0, 1.5)
+        got = path_loss(900.0, 1.0, 50.0)
         assert got == pytest.approx(hata_urban_reference(900.0, 1.0, 50.0, 1.5), abs=1e-9)
         assert got == pytest.approx(123.34, abs=0.05)
 
     def test_cost231_branch(self):
-        got = hata_path_loss(2400.0, 0.05, 6.0, 1.5)
+        got = path_loss(2400.0, 0.05, 6.0)
         assert got == pytest.approx(cost231_reference(2400.0, 0.05, 6.0, 1.5), abs=1e-9)
 
     def test_monotone_in_distance(self):
-        losses = [hata_path_loss(900.0, d, 30.0, 1.5) for d in (0.1, 0.5, 1.0, 2.0, 5.0)]
+        losses = [path_loss(900.0, d, 30.0) for d in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(a < b for a, b in zip(losses, losses[1:]))
 
     def test_monotone_in_frequency_within_branch(self):
-        lo = [hata_path_loss(f, 1.0, 30.0, 1.5) for f in (300.0, 600.0, 900.0, 1400.0)]
-        hi = [hata_path_loss(f, 1.0, 30.0, 1.5) for f in (1600.0, 2000.0, 2400.0)]
+        lo = [path_loss(f, 1.0, 30.0) for f in (300.0, 600.0, 900.0, 1400.0)]
+        hi = [path_loss(f, 1.0, 30.0) for f in (1600.0, 2000.0, 2400.0)]
         assert all(a < b for a, b in zip(lo, lo[1:]))
         assert all(a < b for a, b in zip(hi, hi[1:]))
 
     def test_bad_inputs(self):
+        # a user at the provider is clamped to the near-field distance, and
+        # a profile outside the Hata window fails when built
+        assert path_loss(900.0, 0.0, 30.0) == path_loss(900.0, MIN_DISTANCE_M / 1000.0, 30.0)
         with pytest.raises(ValueError):
-            hata_path_loss(900.0, 0.0, 30.0, 1.5)
+            path_loss(100.0, 1.0, 30.0)
         with pytest.raises(ValueError):
-            hata_path_loss(100.0, 1.0, 30.0, 1.5)
-        with pytest.raises(ValueError):
-            hata_path_loss(900.0, 1.0, -1.0, 1.5)
-
+            path_loss(900.0, 1.0, -1.0)
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        freq=frequencies,
-        d_km=st.floats(1e-4, 1e3),
-        h_bs=heights,
-        h_ue=heights,
-    )
-    def test_bit_identical_to_reference(self, freq, d_km, h_bs, h_ue):
-        got = hata_path_loss(freq, d_km, h_bs, h_ue)
-        assert got.hex() == reference_hata_path_loss(freq, d_km, h_bs, h_ue).hex()
+    @given(freq=frequencies, d_km=st.floats(1e-4, 1e3), h_bs=heights)
+    def test_bit_identical_to_reference(self, freq, d_km, h_bs):
+        got = path_loss(freq, d_km, h_bs)
+        d_km = max(d_km * 1000.0, MIN_DISTANCE_M) / 1000.0
+        assert got.hex() == reference_hata_path_loss(freq, d_km, h_bs, USER_HEIGHT_M).hex()
 
     def test_bad_profile_raises_on_every_call(self):
-        # the per-profile constants are cached, the failures are not
+        # nothing is cached, so every build of a bad profile raises
         for _ in range(3):
             with pytest.raises(ValueError, match="outside supported range"):
-                hata_path_loss(3000.0, 1.0, 30.0, 1.5)
+                path_loss(3000.0, 1.0, 30.0)
             with pytest.raises(ValueError, match="antenna heights"):
-                hata_path_loss(900.0, 1.0, 30.0, 0.0)
-        assert hata_path_loss(900.0, 1.0, 30.0, 1.5) == reference_hata_path_loss(
-            900.0, 1.0, 30.0, 1.5
+                path_loss(900.0, 1.0, 0.0)
+        assert path_loss(900.0, 1.0, 30.0) == reference_hata_path_loss(
+            900.0, 1.0, 30.0, USER_HEIGHT_M
         )
 
 
@@ -350,7 +351,7 @@ class TestProfileHataTerms:
     @given(freq=st.floats(150.0, 2500.0), height=st.floats(0.5, 200.0))
     def test_match_the_scalar_terms(self, freq, height):
         sp = make_sp(frequency_mhz=freq, antenna_height_m=height)
-        assert sp.hata_terms == channel._hata_terms(freq, height, USER_HEIGHT_M)
+        assert sp.hata_terms == _hata_terms(freq, height)
 
     def test_not_a_field(self):
         # the terms stored at construction stay out of equality, hashing,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_link, make_sp, oracle_best_response
+from conftest import make_link, make_sp, oracle_best_response, provider_cost
 from hetnetsim.channel import LinkState, guarantee_inverse_bw
 from hetnetsim.equilibrium import (
     WITHDRAWN,
@@ -32,7 +32,6 @@ from hetnetsim.model import (
     NoBid,
     UserProfile,
     doubling_gap,
-    sp_cost,
     sp_utility,
     user_benefit,
     user_utility,
@@ -284,7 +283,7 @@ class TestClassifyEutSymmetric:
         out = classify(bid, bid, user, EUT, sp, sp, rng=StubRng([0.1, 0.1, 0.1]))
         assert out.strategy_draw == (0, 1)
         assert out.bids[0] is bid
-        cost = sp_cost(bid.rate, bid.bandwidth, sp)
+        cost = provider_cost(bid.rate, bid.bandwidth, sp)
         assert out.u_sp_c == pytest.approx(-cost, rel=1e-12)
         assert out.u_sp_w == pytest.approx(bid.price - cost, rel=1e-12)
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -1106,6 +1107,22 @@ class TestScenarioConfig:
     def test_non_finite_load_rejected(self):
         with pytest.raises(ValueError, match="^sweep must be finite, got inf$"):
             replace(DEFAULT_CONFIG, sweep=(50, math.inf))
+
+    @pytest.mark.parametrize(
+        "key, value, bad",
+        [
+            ("seed", 1.5, 1.5),
+            ("n_users", 50.0, 50.0),
+            ("n_wifi", True, True),
+            ("trials", 2.5, 2.5),
+            ("sweep", (50, True), True),
+        ],
+    )
+    def test_non_integer_count_rejected(self, key, value, bad):
+        # replace(DEFAULT_CONFIG, trials=2.5) used to build, and run_sweep
+        # then failed at its first trial
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {bad!r}")):
+            replace(DEFAULT_CONFIG, **{key: value})
 
     def test_non_finite_section_value_rejected(self):
         with pytest.raises(ValueError, match="^delta must be finite"):

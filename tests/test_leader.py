@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_bw, dense_grid_bid, make_link, make_sp
+from conftest import bisect_bw, dense_grid_bid, make_link, make_sp, provider_cost
 from hetnetsim import equilibrium, leader
 from hetnetsim.channel import LinkState, guarantee_inverse_bw, service_guarantee
 from hetnetsim.harness import DEFAULT_CONFIG, solve_trial
@@ -27,7 +27,6 @@ from hetnetsim.leader import (
 from hetnetsim.model import (
     Bid,
     NoBid,
-    sp_cost,
     sp_price,
     sp_utility,
 )
@@ -42,7 +41,7 @@ def signed_pow10(lo, hi):
 
 
 def bid_profit(bid, sp):
-    return bid.price - sp_cost(bid.rate, bid.bandwidth, sp)
+    return bid.price - provider_cost(bid.rate, bid.bandwidth, sp)
 
 
 def scalar_expanded_bw(b, b_min, link, model):
@@ -307,7 +306,7 @@ class TestOptimizeBid:
             bw = marginal_bw(b, b_min, link)
             if bw > link.bw_max * (1.0 + 1e-12):
                 continue
-            perturbed = sp_price(b, sp) - sp_cost(b, bw, sp)
+            perturbed = sp_price(b, sp) - provider_cost(b, bw, sp)
             assert base >= perturbed - 1e-9 * abs(base)
 
     def test_full_acceptance_matches_profit_sign(self):
@@ -358,7 +357,7 @@ class TestOptimizeBid:
     def test_plus_one_percent_bandwidth_lowers_utility(self):
         sp = make_sp()
         bid = optimize_bid(sp, self.reference_link(), b_min=1.0)
-        inflated = sp_price(bid.rate, sp) - sp_cost(bid.rate, 1.01 * bid.bandwidth, sp)
+        inflated = sp_price(bid.rate, sp) - provider_cost(bid.rate, 1.01 * bid.bandwidth, sp)
         assert inflated < bid_profit(bid, sp)
 
     def test_log2_rounding_to_zero_is_infeasible(self):

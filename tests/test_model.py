@@ -1,4 +1,4 @@
-"""Domain types and the closed-form utility, pricing, and cost functions."""
+"""Domain types and the closed-form utility, pricing, and cost arithmetic."""
 
 import math
 from functools import partial
@@ -13,7 +13,6 @@ from hetnetsim import (
     NeClass,
     NoBid,
     UserProfile,
-    sp_cost,
     sp_price,
     sp_utility,
     user_benefit,
@@ -116,6 +115,12 @@ class TestSpPrice:
             assert mid <= chord + 1e-9
 
 
+def sp_cost(rate: float, bw: float, sp) -> float:
+    """The provisioning cost sp_utility charges a rejected bid of this rate
+    and bandwidth."""
+    return -sp_utility(False, Bid(rate=rate, price=0.0, bandwidth=bw, guarantee=1.0), sp)
+
+
 class TestSpCost:
     def test_zero(self):
         assert sp_cost(0.0, 0.0, make_sp()) == 0.0
@@ -130,6 +135,7 @@ class TestSpCost:
         assert sp_cost(2.0, 5.0, sp) > sp_cost(2.0, 4.0, sp)
 
     def test_negative_rejected(self):
+        # a bid's fields are checked when it is built
         with pytest.raises(ValueError):
             sp_cost(-1.0, 0.0, make_sp())
 

@@ -89,3 +89,27 @@ def test_no_record_loses_its_attribute_fast_path():
             elif "cached_property" in (getattr(node, "attr", None), getattr(node, "id", None)):
                 found.append(f"{where} cached_property")
     assert found == []
+
+
+def test_no_import_cycle_inside_the_package():
+    # every import sits at module level, and the package's relative imports
+    # form no cycle: an import inside a function hides a cycle until the
+    # function first runs
+    nested, imports = [], {}
+    for path in sorted(Path(hetnetsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        found = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        nested += [f"{path.name}:{n.lineno}" for n in found if id(n) not in top]
+        imports[path.stem] = {
+            name
+            for n in found
+            if isinstance(n, ast.ImportFrom) and n.level == 1
+            for name in ([n.module] if n.module else [a.name for a in n.names])
+        }
+    assert nested == []
+    # peel off modules that import no module still left; a cycle stays
+    while leaves := [m for m, deps in imports.items() if not deps & imports.keys()]:
+        for m in leaves:
+            del imports[m]
+    assert imports == {}
