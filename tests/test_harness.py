@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
 import os
@@ -53,6 +54,11 @@ from hetnetsim.model import (
 from hetnetsim.prospect import FIXED_POINT, DecisionModel
 
 TINY = replace(DEFAULT_CONFIG, sweep=(5, 10), trials=2, n_users=6)
+# one AP of the cellular class on the BS site: each user's two links, and so
+# its two committed bids, are identical
+COLOCATED = replace(
+    DEFAULT_CONFIG, wifi=DEFAULT_CONFIG.cellular, n_wifi=1, wifi_ring_fraction=0.0
+)
 
 
 def dist(a, b):
@@ -347,13 +353,9 @@ class TestRunTrial:
                 assert bw <= sp.g_ba * sp.bw_total + 1e-9
 
     def test_colocated_ap_reaches_the_mixed_equilibrium(self):
-        # one AP of the cellular class on the BS site: each user's two links,
-        # and so its two committed bids, are identical, and an objective game
-        # between the floor benefit and the doubling gap is Mixed0110
-        cfg = replace(
-            DEFAULT_CONFIG, wifi=DEFAULT_CONFIG.cellular, n_wifi=1, wifi_ring_fraction=0.0
-        )
-        solved = solve_trial(cfg, 5, 0)
+        # an objective game between the floor benefit and the doubling gap
+        # of identical bids is Mixed0110
+        solved = solve_trial(COLOCATED, 5, 0)
         eut = solved[Scenario.EUT]
         assert Counter(o.ne_class for o in eut) == {NeClass.BOTH11: 4, NeClass.MIXED0110: 1}
         for bids, outcome in zip(solved.bids, eut, strict=True):
@@ -369,12 +371,10 @@ class TestRunTrial:
             assert outcome.u_sp_w == sp_utility(p_w == 1, bid_w, solved.sps[1])
 
     def test_mixed_draws_come_from_the_trials_second_stream(self, monkeypatch):
-        # the colocated-AP config above, whose one Mixed0110 game draws: the
-        # EUT games draw, in user order, from the second child of the trial's
-        # seed sequence, and a weighted game gets no generator at all
-        cfg = replace(
-            DEFAULT_CONFIG, wifi=DEFAULT_CONFIG.cellular, n_wifi=1, wifi_ring_fraction=0.0
-        )
+        # COLOCATED, whose one Mixed0110 game draws: the EUT games draw, in
+        # user order, from the second child of the trial's seed sequence, and
+        # a weighted game gets no generator at all
+        cfg = COLOCATED
         original = harness.resolve_user_game
         eut_states, weighted_rngs = [], []
 
@@ -418,6 +418,83 @@ class TestRunTrial:
             assert math.isfinite(r.sum_user_utility)
             assert math.isfinite(r.avg_bw_per_user)
             assert 0.0 <= r.association_rate <= 1.0
+
+    # trials down each branch of the trial path: the default ladder's two
+    # ends, a Mixed0110 game's draw, no access point, idle users and a
+    # strongly weighting exponent
+    CYCLE_FREE = [
+        (DEFAULT_CONFIG, 50),
+        (DEFAULT_CONFIG, 500),
+        (COLOCATED, 5),
+        (replace(DEFAULT_CONFIG, n_wifi=0), 500),
+        (replace(DEFAULT_CONFIG, activity_prob=0.6), 500),
+        (replace(DEFAULT_CONFIG, prelec_alpha=0.4), 500),
+    ]
+
+    def test_trial_path_builds_no_reference_cycles(self, collector):
+        # run_trial pauses the cyclic collector because reference counting
+        # frees all of a trial's garbage; a cycle would stay alive until a
+        # collection after the trial.  The first run of each config fills
+        # its caches; the collector is off from the collection before the
+        # checked runs until the one after them
+        for cfg, n in self.CYCLE_FREE:
+            run_trial(cfg, n, 0)
+        gc.collect()
+        gc.disable()
+        for cfg, n in self.CYCLE_FREE:
+            run_trial(cfg, n, 0)
+        assert gc.collect() == 0
+        assert gc.garbage == []
+
+    def test_the_collector_is_paused_for_the_trial(self, monkeypatch, collector):
+        # no collection runs inside a trial, the tally included, and the
+        # collector is on again after it; at n=500 an unpaused trial runs
+        # about 17
+        seen, collections = [], []
+        original = harness.solve_trial
+
+        def solve(*args):
+            seen.append(gc.isenabled())
+            return original(*args)
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        monkeypatch.setattr(harness, "solve_trial", solve)
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            rows = run_trial(DEFAULT_CONFIG, 500, 0)
+        finally:
+            gc.callbacks.remove(count)
+        assert (seen, collections) == ([False], [])
+        assert gc.isenabled()
+        # a caller that had paused the collector keeps it paused
+        gc.disable()
+        assert run_trial(DEFAULT_CONFIG, 500, 0) == rows
+        assert not gc.isenabled()
+
+    def test_the_collector_is_restored_when_the_trial_raises(self, monkeypatch, collector):
+        def fail(*args):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(harness, "solve_trial", fail)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="^trial failed$"):
+            run_trial(TINY, 10, 0)
+        assert gc.isenabled()
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 # The pool-expansion pass as first written: the oracle the harness's pass

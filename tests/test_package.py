@@ -91,6 +91,24 @@ def test_no_record_loses_its_attribute_fast_path():
     assert found == []
 
 
+def test_only_the_harness_touches_the_collector():
+    # run_trial pauses the cyclic garbage collector for a trial and gives the
+    # caller back the state it had; a second module that switched it could
+    # leave it off, or turn it on under a caller that had paused it
+    found = []
+    for path in sorted(Path(hetnetsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "gc" in names:
+                found.append(path.name)
+    assert found == ["harness.py"]
+
+
 def test_no_import_cycle_inside_the_package():
     # every import sits at module level, and the package's relative imports
     # form no cycle: an import inside a function hides a cycle until the
