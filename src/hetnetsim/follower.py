@@ -107,7 +107,8 @@ def select_wifi_sp(
     """
     best: int | None = None
     best_u = -float("inf")
-    for index, bid in enumerate(bids[1:], 1):
+    for index in range(1, len(bids)):
+        bid = bids[index]
         if not isinstance(bid, Bid):
             continue
         u = user_benefit(bid.rate * weight(bid.guarantee, model), user) - bid.price

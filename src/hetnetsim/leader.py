@@ -15,7 +15,12 @@ at its last feasible rate, the rate cap or the budget corner, and
 _certified_window proves that from three grid points when it holds; the
 full grid is evaluated only where that certificate fails.  At a rate cap
 that no rate the refinement prices can beat, the certificate returns the
-cap's Bid itself, priced once, and optimize_bid refines nothing.
+cap's Bid itself, priced once, and optimize_bid refines nothing.  At a
+budget corner where any probe that fits beats every lower one, it returns
+a band around the budget crossing with the window: each golden-section
+step is then decided by whether x2 fits, which the band answers for every
+x2 outside it, so optimize_bid replays the steps' arithmetic and prices
+only the last two probes.
 This search and the rate-conceding rebid find their last feasible grid rate
 alike, with _grid_bracket: the log of either bandwidth is convex in the
 log-rate, so Newton's method solves the budget crossing once and only the
@@ -214,29 +219,37 @@ def _grid_bracket(
 
 
 def _crossing_band(
-    c: float, slope: float, rho: float, lo: float, hi: float, bw_max: float, *args
+    bw: Callable[..., float],
+    args: tuple,
+    crossing: tuple[float, float],
+    rho: float,
+    lo: float,
+    hi: float,
+    budget: float,
 ) -> tuple[float, float]:
-    """The band (c_lo, c_hi) around a crossing c, w = 8 rho / slope < 1: c (1 - w)
-    if strictly inside (lo, hi) with _expanded_bw(c_lo, *args) <= bw_max (1 - 3
-    rho), else 0.0, and c (1 + w) if inside with _expanded_bw(c_hi, *args) >
-    bw_max (1 + 3 rho), else inf.  Where E rises from lo on with relative
-    roundoff rho, a computed E then fits at or below c_lo and not at or above
-    c_hi, as (1 - 3 rho) (1 + rho) <= 1 - rho and (1 + 3 rho) (1 - rho) >= 1 +
-    rho for rho <= 1/3."""
+    """The band (c_lo, c_hi) around a crossing (c, slope) of bw(rate, *args)
+    with the budget, w = 8 rho / slope < 1: c (1 - w) if strictly inside (lo,
+    hi) with bw(c_lo, *args) <= budget (1 - 3 rho), else 0.0, and c (1 + w) if
+    inside with bw(c_hi, *args) > budget (1 + 3 rho), else inf.  Where bw rises
+    from lo on with relative roundoff rho, a computed bw then fits at or below
+    c_lo and not at or above c_hi, as (1 - 3 rho) (1 + rho) <= 1 - rho and (1 +
+    3 rho) (1 - rho) >= 1 + rho for rho <= 1/3."""
+    c, slope = crossing
     w = 8.0 * rho / slope
     c_lo, c_hi = c * (1.0 - w), c * (1.0 + w)
-    fits = lo < c_lo < hi and _expanded_bw(c_lo, *args) <= bw_max * (1.0 - 3.0 * rho)
-    over = w < 1.0 and lo < c_hi < hi and _expanded_bw(c_hi, *args) > bw_max * (1.0 + 3.0 * rho)
+    fits = lo < c_lo < hi and bw(c_lo, *args) <= budget * (1.0 - 3.0 * rho)
+    over = w < 1.0 and lo < c_hi < hi and bw(c_hi, *args) > budget * (1.0 + 3.0 * rho)
     return c_lo if fits else 0.0, c_hi if over else math.inf
 
 
 def _certified_window(
     sp: SpParams, b_min: float, lo_edge: float, b_max: float, snr: float, budget: float
-) -> tuple[float, float, float, float] | Bid | NoBid | None:
+) -> tuple[float, float, float, float, tuple[float, float] | None] | Bid | NoBid | None:
     """The full bid grid's argmax, found without the grid: the grid rates
-    around it and its profit, bit for bit, or optimize_bid's answer at the
-    rate cap; _NO_FEASIBLE_RATE when no grid rate fits; or None where the
-    certificate fails.
+    around it, its profit, bit for bit, and the band of its budget crossing
+    where the refinement may be replayed, else None; or optimize_bid's answer
+    at the rate cap; _NO_FEASIBLE_RATE when no grid rate fits; or None where
+    the certificate fails.
 
     With L = ln(b / b_min) and x = snr * L, the bandwidth B has d ln B / dL =
     1 - snr / ((1 + x) ln(1 + x)), rising with L, and the grid g is uniform
@@ -254,12 +267,18 @@ def _certified_window(
     exceeds twice eps, its bandwidth bound retaken at g[j-1], it would price
     only the cap, by best's operations with operands swapped around + and *,
     which round alike, so the cap's Bid is built here from best's terms.
+    Every rate the refinement prices lies in [g[j-1], g[j+1]], and two it
+    compares lie gap apart or more, so with eps retaken at g[j+1] the same
+    margin shows that a probe that fits beats every lower probe.  Below the
+    cap, where B also rises from g[j-1] on, a probe fits exactly where its
+    computed B does, and _crossing_band's band around the crossing c that
+    _grid_bracket solved decides that for every probe outside it.
     """
     num = GRID_POINTS
     bracket = _grid_bracket(_grid_bw, (b_min, snr), 1.0, lo_edge, b_max, num, budget)
     if not bracket:
         return None if bracket is None else _NO_FEASIBLE_RATE
-    j, g_j, g_1, bw_j, _ = bracket
+    j, g_j, g_1, bw_j, crossing = bracket
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
     # scalar rate i is lo_edge * e**(i * dl), at L = l0 + i * dl
     l0, dl = math.log1p(_LOW_EDGE), math.log(b_max / lo_edge) / (num - 1)
@@ -288,21 +307,27 @@ def _certified_window(
     ):
         return None
     gap = _GOLDEN * (1.0 - _GOLDEN) * min(RATE_TOL, g_j - g_0) - _ROUNDOFF * g_j
-    if last and i < j and h_0 * gap > 2.0 * (
-        eps + bw_cost * (_rise(l0 + (j - 1) * dl, snr, 1.0)[1] - _BW_ROUNDOFF)
-    ):
-        if best < 0:
-            return _UNPROFITABLE
-        return Bid(rate=g_j, price=p_j * alpha, bandwidth=bw_j, guarantee=b_min / g_j)
-    return g_0, g_j, g_1, best
+    band = None
+    if i < j:
+        rise, rho = _rise(math.log(g_0 / b_min), snr, 1.0)
+        if h_0 * gap > 2.0 * (
+            _ROUNDOFF * (alpha * g_1**beta + cost_rate * g_1 + bw_cost) + bw_cost * rho
+        ):
+            if last:
+                if best < 0:
+                    return _UNPROFITABLE
+                return Bid(rate=g_j, price=p_j * alpha, bandwidth=bw_j, guarantee=b_min / g_j)
+            if rise > 0.0:
+                band = _crossing_band(_grid_bw, (b_min, snr), crossing, rho, g_0, g_1, budget)
+    return g_0, g_j, g_1, best, band
 
 
 def _full_grid_window(
     sp: SpParams, b_min: float, lo_edge: float, b_max: float, snr: float, budget: float
-) -> tuple[float, float, float, float] | NoBid:
+) -> tuple[float, float, float, float, None] | NoBid:
     """The full bid grid's argmax where _certified_window gives no answer:
     the grid rates around the first best profit among the rates that fit,
-    and that profit; _NO_FEASIBLE_RATE when no rate fits."""
+    that profit and no band; _NO_FEASIBLE_RATE when no rate fits."""
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
     best, best_profit = 0, -math.inf
     for i in range(GRID_POINTS):
@@ -314,7 +339,7 @@ def _full_grid_window(
     if not math.isfinite(best_profit):
         return _NO_FEASIBLE_RATE
     near = (max(best - 1, 0), best, min(best + 1, GRID_POINTS - 1))
-    return (*(_grid_rate(i, lo_edge, b_max, GRID_POINTS) for i in near), best_profit)
+    return (*(_grid_rate(i, lo_edge, b_max, GRID_POINTS) for i in near), best_profit, None)
 
 
 def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
@@ -337,53 +362,63 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
         window = _full_grid_window(sp, b_min, lo_edge, b_max, snr, budget)
     if not isinstance(window, tuple):  # a NoBid, or the certified cap's Bid
         return window
-    lo, b_star, hi, best_profit = window
+    lo, b_star, hi, best_profit, band = window
     alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
 
     # golden-section refinement around the winning grid point; the -inf
-    # penalty keeps the search on the feasible side of a budget corner.  Each
-    # pass prices the one inner point whose profit is missing (None): x1,
-    # then x2, then the point each step moves in.  A certified rate cap never
-    # gets here, its Bid built by the certificate.
+    # penalty keeps the search on the feasible side of a budget corner.  A
+    # certified corner's band decides each step by whether x2 fits alone, so
+    # the replay prices nothing and leaves hi - lo within RATE_TOL.  Then each
+    # pass prices the one inner point whose profit is missing (None): x1, then
+    # x2, then the point each step moves in.  A certified rate cap never gets
+    # here, its Bid built by the certificate.
     golden, log, log2, inf, infeasible = _GOLDEN, math.log, math.log2, math.inf, -math.inf
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)
+    if band:
+        c_lo, c_hi = band
+        while hi - lo > RATE_TOL:
+            if x2 <= c_lo or x2 < c_hi and _grid_bw(x2, b_min, snr) <= budget:
+                lo, x1 = x1, x2
+                x2 = lo + golden * (hi - lo)
+            else:
+                hi, x2 = x2, x1
+                x1 = hi - golden * (hi - lo)
     f1 = f2 = None
     while True:
         x = x1 if f1 is None else x2
         d = log2(1.0 + snr * log(x / b_min))
         bw = x / d if d else inf
-        f = infeasible if bw > budget else alpha * x**beta - cost_rate * x - cost_bw * bw
+        price = alpha * x**beta
+        f = infeasible if bw > budget else price - cost_rate * x - cost_bw * bw
         if f1 is None:
-            f1 = f
+            f1, terms1 = f, (price, bw)
             if f2 is None:
                 continue
         else:
-            f2 = f
+            f2, terms2 = f, (price, bw)
         if hi - lo <= RATE_TOL:
             break
         if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
+            hi, x2, f2, terms2 = x2, x1, f1, terms1
             x1 = hi - golden * (hi - lo)
             f1 = None
         else:
-            lo, x1, f1 = x1, x2, f2
+            lo, x1, f1, terms1 = x1, x2, f2, terms2
             x2 = lo + golden * (hi - lo)
             f2 = None
 
-    # the first of the three best profits wins a tie, as max() would pick it
+    # the first of the three best profits wins a tie, as max() would pick it;
+    # a winning probe's price and bandwidth are sp_price's and _grid_bw's bits
+    terms = None
     if f1 > best_profit:
-        best_profit, b_star = f1, x1
+        best_profit, b_star, terms = f1, x1, terms1
     if f2 > best_profit:
-        best_profit, b_star = f2, x2
+        best_profit, b_star, terms = f2, x2, terms2
     if best_profit < 0:
         return _UNPROFITABLE
-    return Bid(
-        rate=b_star,
-        price=sp_price(b_star, sp),
-        bandwidth=_grid_bw(b_star, b_min, snr),
-        guarantee=b_min / b_star,
-    )
+    price, bw = terms or (sp_price(b_star, sp), _grid_bw(b_star, b_min, snr))
+    return Bid(rate=b_star, price=price, bandwidth=bw, guarantee=b_min / b_star)
 
 
 def expand_bw_pt(bid: Bid, model: DecisionModel, link: LinkState) -> Bid | NoBid:
@@ -446,7 +481,7 @@ def _rebid_rate(
     if crossing:
         rise, rho = _rise(math.log(g_j / b_min), snr, inv_alpha)
         if rise > 0.0:
-            c_lo, c_hi = _crossing_band(*crossing, rho, g_j, g_1, bw_max, *args)
+            c_lo, c_hi = _crossing_band(_expanded_bw, args, crossing, rho, g_j, g_1, bw_max)
     while g_1 - g_j > RATE_TOL:
         mid = 0.5 * (g_j + g_1)
         if mid <= c_lo or mid < c_hi and _expanded_bw(mid, *args) <= bw_max:

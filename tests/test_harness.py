@@ -910,24 +910,48 @@ class TestRecords:
 
 
 # loads on both sides of the capacity knee, so the shuffled runs include
-# pool-pass retries
+# pool-pass retries, and a second layout whose trials, run in between, swap
+# the cached SP profiles
 ORDER_CONFIG = replace(DEFAULT_CONFIG, sweep=(8, 400), trials=2)
-ORDER_PAIRS = [(n, t) for n in ORDER_CONFIG.sweep for t in range(ORDER_CONFIG.trials)]
+OTHER_LAYOUT = replace(ORDER_CONFIG, n_wifi=5, area_side_m=800.0)
+ORDER_PAIRS = [
+    (cfg, n, t)
+    for cfg in (ORDER_CONFIG, OTHER_LAYOUT)
+    for n in cfg.sweep
+    for t in range(cfg.trials)
+]
 
 
 @functools.cache
 def in_order_rows() -> dict:
-    return {pair: run_trial(ORDER_CONFIG, *pair) for pair in ORDER_PAIRS}
+    return {pair: run_trial(*pair) for pair in ORDER_PAIRS}
 
 
 @settings(max_examples=8, deadline=None)
-@given(order=st.permutations(ORDER_PAIRS))
-def test_trial_rows_do_not_depend_on_trial_order(order):
+@given(
+    order=st.permutations(ORDER_PAIRS),
+    paused=st.lists(st.booleans(), min_size=len(ORDER_PAIRS), max_size=len(ORDER_PAIRS)),
+)
+def test_trial_rows_do_not_depend_on_trial_order(order, paused):
+    # each trial runs with the caller's collector on or paused, and hands
+    # it back as it found it
     want = in_order_rows()
-    for pair in order:
-        got = run_trial(ORDER_CONFIG, *pair)
-        assert list(got) == list(Scenario)
-        assert got == want[pair], pair
+    enabled = gc.isenabled()
+    try:
+        for pair, pause in zip(order, paused, strict=True):
+            if pause:
+                gc.disable()
+            else:
+                gc.enable()
+            got = run_trial(*pair)
+            assert gc.isenabled() is not pause
+            assert list(got) == list(Scenario)
+            assert got == want[pair], pair[1:]
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 class TestRunPoint:

@@ -498,13 +498,95 @@ class TestOptimizeBidOracle:
             lo, hi = (lo, mid) if skips(mid) else (mid, hi)
         assert hi == math.nextafter(lo, math.inf)
 
+    def test_budget_corner_replay_matches_reference_search(self):
+        replayed = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            snr=st.floats(-8.0, 6.0).map(lambda e: 10.0**e),
+            b_min=st.floats(0.1, 10.0),
+            headroom=st.floats(-3.0, 2.0),
+            place=st.floats(0.0, 1.0),
+            offset=signed_pow10(-15.0, -2.0),
+            beta=st.floats(1.01, 2.5),
+            cost_rate=st.floats(1e-3, 1.0),
+            cost_bw=st.floats(0.01, 5.0),
+            slope=signed_pow10(-9.0, 4.0),
+        )
+        def check(snr, b_min, headroom, place, offset, beta, cost_rate, cost_bw, slope):
+            # aimed at the edges of the golden-section replay at a budget
+            # corner: the cap does not fit, the budget is the bandwidth of a
+            # rate a signed 1e-15 (a few ulps) to 1e-2 relative from a grid
+            # rate on B's rising side, and alpha puts the certificate's slope bound h
+            # at the grid rate below the last that fits at a signed 1e-9..1e4
+            # multiple of its cost terms
+            b_max = b_min * (1.0 + 10.0**headroom)
+            lo_edge, num = b_min * (1.0 + leader._LOW_EDGE), leader.GRID_POINTS
+            grid = reference_grid(lo_edge, b_max, num)
+            bws = [leader._grid_bw(b, b_min, snr) for b in grid]
+            bottom = bws.index(min(bws))
+            assume(bottom < num - 3)
+            index = bottom + 1 + round(place * (num - 3 - bottom))
+            bw_max = leader._grid_bw(grid[index] * (1.0 + offset), b_min, snr)
+            assume(0.0 < bw_max < math.inf)
+            budget = bw_max * (1.0 + leader._BUDGET_SLACK)
+            fits = [i for i, bw in enumerate(bws) if bw <= budget]
+            assume(fits and 0 < fits[-1] < num - 1)
+            g_0 = grid[fits[-1] - 1]
+            bw_cost = cost_bw * budget * (1.0 + 2.0 * leader._BW_ROUNDOFF)
+            alpha = (cost_rate + bw_cost / g_0) * (1.0 + slope) / (beta * g_0 ** (beta - 1.0))
+            assume(alpha > 0.0)
+            link = LinkState(0.0, snr, True, bw_max, b_max)
+            sp = make_sp(alpha=alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw)
+            windows = []
+            with pytest.MonkeyPatch.context() as patch:
+                TestBudgetCrossing.record(patch, "_certified_window", windows)
+                got = optimize_bid(sp, link, b_min)
+            want = reference_optimize_bid(sp, link, b_min)
+            assert type(got) is type(want)
+            assert got == want
+            replayed.append(any(isinstance(w, tuple) and w[4] for w in windows))
+
+        check()
+        # a certificate that never allowed the replay would pass the equality
+        # above; the band came in about a fifth of the examples (h at or
+        # below its margin, or no certified window, in most of the rest)
+        assert sum(replayed) >= 0.1 * len(replayed)
+
+    @pytest.mark.parametrize(("snr", "lo", "hi"), [(1e-6, 1e6, 1e7), (1e-5, 1e5, 1e6)])
+    def test_budget_corner_replay_threshold_matches_reference(self, monkeypatch, snr, lo, hi):
+        # at these SNRs the grid bandwidths' roundoff decides the replay's
+        # margin: alpha is bisected onto the least price at which the
+        # certified window carries the crossing's band, and on both sides of
+        # it the window is certified and the bid matches the reference
+        b_min, b_max = 2.0, 20.0
+        link = LinkState(0.0, snr, True, leader._grid_bw(10.0, b_min, snr), b_max)
+        windows, certify = [], leader._certified_window
+        monkeypatch.setattr(
+            leader, "_certified_window", lambda *args: windows.append(certify(*args)) or windows[-1]
+        )
+
+        def replays(alpha):
+            sp = make_sp(alpha=alpha, beta=1.3, cost_rate=0.12, cost_bw=1.0)
+            bid = optimize_bid(sp, link, b_min)
+            assert isinstance(bid, Bid) and bid == reference_optimize_bid(sp, link, b_min)
+            window = windows.pop()
+            assert isinstance(window, tuple) and window[1] < bid.rate < window[2]
+            return window[4] is not None
+
+        assert not replays(lo) and replays(hi)
+        while (mid := math.sqrt(lo * hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if replays(mid) else (mid, hi)
+        assert hi == math.nextafter(lo, math.inf)
+
     @pytest.mark.parametrize("n", [50, 500])
     def test_sweep_grid_searches_take_the_certified_path(self, monkeypatch, n):
         # every default-trial search that gets past the early exits is
         # answered by the certificate, never by scanning the full grid; a Bid
         # on its rate cap is the certificate's own return value, and every
-        # other Bid refines the certificate's window
-        windows, full, bids = [], [], []
+        # other Bid refines a certified window that carries the band around
+        # its budget crossing, so the refinement is replayed
+        windows, full, bids, refined = [], [], [], []
         certify, full_grid = leader._certified_window, leader._full_grid_window
         search = equilibrium.optimize_bid
 
@@ -512,6 +594,8 @@ class TestOptimizeBidOracle:
             bid = search(sp, link, b_min)
             if isinstance(bid, Bid):
                 bids.append((bid.rate == link.b_max, bid is windows[-1]))
+                if bid is not windows[-1]:
+                    refined.append(((sp, link, b_min), windows[-1], bid))
             return bid
 
         monkeypatch.setattr(
@@ -525,12 +609,19 @@ class TestOptimizeBidOracle:
         assert windows and None not in windows
         assert not full
         assert all(at_cap == built for at_cap, built in bids)
+        assert all(window[4] is not None for _, window, _ in refined)
         # every n=50 Bid is the certificate's; at n=500 some are and most refine
         n_built = sum(built for _, built in bids)
         if n == 50:
             assert bids and n_built == len(bids)
-        else:
-            assert 0 < n_built < len(bids) / 2
+            return
+        assert 0 < n_built < len(bids) / 2
+        # without the band, the loop that prices every probe gives each
+        # replayed Bid field for field
+        monkeypatch.setattr(
+            leader, "_certified_window", lambda *args: (*certify(*args)[:4], None)
+        )
+        assert all(leader.optimize_bid(*args) == bid for args, _, bid in refined)
 
 
 class TestBandwidthFloor:
@@ -1057,9 +1148,10 @@ class TestBudgetCrossing:
         grid, k = reference_rebid_grid(link, b_min), 1.0 / model.prelec_alpha
         j = self.last_fit(grid, b_min, link, model)
         rho = leader._rise(math.log(grid[j] / b_min), snr, k)[1]
-        args = rho, grid[j], grid[j + 1], bw_max, b_min, snr, k
-        assert leader._crossing_band(0.5 * (c_hi + grid[j + 1]), 1.0, *args)[0] == 0.0
-        assert leader._crossing_band(0.5 * (c_lo + c_hi), 1.0, *args)[0] > 0.0
+        args = leader._expanded_bw, (b_min, snr, k)
+        for c, kept in ((0.5 * (c_hi + grid[j + 1]), False), (0.5 * (c_lo + c_hi), True)):
+            band = leader._crossing_band(*args, (c, 1.0), rho, grid[j], grid[j + 1], bw_max)
+            assert (band[0] > 0.0) is kept
 
     @pytest.mark.parametrize("bw_max", [0.0, -1.0])
     def test_no_budget_is_no_rate(self, bw_max):
