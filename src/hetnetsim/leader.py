@@ -10,7 +10,9 @@ bid search to one dimension: maximize
 
 over b in (b_min, b_max] subject to marginal_bw(b) <= bw_max.  The objective
 is smooth but not unimodal in general, so a log-spaced grid locates the
-basin and a golden-section pass refines it.  The grid's argmax usually sits
+basin and a golden-section pass refines it.  Both price a rate with
+_grid_profit, and the winner's Bid takes sp_price's price and _grid_bw's
+bandwidth, the bits its profit was summed from.  The grid's argmax usually sits
 at its last feasible rate, the rate cap or the budget corner, and
 _certified_window proves that from three grid points when it holds; the
 full grid is evaluated only where that certificate fails.  At a rate cap
@@ -19,8 +21,8 @@ cap's Bid itself, priced once, and optimize_bid refines nothing.  At a
 budget corner where any probe that fits beats every lower one, it returns
 a band around the budget crossing with the window: each golden-section
 step is then decided by whether x2 fits, which the band answers for every
-x2 outside it, so optimize_bid replays the steps' arithmetic and prices
-only the last two probes.
+x2 outside it, so optimize_bid replays the steps' arithmetic without
+pricing a rate, and the golden section then prices only the last two probes.
 This search and the rate-conceding rebid find their last feasible grid rate
 alike, with _grid_bracket: the log of either bandwidth is convex in the
 log-rate, so Newton's method solves the budget crossing once and only the
@@ -322,18 +324,23 @@ def _certified_window(
     return g_0, g_j, g_1, best, band
 
 
+def _grid_profit(b: float, sp: SpParams, b_min: float, snr: float, budget: float) -> float:
+    """Profit of rate b at its marginal bandwidth, in the bid grid's operation
+    order, with _grid_bw's bandwidth; -inf where that bandwidth exceeds the
+    budget."""
+    bw = _grid_bw(b, b_min, snr)
+    return b**sp.beta * sp.alpha - b * sp.cost_rate - bw * sp.cost_bw if bw <= budget else -math.inf
+
+
 def _full_grid_window(
     sp: SpParams, b_min: float, lo_edge: float, b_max: float, snr: float, budget: float
 ) -> tuple[float, float, float, float, None] | NoBid:
     """The full bid grid's argmax where _certified_window gives no answer:
     the grid rates around the first best profit among the rates that fit,
     that profit and no band; _NO_FEASIBLE_RATE when no rate fits."""
-    alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
     best, best_profit = 0, -math.inf
     for i in range(GRID_POINTS):
-        g = _grid_rate(i, lo_edge, b_max, GRID_POINTS)
-        bw = _grid_bw(g, b_min, snr)
-        profit = g**beta * alpha - g * cost_rate - bw * cost_bw if bw <= budget else -math.inf
+        profit = _grid_profit(_grid_rate(i, lo_edge, b_max, GRID_POINTS), sp, b_min, snr, budget)
         if profit > best_profit:
             best, best_profit = i, profit
     if not math.isfinite(best_profit):
@@ -363,62 +370,45 @@ def optimize_bid(sp: SpParams, link: LinkState, b_min: float) -> Bid | NoBid:
     if not isinstance(window, tuple):  # a NoBid, or the certified cap's Bid
         return window
     lo, b_star, hi, best_profit, band = window
-    alpha, beta, cost_rate, cost_bw = sp.alpha, sp.beta, sp.cost_rate, sp.cost_bw
 
     # golden-section refinement around the winning grid point; the -inf
-    # penalty keeps the search on the feasible side of a budget corner.  A
+    # profit keeps the search on the feasible side of a budget corner.  A
     # certified corner's band decides each step by whether x2 fits alone, so
-    # the replay prices nothing and leaves hi - lo within RATE_TOL.  Then each
-    # pass prices the one inner point whose profit is missing (None): x1, then
-    # x2, then the point each step moves in.  A certified rate cap never gets
-    # here, its Bid built by the certificate.
-    golden, log, log2, inf, infeasible = _GOLDEN, math.log, math.log2, math.inf, -math.inf
-    x1 = hi - golden * (hi - lo)
-    x2 = lo + golden * (hi - lo)
+    # the replay prices nothing and leaves hi - lo within RATE_TOL; the plain
+    # golden section then prices only its first two probes, x1 and x2.  A
+    # certified rate cap never gets here, its Bid built by the certificate.
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
     if band:
         c_lo, c_hi = band
         while hi - lo > RATE_TOL:
             if x2 <= c_lo or x2 < c_hi and _grid_bw(x2, b_min, snr) <= budget:
                 lo, x1 = x1, x2
-                x2 = lo + golden * (hi - lo)
+                x2 = lo + _GOLDEN * (hi - lo)
             else:
                 hi, x2 = x2, x1
-                x1 = hi - golden * (hi - lo)
-    f1 = f2 = None
-    while True:
-        x = x1 if f1 is None else x2
-        d = log2(1.0 + snr * log(x / b_min))
-        bw = x / d if d else inf
-        price = alpha * x**beta
-        f = infeasible if bw > budget else price - cost_rate * x - cost_bw * bw
-        if f1 is None:
-            f1, terms1 = f, (price, bw)
-            if f2 is None:
-                continue
-        else:
-            f2, terms2 = f, (price, bw)
-        if hi - lo <= RATE_TOL:
-            break
+                x1 = hi - _GOLDEN * (hi - lo)
+    f1 = _grid_profit(x1, sp, b_min, snr, budget)
+    f2 = _grid_profit(x2, sp, b_min, snr, budget)
+    while hi - lo > RATE_TOL:
         if f1 >= f2:
-            hi, x2, f2, terms2 = x2, x1, f1, terms1
-            x1 = hi - golden * (hi - lo)
-            f1 = None
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = _grid_profit(x1, sp, b_min, snr, budget)
         else:
-            lo, x1, f1, terms1 = x1, x2, f2, terms2
-            x2 = lo + golden * (hi - lo)
-            f2 = None
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = _grid_profit(x2, sp, b_min, snr, budget)
 
-    # the first of the three best profits wins a tie, as max() would pick it;
-    # a winning probe's price and bandwidth are sp_price's and _grid_bw's bits
-    terms = None
+    # the first of the three best profits wins a tie, as max() would pick it
     if f1 > best_profit:
-        best_profit, b_star, terms = f1, x1, terms1
+        best_profit, b_star = f1, x1
     if f2 > best_profit:
-        best_profit, b_star, terms = f2, x2, terms2
+        best_profit, b_star = f2, x2
     if best_profit < 0:
         return _UNPROFITABLE
-    price, bw = terms or (sp_price(b_star, sp), _grid_bw(b_star, b_min, snr))
-    return Bid(rate=b_star, price=price, bandwidth=bw, guarantee=b_min / b_star)
+    bw = _grid_bw(b_star, b_min, snr)
+    return Bid(rate=b_star, price=sp_price(b_star, sp), bandwidth=bw, guarantee=b_min / b_star)
 
 
 def expand_bw_pt(bid: Bid, model: DecisionModel, link: LinkState) -> Bid | NoBid:

@@ -1,12 +1,19 @@
-"""Shared fixtures, the independent oracles, and the acceptance-criteria
-summary reporter.
+"""Shared fixtures, the oracles more than one test module uses, and the
+acceptance-criteria summary reporter.
 
-Each game computation has one oracle here, written from the closed forms
-rather than from the code under test:
-  - oracle_best_response enumerates the follower's four strategies;
+These oracles are written from the closed forms rather than from the code
+under test:
+  - oracle_best_response enumerates the follower's four strategies, and is
+    best_response's only oracle (test_follower, test_equilibrium,
+    test_paper_claims and the acceptance criteria use it);
   - dense_grid_bid maximizes an SP's profit over a dense rate grid;
-  - bisect_bw inverts the service guarantee in the bandwidth.
+  - bisect_bw inverts the service guarantee in the bandwidth;
   - provider_cost is an SP's linear provisioning cost.
+An oracle one module needs lives in that module as a reference_* function:
+the first-written feasible set and WiFi pre-selection in test_follower,
+the classifiers in test_equilibrium, the bid and rebid searches in
+test_leader, the Hata loss and link state in test_channel, and the pool
+expansion pass in test_harness.
 """
 
 import math

@@ -149,8 +149,10 @@ def reference_eut_asymmetric(bid_w, bid_c, user, sp_w, sp_c, wifi_index=None):
 
 
 def reference_pt(bid_w, bid_c, user, model, sp_w, sp_c, wifi_index=None):
-    """Label straight from the follower's best response."""
-    strategy, u = best_response(bid_c, bid_w, user, model)
+    """Label straight from the follower's best response, as the conftest
+    enumerator gives it (the same strategy and utility bits)."""
+    alpha = model.prelec_alpha if model.is_pt else None
+    strategy, u = oracle_best_response(bid_c, bid_w, user, alpha)
     p_c, p_w = strategy
     out_c = bid_c if (p_c and isinstance(bid_c, Bid)) else WITHDRAWN
     out_w = bid_w if (p_w and isinstance(bid_w, Bid)) else WITHDRAWN

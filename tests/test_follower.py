@@ -18,7 +18,7 @@ from hetnetsim import (
     select_wifi_sp,
 )
 from hetnetsim.follower import FLOOR_REL_TOL
-from hetnetsim.model import user_benefit, user_utility
+from hetnetsim.model import user_benefit
 from hetnetsim.prospect import FIXED_POINT, weight
 
 
@@ -47,22 +47,6 @@ def reference_feasible_set(bid_c, bid_w, user, model):
             continue
         feasible.add((p_c, p_w))
     return feasible
-
-
-def reference_best_response(bid_c, bid_w, user, model):
-    """best_response as first written: the reference feasible set, then
-    user_utility of each feasible strategy, strict improvements kept."""
-    g_c = perceived_guarantee(bid_c, model)
-    g_w = perceived_guarantee(bid_w, model)
-    feasible = reference_feasible_set(bid_c, bid_w, user, model)
-    best, best_u = (0, 0), 0.0
-    for strategy in ((0, 1), (1, 0), (1, 1)):
-        if strategy not in feasible:
-            continue
-        u = user_utility(strategy, bid_c, bid_w, user, g_c, g_w)
-        if u > best_u:
-            best, best_u = strategy, u
-    return best, best_u
 
 
 def reference_select_wifi_sp(offers, user, model):
@@ -231,7 +215,7 @@ class TestBestResponse:
                 got = best_response(bid_c, bid_w, user, model)
                 want = oracle_best_response(bid_c, bid_w, user, alpha)
                 assert got[0] == want[0]
-                assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-12)
+                assert got[1].hex() == want[1].hex()
 
     @settings(max_examples=300, deadline=None)
     @given(bid_c=_BIDS, bid_w=_BIDS, user=_USERS, model=_MODELS)
@@ -241,20 +225,13 @@ class TestBestResponse:
             bid_c, bid_w, user, model.prelec_alpha if model.is_pt else None
         )
         assert got[0] == want[0]
-        assert got[1] == pytest.approx(want[1], rel=1e-9, abs=0.0)
+        assert got[1].hex() == want[1].hex()
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        bid_c=_BIDS,
-        bid_w=_BIDS,
-        user=_USERS,
-        model=_MODELS,
-    )
+    @given(bid_c=_BIDS, bid_w=_BIDS, user=_USERS, model=_MODELS)
     def test_equals_first_written_reference(self, bid_c, bid_w, user, model):
-        got = best_response(bid_c, bid_w, user, model)
-        want = reference_best_response(bid_c, bid_w, user, model)
-        assert got[0] == want[0]
-        assert got[1].hex() == want[1].hex()
+        # best_response's oracle is the enumerator above; the feasible set
+        # it picks from is checked against its first-written reference
         assert feasible_set(bid_c, bid_w, user, model) == reference_feasible_set(
             bid_c, bid_w, user, model
         )

@@ -585,15 +585,18 @@ class TestOptimizeBidOracle:
         # answered by the certificate, never by scanning the full grid; a Bid
         # on its rate cap is the certificate's own return value, and every
         # other Bid refines a certified window that carries the band around
-        # its budget crossing, so the refinement is replayed
-        windows, full, bids, refined = [], [], [], []
+        # its budget crossing, so the refinement is replayed and prices only
+        # its last two probes
+        windows, full, bids, refined, probes = [], [], [], [], []
         certify, full_grid = leader._certified_window, leader._full_grid_window
-        search = equilibrium.optimize_bid
+        search, profit = equilibrium.optimize_bid, leader._grid_profit
 
         def spy(sp, link, b_min):
+            priced = len(probes)
             bid = search(sp, link, b_min)
             if isinstance(bid, Bid):
                 bids.append((bid.rate == link.b_max, bid is windows[-1]))
+                assert len(probes) - priced == (0 if bid is windows[-1] else 2)
                 if bid is not windows[-1]:
                     refined.append(((sp, link, b_min), windows[-1], bid))
             return bid
@@ -603,6 +606,9 @@ class TestOptimizeBidOracle:
         )
         monkeypatch.setattr(
             leader, "_full_grid_window", lambda *args: full.append(args) or full_grid(*args)
+        )
+        monkeypatch.setattr(
+            leader, "_grid_profit", lambda *args: probes.append(args) or profit(*args)
         )
         monkeypatch.setattr(equilibrium, "optimize_bid", spy)
         solve_trial(DEFAULT_CONFIG, n, 0)
@@ -616,8 +622,8 @@ class TestOptimizeBidOracle:
             assert bids and n_built == len(bids)
             return
         assert 0 < n_built < len(bids) / 2
-        # without the band, the loop that prices every probe gives each
-        # replayed Bid field for field
+        # without the band, the golden section prices every probe and gives
+        # each replayed Bid field for field
         monkeypatch.setattr(
             leader, "_certified_window", lambda *args: (*certify(*args)[:4], None)
         )
