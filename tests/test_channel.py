@@ -18,95 +18,9 @@ from hetnetsim import (
 )
 from hetnetsim.channel import MIN_DISTANCE_M, LinkState
 from hetnetsim.model import USER_HEIGHT_M, SpParams, _hata_terms
-from conftest import bisect_bw, make_link
+from conftest import bisect_bw, link_bits, make_link
+from conftest import reference_hata_path_loss, reference_link_state
 from conftest import make_sp as shared_make_sp
-
-
-def hata_urban_reference(freq_mhz: float, d_km: float, h_bs: float, h_ue: float) -> float:
-    """Textbook Hata urban formula, written out independently."""
-    a_hm = (1.1 * math.log10(freq_mhz) - 0.7) * h_ue - (
-        1.56 * math.log10(freq_mhz) - 0.8
-    )
-    return (
-        69.55
-        + 26.16 * math.log10(freq_mhz)
-        - 13.82 * math.log10(h_bs)
-        - a_hm
-        + (44.9 - 6.55 * math.log10(h_bs)) * math.log10(d_km)
-    )
-
-
-def cost231_reference(freq_mhz: float, d_km: float, h_bs: float, h_ue: float) -> float:
-    a_hm = (1.1 * math.log10(freq_mhz) - 0.7) * h_ue - (
-        1.56 * math.log10(freq_mhz) - 0.8
-    )
-    return (
-        46.3
-        + 33.9 * math.log10(freq_mhz)
-        - 13.82 * math.log10(h_bs)
-        - a_hm
-        + (44.9 - 6.55 * math.log10(h_bs)) * math.log10(d_km)
-    )
-
-
-def reference_hata_path_loss(freq_mhz, d_km, h_bs_m, h_ue_m):
-    """The Hata path loss as first written, every constant recomputed per
-    call; link_state's must agree with it bit for bit."""
-    if d_km <= 0:
-        raise ValueError(f"distance must be positive, got {d_km} km")
-    if not 150.0 <= freq_mhz <= 2500.0:
-        raise ValueError(f"frequency {freq_mhz} MHz outside supported range")
-    if h_bs_m <= 0 or h_ue_m <= 0:
-        raise ValueError("antenna heights must be positive")
-    lf = math.log10(freq_mhz)
-    lhb = math.log10(h_bs_m)
-    a_hm = (1.1 * lf - 0.7) * h_ue_m - (1.56 * lf - 0.8)
-    slope = 44.9 - 6.55 * lhb
-    if freq_mhz <= 1500.0:
-        base = 69.55 + 26.16 * lf
-    else:
-        base = 46.3 + 33.9 * lf
-    return base - 13.82 * lhb - a_hm + slope * math.log10(d_km)
-
-
-def reference_link_state(user, sp, noise_density_dbm_hz=-174.0, bw_max=None):
-    """link_state as first written (indexed positions, max() clamp, the
-    reference path loss); the rewritten one must agree with it bit for bit."""
-    if bw_max is None:
-        bw_max = sp.g_ba * sp.bw_total
-    if bw_max <= 0:
-        raise ValueError(f"bandwidth budget must be positive, got {bw_max}")
-    dx = user.position[0] - sp.position[0]
-    dy = user.position[1] - sp.position[1]
-    dist_m = max(math.hypot(dx, dy), MIN_DISTANCE_M)
-    loss_db = reference_hata_path_loss(
-        sp.frequency_mhz, dist_m / 1000.0, sp.antenna_height_m, USER_HEIGHT_M
-    )
-    noise_dbm = noise_density_dbm_hz + 10.0 * math.log10(bw_max * 1e6)
-    snr_db = sp.tx_power_dbm - loss_db - noise_dbm
-    mean_snr = 10.0 ** (snr_db / 10.0)
-    covered = user.active and snr_db >= sp.coverage_snr_threshold_db
-    if sp.coverage_radius is not None and dist_m > sp.coverage_radius:
-        covered = False
-    b_max = bw_max * math.log2(1.0 + mean_snr) if covered else 0.0
-    return LinkState(
-        path_loss_db=loss_db,
-        mean_snr=mean_snr,
-        covered=covered,
-        bw_max=bw_max,
-        b_max=b_max,
-    )
-
-
-def link_bits(ln: LinkState) -> tuple:
-    """The link's fields with every float as its exact bit pattern."""
-    return (
-        ln.path_loss_db.hex(),
-        ln.mean_snr.hex(),
-        ln.covered,
-        ln.bw_max.hex(),
-        ln.b_max.hex(),
-    )
 
 
 # the whole Hata window, both branch edges and the COST-231 crossover
@@ -127,12 +41,12 @@ def path_loss(freq_mhz: float, d_km: float, h_bs_m: float) -> float:
 class TestHataPathLoss:
     def test_textbook_900mhz_point(self):
         got = path_loss(900.0, 1.0, 50.0)
-        assert got == pytest.approx(hata_urban_reference(900.0, 1.0, 50.0, 1.5), abs=1e-9)
+        assert got == pytest.approx(reference_hata_path_loss(900.0, 1.0, 50.0, 1.5), abs=1e-9)
         assert got == pytest.approx(123.34, abs=0.05)
 
     def test_cost231_branch(self):
         got = path_loss(2400.0, 0.05, 6.0)
-        assert got == pytest.approx(cost231_reference(2400.0, 0.05, 6.0, 1.5), abs=1e-9)
+        assert got == pytest.approx(reference_hata_path_loss(2400.0, 0.05, 6.0, 1.5), abs=1e-9)
 
     def test_monotone_in_distance(self):
         losses = [path_loss(900.0, d, 30.0) for d in (0.1, 0.5, 1.0, 2.0, 5.0)]

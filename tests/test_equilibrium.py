@@ -1,6 +1,6 @@
 """Tests for outcome classification and the per-user game pipeline.
 
-The enumeration oracle below re-derives the follower's best response from
+conftest's enumeration oracle re-derives the follower's best response from
 scratch (own weighting, own floor check) so the analytic classifier is
 validated against independent arithmetic.  The reference_* classifiers are
 the first-written per-case classifiers and their dispatch, kept verbatim as
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_link, make_sp, oracle_best_response, provider_cost
+from conftest import make_link, make_sp, make_user, oracle_best_response, provider_cost
 from hetnetsim.channel import LinkState, guarantee_inverse_bw
 from hetnetsim.equilibrium import (
     WITHDRAWN,
@@ -30,17 +30,12 @@ from hetnetsim.model import (
     GameOutcome,
     NeClass,
     NoBid,
-    UserProfile,
     doubling_gap,
     sp_utility,
     user_benefit,
     user_utility,
 )
 from hetnetsim.prospect import FIXED_POINT, DecisionModel
-
-
-def make_user(delta, theta=2.0, b_min=2.0):
-    return UserProfile(delta=delta, theta=theta, b_min=b_min)
 
 
 DEFAULT_USER = make_user(350.0)
@@ -168,7 +163,10 @@ def reference_pt(bid_w, bid_c, user, model, sp_w, sp_c, wifi_index=None):
 
 
 def reference_classify(bid_c, bid_w, user, model, sp_c, sp_w, rng=None, wifi_index=None):
-    """The first-written dispatch over the three per-case classifiers."""
+    """The first-written dispatch over the three per-case classifiers.  They
+    call production user_benefit, doubling_gap, user_utility, sp_utility
+    and bids_symmetric; the PT case takes its label from the conftest
+    enumerator."""
     if not (isinstance(bid_c, Bid) or isinstance(bid_w, Bid)):
         return reference_rejected((bid_c, bid_w), wifi_index)
     if not model.is_pt and bids_symmetric(bid_c, bid_w):
@@ -671,7 +669,8 @@ class TestRegionNesting:
         assert eut_min <= pt_min
 
 
-def reference_link(snr=10.0, bw_max=5.0, b_max=10.0):
+def covered_link(snr=10.0, bw_max=5.0, b_max=10.0):
+    """A covered LinkState with the given SNR, budget and rate cap."""
     return LinkState(path_loss_db=0.0, mean_snr=snr, covered=True, bw_max=bw_max, b_max=b_max)
 
 
@@ -734,7 +733,7 @@ class TestSolveGame:
     def test_symmetric_configuration_reproduces_symmetric_classifier(self):
         user = make_user(3.0)
         sps = self.two_sps()
-        links = [reference_link(), reference_link()]
+        links = [covered_link(), covered_link()]
         out = solve_game(user, sps, links, DecisionModel.eut())
         bid = optimize_bid(sps[1], links[1], user.b_min)
         direct = classify(bid, bid, user, EUT, sps[0], sps[1])
@@ -753,7 +752,7 @@ class TestSolveGame:
             make_sp(),
             make_sp(cost_rate=0.05, cost_bw=0.2),
         ]
-        links = [reference_link()] * 3
+        links = [covered_link()] * 3
         model = DecisionModel.eut()
         for price, label, draws, strategy in (
             (0.5, NeClass.BOTH11, [], (1, 1)),
@@ -777,7 +776,7 @@ class TestSolveGame:
 
     def test_lone_cellular_offer_classified_from_best_response(self):
         sps = self.two_sps()
-        links = [reference_link(), make_link(10.0, covered=False)]
+        links = [covered_link(), make_link(10.0, covered=False)]
         probe = optimize_bid(sps[0], links[0], 2.0)
         user = make_user(2.0 * probe.price / math.sqrt(2.0))
         out = solve_game(user, sps, links, DecisionModel.eut())
@@ -788,7 +787,7 @@ class TestSolveGame:
     def test_asymmetric_configuration_labels_cheaper_side(self):
         user = make_user(4.0)
         sps = [make_sp(alpha=1.0), make_sp(alpha=0.5)]
-        links = [reference_link(), reference_link()]
+        links = [covered_link(), covered_link()]
         out = solve_game(user, sps, links, DecisionModel.eut())
         bids = make_eut_bids(user, sps, links)
         assert bids[1].price < bids[0].price
@@ -855,7 +854,7 @@ class TestSolveGame:
     def test_pt_without_expansion_keeps_committed_bids(self):
         user = make_user(20.0)
         sps = self.two_sps()
-        links = [reference_link(), reference_link()]
+        links = [covered_link(), covered_link()]
         eut = solve_game(user, sps, links, DecisionModel.eut())
         pt = solve_game(user, sps, links, DecisionModel.pt(0.7), expansion_enabled=False)
         in_force = [b for b in pt.bids if isinstance(b, Bid)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_best_response
+from conftest import oracle_best_response, oracle_feasible_utilities
 from hetnetsim import (
     Bid,
     DecisionModel,
@@ -22,36 +22,10 @@ from hetnetsim.model import user_benefit
 from hetnetsim.prospect import FIXED_POINT, weight
 
 
-def reference_feasible_set(bid_c, bid_w, user, model):
-    """feasible_set as first written, the reference for the rewritten
-    follower: perceived guarantees taken per call, one strategy at a time."""
-    g_c = perceived_guarantee(bid_c, model)
-    g_w = perceived_guarantee(bid_w, model)
-    feasible = {(0, 0)}
-    for p_c, p_w in ((0, 1), (1, 0), (1, 1)):
-        if p_c and not isinstance(bid_c, Bid):
-            continue
-        if p_w and not isinstance(bid_w, Bid):
-            continue
-        b_joint = 0.0
-        paid = 0.0
-        if p_c:
-            b_joint += bid_c.rate * g_c
-            paid += bid_c.price
-        if p_w:
-            b_joint += bid_w.rate * g_w
-            paid += bid_w.price
-        if b_joint < user.b_min * (1.0 - FLOOR_REL_TOL):
-            continue
-        if user_benefit(b_joint, user) < paid:
-            continue
-        feasible.add((p_c, p_w))
-    return feasible
-
-
 def reference_select_wifi_sp(offers, user, model):
     """select_wifi_sp as first written: offers sorted by id, strict
-    improvements kept, so ties go to the lowest id."""
+    improvements kept, so ties go to the lowest id.  Calls production
+    user_benefit and weight."""
     best_id = None
     best_u = -float("inf")
     for sp_id, bid in sorted(offers, key=lambda item: item[0]):
@@ -230,11 +204,11 @@ class TestBestResponse:
     @settings(max_examples=300, deadline=None)
     @given(bid_c=_BIDS, bid_w=_BIDS, user=_USERS, model=_MODELS)
     def test_equals_first_written_reference(self, bid_c, bid_w, user, model):
-        # best_response's oracle is the enumerator above; the feasible set
-        # it picks from is checked against its first-written reference
-        assert feasible_set(bid_c, bid_w, user, model) == reference_feasible_set(
-            bid_c, bid_w, user, model
-        )
+        # the feasible set best_response picks from is the enumerator's
+        # strategies and the outside option
+        alpha = model.prelec_alpha if model.is_pt else None
+        want = {s for s, _ in oracle_feasible_utilities(bid_c, bid_w, user, alpha)}
+        assert feasible_set(bid_c, bid_w, user, model) == {(0, 0)} | want
 
 
 class TestSelectWifiSp:

@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import link_bits, reference_link_state
 from hetnetsim import equilibrium, harness
-from hetnetsim.channel import LinkState, allocate_bw, link_state
+from hetnetsim.channel import LinkState, link_state
 from hetnetsim.equilibrium import make_eut_bids, resolve_user_game
 from hetnetsim.harness import (
     DEFAULT_CONFIG,
@@ -138,32 +139,25 @@ class TestLinks:
 
 
 def two_pass_links(users, sps, cfg) -> tuple[list[list[LinkState]], int]:
-    """build_links with both passes computed from scratch, then a fix-up that
-    keeps a pair outside first-pass coverage outside; also the number of
-    pairs the fix-up changed."""
+    """build_links from reference_link_state: both passes computed from
+    scratch, then a fix-up that keeps a pair outside first-pass coverage
+    outside; also the number of pairs the fix-up changed."""
     noise = cfg.noise_density_dbm_hz
     links_by_sp = []
     fixed = 0
     for sp in sps:
-        reference = [link_state(u, sp, noise) for u in users]
-        bw_each = allocate_bw(sp, sum(ln.covered for ln in reference))
+        reference = [reference_link_state(u, sp, noise) for u in users]
+        n_covered = sum(ln.covered for ln in reference)
+        bw_each = sp.g_ba * sp.bw_total / max(n_covered, 1)
         final = []
         for u, ref in zip(users, reference, strict=True):
-            ln = link_state(u, sp, noise, bw_max=bw_each)
+            ln = reference_link_state(u, sp, noise, bw_max=bw_each)
             if ln.covered and not ref.covered:
                 ln = ln._replace(covered=False, b_max=0.0)
                 fixed += 1
             final.append(ln)
         links_by_sp.append(final)
     return [list(row) for row in zip(*links_by_sp)], fixed
-
-
-def link_bits(links) -> list:
-    """Each link's fields, every float as its exact bit pattern."""
-    return [
-        [tuple(x.hex() if isinstance(x, float) else x for x in ln) for ln in row]
-        for row in links
-    ]
 
 
 _COORD = st.floats(0.0, 600.0)
@@ -202,7 +196,7 @@ def test_build_links_matches_the_two_pass_body():
         got = build_links(users, sps, cfg)
         want, fixed = two_pass_links(users, sps, cfg)
         assert all(is_record(ln, LinkState) for row in got for ln in row)
-        assert link_bits(got) == link_bits(want)
+        assert [[*map(link_bits, row)] for row in got] == [[*map(link_bits, row)] for row in want]
         fixed_examples.append(fixed > 0)
 
     check()
@@ -506,8 +500,11 @@ def reference_pool_expansion_pass(
     all_bids: list[list],
     outcomes: list,
     model: DecisionModel,
+    resolve,
 ) -> list:
     """Re-expand bids against each SP's pool share instead of its slice.
+    Each retry calls resolve, given with resolve_user_game's signature; every
+    test here gives production resolve_user_game, or a wrapper of it.
 
     The first resolution pass prices expansion against the contention-level
     per-user budget slice, which the committed bid already consumes in full
@@ -581,9 +578,7 @@ def reference_pool_expansion_pass(
         row, changed = rescale(i, wanted, caps)
         if not changed:
             continue
-        retried = resolve_user_game(
-            users[i], sps, row, all_bids[i], model, expansion_enabled=True
-        )
+        retried = resolve(users[i], sps, row, all_bids[i], model, expansion_enabled=True)
         gained = accepted_set(retried) - sanctioned[i]
         if not gained or not gained <= wanted:
             continue
@@ -605,9 +600,7 @@ def reference_pool_expansion_pass(
         row, changed = rescale(i, grown, caps)
         if not changed:
             continue
-        retried = resolve_user_game(
-            users[i], sps, row, all_bids[i], model, expansion_enabled=True
-        )
+        retried = resolve(users[i], sps, row, all_bids[i], model, expansion_enabled=True)
         if accepted_set(retried) == accepted_set(outcome):
             result[i] = retried
     return result
@@ -617,29 +610,28 @@ HARNESS_POOL_PASS = harness._pool_expansion_pass
 STRATEGIES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def logged_pool_pass(fn, args, resolve):
-    """fn(*args), with every resolve_user_game call it makes answered by
-    resolve and logged as the (user, links row) it resolved, in order."""
+def logged(resolve):
+    """resolve, and the log of the (user, links row) each call resolved, in
+    order."""
     log = []
 
-    def logged(user, sps, links, *rest, **kwargs):
+    def logged_resolve(user, sps, links, *rest, **kwargs):
         log.append((user, links))
         return resolve(user, sps, links, *rest, **kwargs)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "resolve_user_game", logged)
-        patch.setitem(globals(), "resolve_user_game", logged)
-        return fn(*args), log
+    return logged_resolve, log
 
 
 def assert_pool_pass_matches_reference(args, make_resolve):
     """Run the harness's pass and the reference on the same arguments, each
     with a fresh make_resolve(), and return the harness's outcomes."""
     outcomes = args[4]
-    (want, want_log), (got, got_log) = (
-        logged_pool_pass(fn, args, make_resolve())
-        for fn in (reference_pool_expansion_pass, HARNESS_POOL_PASS)
-    )
+    resolve, want_log = logged(make_resolve())
+    want = reference_pool_expansion_pass(*args, resolve)
+    resolve, got_log = logged(make_resolve())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "resolve_user_game", resolve)
+        got = HARNESS_POOL_PASS(*args)
     assert got == want
     # adopted retries are new objects; every other outcome is passed through
     assert [g is o for g, o in zip(got, outcomes)] == [w is o for w, o in zip(want, outcomes)]

@@ -63,7 +63,8 @@ def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
     """The bid search as first written, the reference for optimize_bid.
 
     The whole scalar grid, an argmax over it and a golden-section pass over
-    a closure objective; optimize_bid must agree with it field for field."""
+    a closure objective; optimize_bid must agree with it field for field.
+    Calls production sp_price for the bid's price."""
     if not link.covered or link.b_max <= 0:
         return NoBid("link not covered")
     if link.b_max <= b_min * (1.0 + 1e-6):
@@ -118,22 +119,19 @@ def reference_optimize_bid(sp, link, b_min, grid_points=1024, tol=1e-9):
 
 
 def reference_bw_floor(b_min, snr):
-    """Least marginal bandwidth of any rate above b_min, at snr > 0, the
-    tests' own oracle (the bid search computes no floor): with
-    y = 1 + snr * ln(b / b_min) it is b_min * exp((y - 1) / snr) * ln 2 / ln y,
-    which falls until y ln y = snr, then rises, so ln y = W(snr) (Lambert W)
-    there.  Newton steps fall to W from log1p(snr) >= W."""
+    """The bottom of the marginal bandwidth B at snr > 0, the tests' own
+    oracle (the bid search computes no floor): the rate above b_min whose B
+    is least, and that least B.  With y = 1 + snr * ln(b / b_min), B is
+    b_min * exp((y - 1) / snr) * ln 2 / ln y, which falls until y ln y = snr,
+    then rises, so ln y = W(snr) (Lambert W) there.  Newton steps fall to W
+    from log1p(snr) >= W."""
     w = math.log1p(snr)
     for _ in range(64):
         w -= (step := (w - snr * math.exp(-w)) / (w + 1.0))
         if step <= 1e-15 * w:
             break
-    return b_min * math.exp(math.expm1(w) / snr) * math.log(2.0) / w
-
-
-def reference_rebid_grid(link, b_min, grid_points=256):
-    cap = min(link.b_max, math.e * b_min)
-    return reference_grid(b_min * (1.0 + 1e-6), cap, grid_points)
+    rate = b_min * math.exp(math.expm1(w) / snr)
+    return rate, rate * math.log(2.0) / w
 
 
 def reference_expansion_rebid(sp, link, b_min, model, grid_points=256, tol=1e-9):
@@ -141,18 +139,21 @@ def reference_expansion_rebid(sp, link, b_min, model, grid_points=256, tol=1e-9)
 
     It judges every grid rate with the scalar closed forms, then runs the
     same bisection and final bid construction; expansion_rebid must agree
-    with it field for field."""
+    with it field for field.  Calls production code: guarantee_inverse_bw
+    and weight_inverse (through scalar_expanded_bw), sp_price, marginal_bw,
+    and expand_bw_pt for the final expansion."""
     if not model.is_pt:
         return NoBid("expansion applies to weighting users only")
     if not link.covered or link.b_max <= 0:
         return NoBid("link not covered")
-    if min(link.b_max, math.e * b_min) <= b_min * (1.0 + 1e-6):
+    cap = min(link.b_max, math.e * b_min)
+    if cap <= b_min * (1.0 + 1e-6):
         return NoBid("rate cap does not exceed the minimum rate")
 
     def expanded_bw(b):
         return scalar_expanded_bw(b, b_min, link, model)
 
-    grid = reference_rebid_grid(link, b_min, grid_points)
+    grid = reference_grid(b_min * (1.0 + 1e-6), cap, grid_points)
     feasible = [expanded_bw(b) <= link.bw_max for b in grid]
     if not any(feasible):
         return NoBid("expansion exceeds the budget at every rate")
@@ -250,15 +251,13 @@ class TestMarginalBw:
 
 
 class TestOptimizeBid:
-    def reference_link(self):
+    def link(self):
         # hand-built state: rate cap 10, bandwidth budget 5, mean SNR 10
-        from hetnetsim.channel import LinkState
-
         return LinkState(path_loss_db=0.0, mean_snr=10.0, covered=True, bw_max=5.0, b_max=10.0)
 
     def test_reference_instance_matches_fine_grid(self):
         sp = make_sp()
-        link = self.reference_link()
+        link = self.link()
         bid = optimize_bid(sp, link, b_min=1.0)
         assert isinstance(bid, Bid)
         rate_star, profit_star = dense_grid_bid(sp, link, 1.0, 200_000, 1e-12)
@@ -295,7 +294,7 @@ class TestOptimizeBid:
 
     def test_local_optimality(self):
         sp = make_sp()
-        link = self.reference_link()
+        link = self.link()
         b_min = 1.0
         bid = optimize_bid(sp, link, b_min)
         base = bid_profit(bid, sp)
@@ -341,7 +340,7 @@ class TestOptimizeBid:
 
     def test_unprofitable_market(self):
         sp = make_sp(alpha=0.05, beta=1.05, cost_rate=50.0, cost_bw=5.0)
-        out = optimize_bid(sp, self.reference_link(), 1.0)
+        out = optimize_bid(sp, self.link(), 1.0)
         assert isinstance(out, NoBid)
         assert out.reason == "no profitable rate"
         assert sp_utility(True, out, sp) == 0.0
@@ -349,14 +348,14 @@ class TestOptimizeBid:
 
     def test_minus_one_percent_bandwidth_breaks_floor(self):
         sp = make_sp()
-        link = self.reference_link()
+        link = self.link()
         bid = optimize_bid(sp, link, b_min=1.0)
         shaved = service_guarantee(bid.rate, 0.99 * bid.bandwidth, link)
         assert bid.rate * shaved < 1.0
 
     def test_plus_one_percent_bandwidth_lowers_utility(self):
         sp = make_sp()
-        bid = optimize_bid(sp, self.reference_link(), b_min=1.0)
+        bid = optimize_bid(sp, self.link(), b_min=1.0)
         inflated = sp_price(bid.rate, sp) - provider_cost(bid.rate, 1.01 * bid.bandwidth, sp)
         assert inflated < bid_profit(bid, sp)
 
@@ -505,22 +504,24 @@ class TestOptimizeBidOracle:
         @given(
             snr=st.floats(-8.0, 6.0).map(lambda e: 10.0**e),
             b_min=st.floats(0.1, 10.0),
-            headroom=st.floats(-3.0, 2.0),
+            headroom=st.floats(-2.0, 2.0),
             place=st.floats(0.0, 1.0),
             offset=signed_pow10(-15.0, -2.0),
             beta=st.floats(1.01, 2.5),
             cost_rate=st.floats(1e-3, 1.0),
             cost_bw=st.floats(0.01, 5.0),
-            slope=signed_pow10(-9.0, 4.0),
+            slope=st.floats(-0.01, 4.0).map(lambda e: 10.0**e) | signed_pow10(-9.0, -0.01),
         )
         def check(snr, b_min, headroom, place, offset, beta, cost_rate, cost_bw, slope):
             # aimed at the edges of the golden-section replay at a budget
-            # corner: the cap does not fit, the budget is the bandwidth of a
-            # rate a signed 1e-15 (a few ulps) to 1e-2 relative from a grid
-            # rate on B's rising side, and alpha puts the certificate's slope bound h
-            # at the grid rate below the last that fits at a signed 1e-9..1e4
-            # multiple of its cost terms
-            b_max = b_min * (1.0 + 10.0**headroom)
+            # corner, built rather than filtered for: the cap 1e-2..1e2
+            # relative above B's bottom, so that some ten or more grid rates
+            # lie on B's rising side; the budget the bandwidth of a rate a
+            # signed 1e-15 (a few ulps) to 1e-2 relative from a grid rate on
+            # that side; and alpha puts the certificate's slope bound h at
+            # the grid rate below the last that fits at a multiple of its
+            # cost terms from -0.98 to 1e4, signed 1e-9 and up (alpha > 0)
+            b_max = reference_bw_floor(b_min, snr)[0] * (1.0 + 10.0**headroom)
             lo_edge, num = b_min * (1.0 + leader._LOW_EDGE), leader.GRID_POINTS
             grid = reference_grid(lo_edge, b_max, num)
             bws = [leader._grid_bw(b, b_min, snr) for b in grid]
@@ -528,14 +529,13 @@ class TestOptimizeBidOracle:
             assume(bottom < num - 3)
             index = bottom + 1 + round(place * (num - 3 - bottom))
             bw_max = leader._grid_bw(grid[index] * (1.0 + offset), b_min, snr)
-            assume(0.0 < bw_max < math.inf)
             budget = bw_max * (1.0 + leader._BUDGET_SLACK)
             fits = [i for i, bw in enumerate(bws) if bw <= budget]
+            # the offset can move the budget past a grid neighbour's
             assume(fits and 0 < fits[-1] < num - 1)
             g_0 = grid[fits[-1] - 1]
             bw_cost = cost_bw * budget * (1.0 + 2.0 * leader._BW_ROUNDOFF)
             alpha = (cost_rate + bw_cost / g_0) * (1.0 + slope) / (beta * g_0 ** (beta - 1.0))
-            assume(alpha > 0.0)
             link = LinkState(0.0, snr, True, bw_max, b_max)
             sp = make_sp(alpha=alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw)
             windows = []
@@ -549,8 +549,9 @@ class TestOptimizeBidOracle:
 
         check()
         # a certificate that never allowed the replay would pass the equality
-        # above; the band came in about a fifth of the examples (h at or
-        # below its margin, or no certified window, in most of the rest)
+        # above; the band came in 18-44% of the examples over 200 hypothesis
+        # seeds (h at or below its margin, or no certified window, in most
+        # of the rest)
         assert sum(replayed) >= 0.1 * len(replayed)
 
     @pytest.mark.parametrize(("snr", "lo", "hi"), [(1e-6, 1e6, 1e7), (1e-5, 1e5, 1e6)])
@@ -655,7 +656,7 @@ class TestBandwidthFloor:
         # minimizer, which a grid point can hit
         link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
         assume(link.b_max > b_min * (1.0 + 1e-6))
-        floor = reference_bw_floor(b_min, snr)
+        _, floor = reference_bw_floor(b_min, snr)
         assert all(floor <= bw * (1.0 + 1e-12) for bw in self.grid_bandwidths(link, b_min))
 
     @settings(max_examples=300, deadline=None)
@@ -670,7 +671,7 @@ class TestBandwidthFloor:
     def test_budget_near_the_floor_matches_reference(
         self, snr, b_max_factor, b_min, rel, price_alpha, beta
     ):
-        bw_max = reference_bw_floor(b_min, snr) * (1.0 + rel)
+        bw_max = reference_bw_floor(b_min, snr)[1] * (1.0 + rel)
         link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
         sp = make_sp(alpha=price_alpha, beta=beta)
         rates = []
@@ -894,7 +895,7 @@ class TestExpansionRebidOracle:
         # that point does not decide the last feasible index j
         snr, b_min, model = 30.0, 2.0, DecisionModel.pt(0.7)
         probe = LinkState(0.0, snr, True, 1.0, 4.0 * math.e * b_min)
-        b_k = reference_rebid_grid(probe, b_min)[k]
+        b_k = reference_grid(b_min * (1.0 + 1e-6), min(probe.b_max, math.e * b_min), 256)[k]
         bw_k = scalar_expanded_bw(b_k, b_min, probe, model)
         if nudge:
             bw_k = math.nextafter(bw_k, 0.0)
@@ -913,7 +914,7 @@ class TestExpansionRebidOracle:
         # grid[j] and grid[j + 1], the bracket points that decide j, are
         # judged before the bisection's off-grid midpoints and the final bid
         # (which sits on grid[255] when no bisection runs)
-        grid = reference_rebid_grid(link, b_min)
+        grid = reference_grid(b_min * (1.0 + 1e-6), min(link.b_max, math.e * b_min), 256)
         j = max(
             i
             for i, b in enumerate(grid)
@@ -940,7 +941,7 @@ class TestExpansionRebidOracle:
         # exponents near b_min) sit on the falling side
         link = LinkState(0.0, snr, True, bw_max, b_max_factor * math.e * b_min)
         assume(min(link.b_max, math.e * b_min) > b_min * (1.0 + 1e-6))
-        grid = reference_rebid_grid(link, b_min)
+        grid = reference_grid(b_min * (1.0 + 1e-6), min(link.b_max, math.e * b_min), 256)
         inv_alpha = 1.0 / alpha
         bws = [leader._expanded_bw(b, b_min, snr, inv_alpha) for b in grid]
         feasible = [i for i, bw in enumerate(bws) if bw <= bw_max]
@@ -973,7 +974,7 @@ class TestExpansionRebidOracle:
         # a search on neighbour order alone lost the last feasible rate here
         b_min, model, sp = 2.0, DecisionModel.pt(alpha), make_sp()
         link = LinkState(0.0, snr, True, bw_max, b_min * cap_factor)
-        grid = reference_rebid_grid(link, b_min)
+        grid = reference_grid(b_min * (1.0 + 1e-6), min(link.b_max, math.e * b_min), 256)
         fits = [scalar_expanded_bw(b, b_min, link, model) <= bw_max for b in grid]
         want = max(i for i, ok in enumerate(fits) if ok)
         assert expansion_rebid(sp, link, b_min, model) == reference_expansion_rebid(
@@ -1097,7 +1098,7 @@ class TestBudgetCrossing:
         def check(snr, b_min, alpha, b_max_factor, index, path, ulps, beta, cost_bw):
             model = DecisionModel.pt(alpha)
             probe = LinkState(0.0, snr, True, 1.0, b_max_factor * math.e * b_min)
-            grid = reference_rebid_grid(probe, b_min)
+            grid = reference_grid(b_min * (1.0 + 1e-6), min(probe.b_max, math.e * b_min), 256)
             b = grid[index] if path is None else bisection_point(*grid[index : index + 2], path)
             bw_max = nudged(scalar_expanded_bw(b, b_min, probe, model), ulps)
             assume(0.0 < bw_max < math.inf)
@@ -1135,7 +1136,7 @@ class TestBudgetCrossing:
         self.record(monkeypatch, "_crossing_band", bands)
         got = expansion_rebid(make_sp(), link, b_min, model)
         assert got == reference_expansion_rebid(make_sp(), link, b_min, model)
-        grid = reference_rebid_grid(link, b_min)
+        grid = reference_grid(b_min * (1.0 + 1e-6), min(link.b_max, math.e * b_min), 256)
         j = self.last_fit(grid, b_min, link, model)
         (c, _), [(c_lo, c_hi)] = crossings[0], bands
         assert j == 144 and c < grid[j] < c_hi < grid[j + 1] and c_lo == 0.0
@@ -1151,7 +1152,8 @@ class TestBudgetCrossing:
         expansion_rebid(make_sp(), link, b_min, model)
         [(c_lo, c_hi)] = bands
         assert c_lo > 0.0 and c_hi < math.inf
-        grid, k = reference_rebid_grid(link, b_min), 1.0 / model.prelec_alpha
+        grid = reference_grid(b_min * (1.0 + 1e-6), min(link.b_max, math.e * b_min), 256)
+        k = 1.0 / model.prelec_alpha
         j = self.last_fit(grid, b_min, link, model)
         rho = leader._rise(math.log(grid[j] / b_min), snr, k)[1]
         args = leader._expanded_bw, (b_min, snr, k)

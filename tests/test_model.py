@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import make_sp as shared_make_sp
+from conftest import make_user, make_sp as shared_make_sp
 from hetnetsim import (
     Bid,
     GameOutcome,
@@ -22,12 +22,6 @@ from hetnetsim.model import SpParams, UserParams, doubling_gap
 
 # the shared make_sp with this file's access-point budget and power as overrides
 make_sp = partial(shared_make_sp, bw_total=10.0, tx_power_dbm=23.0)
-
-
-def make_user(**overrides) -> UserProfile:
-    params = dict(delta=1.0, theta=2.0, b_min=1.0)
-    params.update(overrides)
-    return UserProfile(**params)
 
 
 class TestUserBenefit:
