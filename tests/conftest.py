@@ -26,14 +26,27 @@ An oracle one module needs lives in that module as a reference_* function:
 the WiFi pre-selection in test_follower, the classifiers in
 test_equilibrium, the bid and rebid searches in test_leader, and the pool
 expansion pass in test_harness.
+
+watch(patch, targets) records the calls made through module attributes as a
+tree of Call records, which walk visits and calls_named searches by name.
+The session fixture watched_trials runs the default trial 0 at n = 50 and
+n = 500 once, with every name of WATCHED watched, and keeps each load's
+rows, TrialSolution and call tree.  The tests that check what the default
+trials do read those trees instead of spying on trials of their own:
+TestCallContract, TestRecords and the pool-pass tests in test_harness, the
+three sweep-path tests in test_leader, and the game and ne-classify
+sweep checks in test_cli.  test_package checks that WATCHED holds every
+trial-path name the benchmark's tracer wraps.
 """
 
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 
-from hetnetsim import Bid, LinkState, SpProfile, UserProfile
+from hetnetsim import Bid, LinkState, SpProfile, UserProfile, equilibrium, harness, leader
 from hetnetsim.channel import MIN_DISTANCE_M, service_guarantee
 from hetnetsim.model import USER_HEIGHT_M
 
@@ -199,6 +212,88 @@ def reference_link_state(user, sp, noise_density_dbm_hz=-174.0, bw_max=None):
 def link_bits(ln: LinkState) -> tuple:
     """The link's fields, every float as its exact bit pattern."""
     return tuple(x.hex() if isinstance(x, float) else x for x in ln)
+
+
+class Call(NamedTuple):
+    """One watched call that returned: the watched name, its arguments and
+    result, and the watched calls made inside it, in the order made."""
+
+    name: str
+    args: tuple
+    kwargs: dict
+    result: object
+    inner: list
+
+
+def watch(patch, targets) -> list[Call]:
+    """Wrap each (module, name) of targets through patch.setattr so that a
+    call records itself; return the list the outermost calls join as they
+    return.  A call that raises is not recorded."""
+    top: list[Call] = []
+    open_calls = [top]  # the inner list of each watched call under way
+
+    def watched(name, fn):
+        def wrapper(*args, **kwargs):
+            open_calls.append(inner := [])
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+            open_calls[-1].append(Call(name, args, kwargs, result, inner))
+            return result
+
+        return wrapper
+
+    for module, name in targets:
+        patch.setattr(module, name, watched(name, getattr(module, name)))
+    return top
+
+
+def walk(calls: list[Call]):
+    """Every call in the trees calls, in the order made."""
+    for call in calls:
+        yield call
+        yield from walk(call.inner)
+
+
+def calls_named(calls: list[Call], name: str) -> list[Call]:
+    return [call for call in walk(calls) if call.name == name]
+
+
+# the trial path's module attributes: the benchmark's traced names, each
+# leader search's certified and fallback steps, and solve_trial for the
+# TrialSolution
+WATCHED = [
+    (module, name)
+    for module, names in (
+        (harness, "solve_trial generate_topology build_links link_state make_eut_bids"),
+        (harness, "resolve_user_game _pool_expansion_pass"),
+        (equilibrium, "optimize_bid expand_bw_pt expansion_rebid select_wifi_sp best_response"),
+        (leader, "_certified_window _full_grid_window _grid_profit _grid_bracket _crossing_band"),
+    )
+    for name in names.split()
+]
+
+
+class WatchedTrial(NamedTuple):
+    rows: dict
+    solution: harness.TrialSolution
+    calls: list[Call]
+
+
+@pytest.fixture(scope="session")
+def watched_trials() -> dict[int, WatchedTrial]:
+    """The default trial 0 at n = 50 and n = 500, each run once by run_trial
+    with WATCHED watched.  Session-scoped, so it is built before a test's
+    monkeypatch applies; a test reads it and changes nothing in it."""
+    trials = {}
+    for n in (50, 500):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = watch(patch, WATCHED)
+            rows = harness.run_trial(harness.DEFAULT_CONFIG, n, 0)
+        (solve,) = calls
+        trials[n] = WatchedTrial(rows, solve.result, calls)
+    return trials
 
 
 def pytest_runtest_logreport(report):

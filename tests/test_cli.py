@@ -9,7 +9,7 @@ import pytest
 
 from hetnetsim import cli
 from hetnetsim.cli import main
-from hetnetsim.harness import DEFAULT_CONFIG, Scenario, ScenarioConfig, solve_trial
+from hetnetsim.harness import DEFAULT_CONFIG, Scenario, ScenarioConfig
 from hetnetsim.follower import best_response
 from hetnetsim.model import Bid, NeClass, UserProfile
 from hetnetsim.prospect import DecisionModel
@@ -244,15 +244,12 @@ def _without(section: dict, key: str) -> dict:
 
 
 class TestGameMatchesSweep:
-    """`game` prints user i of trial 0 of the sweep's own solve, pool pass
-    and per-scenario mixed draws included.  At n=500 the pool pass changes
-    user 0's PT_EXPANSION label and user 2's payoff."""
+    """`game` prints user i of trial 0 of the sweep's own solve (the watched
+    default trial), pool pass and per-scenario mixed draws included.  At
+    n=500 the pool pass changes user 0's PT_EXPANSION label and user 2's
+    payoff."""
 
     N = 500
-
-    @pytest.fixture(scope="class")
-    def solved(self):
-        return solve_trial(replace(DEFAULT_CONFIG, n_users=self.N), self.N, 0)
 
     @pytest.mark.parametrize("user", [0, 2])
     @pytest.mark.parametrize(
@@ -263,13 +260,16 @@ class TestGameMatchesSweep:
             (Scenario.PT_EXPANSION, ["--model", "pt", "--expand"]),
         ],
     )
-    def test_prints_the_sweeps_outcome(self, solved, tmp_path, capsys, user, scenario, flags):
+    def test_prints_the_sweeps_outcome(
+        self, watched_trials, tmp_path, capsys, user, scenario, flags
+    ):
         config = tmp_path / "config.json"
         config.write_text(
             json.dumps(replace(DEFAULT_CONFIG, n_users=self.N).to_dict()), encoding="utf-8"
         )
         rc = main(["game", "--config", str(config), "--user-index", str(user), *flags])
         assert rc == 0
+        solved = watched_trials[self.N].solution
         want = json.dumps(solved[scenario][user].to_dict(), indent=2) + "\n"
         assert capsys.readouterr().out == want
 
@@ -345,10 +345,10 @@ class TestNeClassify:
         assert str(direct.value) == str(config.value) == message
         assert capsys.readouterr().err == f"error: params: {message}\n"
 
-    def test_matches_sweep_games_with_both_bids_in_force(self, tmp_path, capsys):
+    def test_matches_sweep_games_with_both_bids_in_force(self, tmp_path, capsys, watched_trials):
         # each default n=50 trial-0 EUT game whose cellular and selected WiFi
         # bids are both in force, handed to ne-classify as user and two bids
-        solved = solve_trial(DEFAULT_CONFIG, 50, 0)
+        solved = watched_trials[50].solution
         path = tmp_path / "params.json"
         checked = 0
         for bids, outcome in zip(solved.bids, solved[Scenario.EUT], strict=True):

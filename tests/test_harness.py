@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import link_bits, reference_link_state
+from conftest import calls_named, link_bits, reference_link_state, walk, watch
 from hetnetsim import equilibrium, harness
 from hetnetsim.channel import LinkState, link_state
 from hetnetsim.equilibrium import make_eut_bids, resolve_user_game
@@ -606,7 +606,6 @@ def reference_pool_expansion_pass(
     return result
 
 
-HARNESS_POOL_PASS = harness._pool_expansion_pass
 STRATEGIES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -631,7 +630,7 @@ def assert_pool_pass_matches_reference(args, make_resolve):
     resolve, got_log = logged(make_resolve())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "resolve_user_game", resolve)
-        got = HARNESS_POOL_PASS(*args)
+        got = harness._pool_expansion_pass(*args)
     assert got == want
     # adopted retries are new objects; every other outcome is passed through
     assert [g is o for g, o in zip(got, outcomes)] == [w is o for w, o in zip(want, outcomes)]
@@ -639,74 +638,53 @@ def assert_pool_pass_matches_reference(args, make_resolve):
     return got
 
 
+def pool_pass_call(watched_trials, cfg, n: int, trial: int, patch=None):
+    """solve_trial(cfg, n, trial)'s one pool pass call, the resolve_user_game
+    calls of its retries inside: the watched default trial's, else watched
+    through patch in a run of its own."""
+    if (cfg, trial) == (DEFAULT_CONFIG, 0) and n in watched_trials:
+        calls = watched_trials[n].calls
+    else:
+        calls = watch(patch, [(harness, "_pool_expansion_pass"), (harness, "resolve_user_game")])
+        solve_trial(cfg, n, trial)
+    (call,) = calls_named(calls, "_pool_expansion_pass")
+    return call
+
+
 @pytest.mark.parametrize("activity_prob", [1.0, 0.6])
 @pytest.mark.parametrize("prelec_alpha", [0.3, 0.7])
 @pytest.mark.parametrize("trial", [0, 1])
 @pytest.mark.parametrize("n", [250, 400, 500])
-def test_pool_pass_matches_reference(monkeypatch, n, trial, prelec_alpha, activity_prob):
+def test_pool_pass_matches_reference(
+    monkeypatch, watched_trials, n, trial, prelec_alpha, activity_prob
+):
     # both passes run on the PT_EXPANSION first-pass outcomes of one
     # solve_trial; all but one of these cases retry users, and most adopt
     # some retries and refuse others
-    passes = []
-
-    def both(*args):
-        passes.append(args)
-        return assert_pool_pass_matches_reference(args, lambda: equilibrium.resolve_user_game)
-
-    monkeypatch.setattr(harness, "_pool_expansion_pass", both)
     cfg = replace(DEFAULT_CONFIG, prelec_alpha=prelec_alpha, activity_prob=activity_prob)
-    solve_trial(cfg, n, trial)
-    assert len(passes) == 1
+    args = pool_pass_call(watched_trials, cfg, n, trial, monkeypatch).args
+    assert_pool_pass_matches_reference(args, lambda: equilibrium.resolve_user_game)
 
 
 @pytest.mark.parametrize("prelec_alpha", [0.3, 0.7])
 @pytest.mark.parametrize("trial", [0, 1])
-def test_pool_retries_keep_the_first_pass_wifi_slot(monkeypatch, trial, prelec_alpha):
+def test_pool_retries_keep_the_first_pass_wifi_slot(
+    monkeypatch, watched_trials, trial, prelec_alpha
+):
     # the pass fixes each user's slots from its first-pass outcome: a retry
     # re-resolves the same committed bids under the same model, and
     # select_wifi_sp reads no link, so it picks the same AP
-    original_pass = harness._pool_expansion_pass
-    original_resolve = harness.resolve_user_game
-    first = {}  # while the pass runs, each user's first-pass wifi_index
-    retried = []  # (first-pass wifi_index, the retry's), per retry
-
-    def pool_pass(users, sps, links, all_bids, outcomes, model):
-        first.update((id(u), o.wifi_index) for u, o in zip(users, outcomes, strict=True))
-        try:
-            return original_pass(users, sps, links, all_bids, outcomes, model)
-        finally:
-            first.clear()
-
-    def resolve(user, *args, **kwargs):
-        outcome = original_resolve(user, *args, **kwargs)
-        if first:
-            retried.append((first[id(user)], outcome.wifi_index))
-        return outcome
-
-    monkeypatch.setattr(harness, "_pool_expansion_pass", pool_pass)
-    monkeypatch.setattr(harness, "resolve_user_game", resolve)
-    solve_trial(replace(DEFAULT_CONFIG, prelec_alpha=prelec_alpha), 500, trial)
+    cfg = replace(DEFAULT_CONFIG, prelec_alpha=prelec_alpha)
+    pool_pass = pool_pass_call(watched_trials, cfg, 500, trial, monkeypatch)
+    users, outcomes = pool_pass.args[0], pool_pass.args[4]
+    first = {id(u): o.wifi_index for u, o in zip(users, outcomes, strict=True)}
+    retried = [(first[id(call.args[0])], call.result.wifi_index) for call in pool_pass.inner]
     assert any(wifi is not None for wifi, _ in retried)
     assert all(got == want for want, got in retried)
 
 
-@functools.cache
-def pool_pass_arguments(n: int, trial: int) -> tuple:
-    captured = []
-
-    def capture(*args):
-        captured.append(args)
-        return HARNESS_POOL_PASS(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_pool_expansion_pass", capture)
-        solve_trial(DEFAULT_CONFIG, n, trial)
-    (args,) = captured
-    return args
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_pool_pass_matches_reference_whatever_a_retry_accepts(seed):
+def test_pool_pass_matches_reference_whatever_a_retry_accepts(seed, watched_trials):
     # In 400 probed trials (prelec_alpha 0.2 to 0.9, activity_prob 0.4 to 1,
     # two seeds, n 100 to 500) no re-expansion retry changed what its user
     # accepts, so the check that refuses such a retry never bound.
@@ -721,7 +699,7 @@ def test_pool_pass_matches_reference_whatever_a_retry_accepts(seed):
 
         return redrawn
 
-    args = pool_pass_arguments(500, 0)
+    args = pool_pass_call(watched_trials, DEFAULT_CONFIG, 500, 0).args
     got = assert_pool_pass_matches_reference(args, make_resolve)
     assert any(g is not o for g, o in zip(got, args[4]))
 
@@ -753,39 +731,22 @@ def test_each_served_user_gets_at_most_its_pool_share(n, trial, prelec_alpha, ac
 
 class TestCallContract:
     """The calls a trial makes per user-SP pair and per user game, and the
-    module globals they go through: the benchmark's per-layer trace wraps
-    those names and fingerprints the counts, so a speed-only change must
-    keep both."""
+    module globals they go through, read from the watched default trials:
+    the benchmark's per-layer trace wraps those names and fingerprints the
+    counts, so a speed-only change must keep both."""
 
-    def spy(self, monkeypatch, calls, module, name):
-        original = getattr(module, name)
+    @staticmethod
+    def counts(calls) -> Counter:
+        """Calls per name in the tree, and per "<name> Bid" those that
+        returned a Bid."""
+        every = list(walk(calls))
+        bids = (f"{call.name} Bid" for call in every if isinstance(call.result, Bid))
+        return Counter(call.name for call in every) + Counter(bids)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            out = original(*args, **kwargs)
-            calls[f"{name} Bid"] += isinstance(out, Bid)
-            return out
-
-        monkeypatch.setattr(module, name, counted)
-
-    def spied_trial(self, monkeypatch, n):
-        calls = Counter()
-        self.spy(monkeypatch, calls, harness, "link_state")
-        self.spy(monkeypatch, calls, harness, "resolve_user_game")
-        for name in (
-            "optimize_bid",
-            "expand_bw_pt",
-            "expansion_rebid",
-            "select_wifi_sp",
-            "best_response",
-        ):
-            self.spy(monkeypatch, calls, equilibrium, name)
-        return run_trial(DEFAULT_CONFIG, n, 0), calls
-
-    def test_per_pair_and_per_game_counts(self, monkeypatch):
+    def test_per_pair_and_per_game_counts(self, watched_trials):
         n = 50
         pairs = n * (1 + DEFAULT_CONFIG.n_wifi)
-        stats, calls = self.spied_trial(monkeypatch, n)
+        calls = self.counts(watched_trials[n].calls)
         assert calls["link_state"] == 2 * pairs
         assert calls["optimize_bid"] == pairs
         # one game per user and scenario (no pool retry at this load), and
@@ -797,14 +758,14 @@ class TestCallContract:
         # or an expansion change, moves them
         assert calls["best_response"] == 125
         assert calls["expand_bw_pt"] == 75
-        monkeypatch.undo()
-        assert run_trial(DEFAULT_CONFIG, n, 0) == stats
+        # watching changes no row
+        assert run_trial(DEFAULT_CONFIG, n, 0) == watched_trials[n].rows
 
-    def test_rate_conceding_rebid_goes_through_equilibrium(self, monkeypatch):
+    def test_rate_conceding_rebid_goes_through_equilibrium(self, watched_trials):
         # the expansion layer of the default n=500 trial 0 as it was pinned:
         # calls to expand_bw_pt and to the rate-conceding rebid, and how
         # many of each returned a Bid; a change to either moves them
-        _, calls = self.spied_trial(monkeypatch, 500)
+        calls = self.counts(watched_trials[500].calls)
         assert calls["expand_bw_pt"] == 348
         assert calls["expand_bw_pt Bid"] == 179
         assert calls["expansion_rebid"] == 169
@@ -830,43 +791,26 @@ class TestRecords:
         assert all(is_record(ln, LinkState) for row in links for ln in row)
 
     @pytest.mark.parametrize("n", [50, 500])
-    def test_trial_outcomes_are_game_outcomes(self, n, monkeypatch):
-        original_resolve = harness.resolve_user_game
-
-        def resolve(*args, **kwargs):
-            outcome = original_resolve(*args, **kwargs)
-            # checked as built, before the pool pass reads a field
-            assert is_record(outcome, GameOutcome)
-            return outcome
-
-        monkeypatch.setattr(harness, "resolve_user_game", resolve)
-        solved = solve_trial(DEFAULT_CONFIG, n, 0)
+    def test_trial_outcomes_are_game_outcomes(self, n, watched_trials):
+        # each game's outcome as resolve_user_game built it, the pool pass's
+        # retries included, and the trial's final outcomes
+        resolved = calls_named(watched_trials[n].calls, "resolve_user_game")
+        assert all(is_record(call.result, GameOutcome) for call in resolved)
+        solved = watched_trials[n].solution
         assert list(solved.outcomes) == list(Scenario)
         for scenario in Scenario:
             assert len(solved[scenario]) == n
             assert all(is_record(o, GameOutcome) for o in solved[scenario])
 
-    def test_pool_pass_widened_rows_are_link_states(self, monkeypatch):
-        original_pass = harness._pool_expansion_pass
-        original_resolve = harness.resolve_user_game
-        in_pass = {}
-        retried = []  # (the user's first-pass links, the row retried)
-
-        def pool_pass(users, sps, links, *rest):
-            in_pass.update(links=links, index={id(u): i for i, u in enumerate(users)})
-            try:
-                return original_pass(users, sps, links, *rest)
-            finally:
-                in_pass.clear()
-
-        def resolve(user, sps, links, *rest, **kwargs):
-            if in_pass:
-                retried.append((in_pass["links"][in_pass["index"][id(user)]], links))
-            return original_resolve(user, sps, links, *rest, **kwargs)
-
-        monkeypatch.setattr(harness, "_pool_expansion_pass", pool_pass)
-        monkeypatch.setattr(harness, "resolve_user_game", resolve)
-        run_trial(DEFAULT_CONFIG, 500, 0)
+    def test_pool_pass_widened_rows_are_link_states(self, watched_trials):
+        # each retry's row beside its user's first-pass links
+        pool_pass = pool_pass_call(watched_trials, DEFAULT_CONFIG, 500, 0)
+        users, _, links = pool_pass.args[:3]
+        index = {id(u): i for i, u in enumerate(users)}
+        retried = [
+            (links[index[id(call.args[0])]], call.args[2])
+            for call in calls_named(pool_pass.inner, "resolve_user_game")
+        ]
         assert retried
         for first, row in retried:
             assert all(is_record(ln, LinkState) for ln in row)
@@ -878,24 +822,13 @@ class TestRecords:
                 assert new.bw_max > old.bw_max
                 assert new.b_max == new.bw_max * math.log2(1.0 + new.mean_snr)
 
-    def test_outcomes_carry_the_selected_wifi_index(self, monkeypatch):
-        original_select = equilibrium.select_wifi_sp
-        original_resolve = harness.resolve_user_game
-        chosen = []
-        recorded = []
-
-        def select(*args, **kwargs):
-            chosen.append(original_select(*args, **kwargs))
-            return chosen[-1]
-
-        def resolve(*args, **kwargs):
-            outcome = original_resolve(*args, **kwargs)
-            recorded.append(outcome.wifi_index)
-            return outcome
-
-        monkeypatch.setattr(equilibrium, "select_wifi_sp", select)
-        monkeypatch.setattr(harness, "resolve_user_game", resolve)
-        run_trial(DEFAULT_CONFIG, 500, 0)
+    def test_outcomes_carry_the_selected_wifi_index(self, watched_trials):
+        # each game's outcome beside the pre-selection made inside it
+        chosen, recorded = [], []
+        for call in calls_named(watched_trials[500].calls, "resolve_user_game"):
+            (select,) = calls_named(call.inner, "select_wifi_sp")
+            chosen.append(select.result)
+            recorded.append(call.result.wifi_index)
         assert recorded == chosen
         assert None in chosen
         assert len(set(chosen)) == 1 + DEFAULT_CONFIG.n_wifi

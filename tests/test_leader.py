@@ -14,10 +14,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_bw, dense_grid_bid, make_link, make_sp, provider_cost
-from hetnetsim import equilibrium, leader
+from conftest import (
+    bisect_bw,
+    calls_named,
+    dense_grid_bid,
+    make_link,
+    make_sp,
+    provider_cost,
+    watch,
+)
+from hetnetsim import leader
 from hetnetsim.channel import LinkState, guarantee_inverse_bw, service_guarantee
-from hetnetsim.harness import DEFAULT_CONFIG, solve_trial
 from hetnetsim.leader import (
     expand_bw_pt,
     expansion_rebid,
@@ -427,7 +434,7 @@ class TestOptimizeBidOracle:
         beta=st.floats(1.01, 2.5),
         cost_bw=st.floats(0.01, 5.0),
         corner=st.one_of(signed_pow10(-12.0, -6.0), st.floats(-2.0, 2.0).map(lambda e: 10.0**e)),
-        slope=signed_pow10(-9.0, 4.0),
+        slope=st.floats(-0.01, 4.0).map(lambda e: 10.0**e) | signed_pow10(-9.0, -0.01),
         cost_rate=st.one_of(st.floats(1e-3, 1.0), st.none()),
         profit=signed_pow10(-15.0, -3.0),
     )
@@ -437,11 +444,13 @@ class TestOptimizeBidOracle:
         # aimed at the edges of the refinement skip at the rate cap: SNR down
         # to 1e-8; the cap within 1e-12..1e-6 of the budget corner, on either
         # side, or well inside the budget; the certificate's slope bound h at
-        # the grid rate below the cap a signed multiple of its cost terms,
-        # from 1e-9 of them (a nearly flat profit) to 1e4; and, where
-        # cost_rate is drawn as None, cost_rate and alpha solved so that the
-        # profit at the cap is a signed 1e-15..1e-3 of its bandwidth cost,
-        # around the "no profitable rate" exit
+        # the grid rate below the cap a multiple of its cost terms from -0.98
+        # to 1e4, signed 1e-9 (a nearly flat profit) and up, so that alpha >
+        # 0; and, where cost_rate is drawn as None, cost_rate and alpha
+        # solved so that the profit at the cap is a signed 1e-15..1e-3 of its
+        # bandwidth cost, around the "no profitable rate" exit, with h then
+        # 1e-9..1e4 of the cost terms above the least h that keeps cost_rate
+        # above 0
         b_max = b_min * (1.0 + 10.0**headroom)
         cap_bw = b_max / math.log2(1.0 + snr * math.log(b_max / b_min))
         bw_max = cap_bw * (1.0 + corner)
@@ -451,8 +460,12 @@ class TestOptimizeBidOracle:
         bw_cost, slope_gain = cost_bw * budget_hi / g_0, beta * g_0 ** (beta - 1.0)
         if cost_rate is None:
             # h(g_0) = slope * bw_cost and alpha*b_max**beta - cost_rate*b_max
-            # - cost_bw*cap_bw = profit * cost_bw*cap_bw, linear in both
-            h, margin = slope * bw_cost, (1.0 + profit) * cost_bw * cap_bw
+            # - cost_bw*cap_bw = profit * cost_bw*cap_bw, linear in both;
+            # cost_rate > 0 where slope > slope_gain * margin / (bw_cost *
+            # b_max**beta) - 1
+            margin = (1.0 + profit) * cost_bw * cap_bw
+            slope = slope_gain * margin / (bw_cost * b_max**beta) - 1.0 + abs(slope)
+            h = slope * bw_cost
             alpha = (margin - b_max * (bw_cost + h)) / (b_max**beta - b_max * slope_gain)
             cost_rate = alpha * slope_gain - bw_cost - h
         else:
@@ -475,16 +488,13 @@ class TestOptimizeBidOracle:
         b_min, b_max = 2.0, 20.0
         cap_bw = b_max / math.log2(1.0 + snr * math.log(b_max / b_min))
         link = LinkState(0.0, snr, True, cap_bw * (1.0 + corner), b_max)
-        windows, certify = [], leader._certified_window
-        monkeypatch.setattr(
-            leader, "_certified_window", lambda *args: windows.append(certify(*args)) or windows[-1]
-        )
+        windows = watch(monkeypatch, [(leader, "_certified_window")])
 
         def skips(alpha):
             sp = make_sp(alpha=alpha, beta=1.3, cost_rate=0.12, cost_bw=1.0)
             bid = optimize_bid(sp, link, b_min)
             assert bid == reference_optimize_bid(sp, link, b_min)
-            window = windows.pop()
+            window = windows.pop().result
             if isinstance(window, Bid):
                 assert window is bid and bid.rate == b_max
                 return True
@@ -538,14 +548,13 @@ class TestOptimizeBidOracle:
             alpha = (cost_rate + bw_cost / g_0) * (1.0 + slope) / (beta * g_0 ** (beta - 1.0))
             link = LinkState(0.0, snr, True, bw_max, b_max)
             sp = make_sp(alpha=alpha, beta=beta, cost_rate=cost_rate, cost_bw=cost_bw)
-            windows = []
             with pytest.MonkeyPatch.context() as patch:
-                TestBudgetCrossing.record(patch, "_certified_window", windows)
+                windows = watch(patch, [(leader, "_certified_window")])
                 got = optimize_bid(sp, link, b_min)
             want = reference_optimize_bid(sp, link, b_min)
             assert type(got) is type(want)
             assert got == want
-            replayed.append(any(isinstance(w, tuple) and w[4] for w in windows))
+            replayed.append(any(isinstance(w.result, tuple) and w.result[4] for w in windows))
 
         check()
         # a certificate that never allowed the replay would pass the equality
@@ -562,16 +571,13 @@ class TestOptimizeBidOracle:
         # it the window is certified and the bid matches the reference
         b_min, b_max = 2.0, 20.0
         link = LinkState(0.0, snr, True, leader._grid_bw(10.0, b_min, snr), b_max)
-        windows, certify = [], leader._certified_window
-        monkeypatch.setattr(
-            leader, "_certified_window", lambda *args: windows.append(certify(*args)) or windows[-1]
-        )
+        windows = watch(monkeypatch, [(leader, "_certified_window")])
 
         def replays(alpha):
             sp = make_sp(alpha=alpha, beta=1.3, cost_rate=0.12, cost_bw=1.0)
             bid = optimize_bid(sp, link, b_min)
             assert isinstance(bid, Bid) and bid == reference_optimize_bid(sp, link, b_min)
-            window = windows.pop()
+            window = windows.pop().result
             assert isinstance(window, tuple) and window[1] < bid.rate < window[2]
             return window[4] is not None
 
@@ -581,54 +587,34 @@ class TestOptimizeBidOracle:
         assert hi == math.nextafter(lo, math.inf)
 
     @pytest.mark.parametrize("n", [50, 500])
-    def test_sweep_grid_searches_take_the_certified_path(self, monkeypatch, n):
-        # every default-trial search that gets past the early exits is
-        # answered by the certificate, never by scanning the full grid; a Bid
-        # on its rate cap is the certificate's own return value, and every
-        # other Bid refines a certified window that carries the band around
-        # its budget crossing, so the refinement is replayed and prices only
-        # its last two probes
-        windows, full, bids, refined, probes = [], [], [], [], []
-        certify, full_grid = leader._certified_window, leader._full_grid_window
-        search, profit = equilibrium.optimize_bid, leader._grid_profit
-
-        def spy(sp, link, b_min):
-            priced = len(probes)
-            bid = search(sp, link, b_min)
-            if isinstance(bid, Bid):
-                bids.append((bid.rate == link.b_max, bid is windows[-1]))
-                assert len(probes) - priced == (0 if bid is windows[-1] else 2)
-                if bid is not windows[-1]:
-                    refined.append(((sp, link, b_min), windows[-1], bid))
-            return bid
-
-        monkeypatch.setattr(
-            leader, "_certified_window", lambda *args: windows.append(certify(*args)) or windows[-1]
-        )
-        monkeypatch.setattr(
-            leader, "_full_grid_window", lambda *args: full.append(args) or full_grid(*args)
-        )
-        monkeypatch.setattr(
-            leader, "_grid_profit", lambda *args: probes.append(args) or profit(*args)
-        )
-        monkeypatch.setattr(equilibrium, "optimize_bid", spy)
-        solve_trial(DEFAULT_CONFIG, n, 0)
+    def test_sweep_grid_searches_take_the_certified_path(self, watched_trials, monkeypatch, n):
+        # every search of the watched default trial 0 that gets past the
+        # early exits is answered by the certificate, never by scanning the
+        # full grid; a Bid on its rate cap is the certificate's own return
+        # value, and every other Bid refines a certified window that carries
+        # the band around its budget crossing, so the refinement is replayed
+        # and prices only its last two probes
+        calls = watched_trials[n].calls
+        windows = [call.result for call in calls_named(calls, "_certified_window")]
         assert windows and None not in windows
-        assert not full
-        assert all(at_cap == built for at_cap, built in bids)
-        assert all(window[4] is not None for _, window, _ in refined)
+        assert not calls_named(calls, "_full_grid_window")
+        built, refined = [], []  # per Bid, whether the certificate built it
+        for search in calls_named(calls, "optimize_bid"):
+            if isinstance(bid := search.result, Bid):
+                (window,) = calls_named(search.inner, "_certified_window")
+                built.append(bid is window.result)
+                assert (bid.rate == search.args[1].b_max) == built[-1]
+                assert len(calls_named(search.inner, "_grid_profit")) == (0 if built[-1] else 2)
+                if not built[-1]:
+                    assert window.result[4] is not None
+                    refined.append(search)
         # every n=50 Bid is the certificate's; at n=500 some are and most refine
-        n_built = sum(built for _, built in bids)
-        if n == 50:
-            assert bids and n_built == len(bids)
-            return
-        assert 0 < n_built < len(bids) / 2
+        assert built and (all(built) if n == 50 else 0 < sum(built) < len(built) / 2)
         # without the band, the golden section prices every probe and gives
-        # each replayed Bid field for field
-        monkeypatch.setattr(
-            leader, "_certified_window", lambda *args: (*certify(*args)[:4], None)
-        )
-        assert all(leader.optimize_bid(*args) == bid for args, _, bid in refined)
+        # each replayed Bid field for field (at n=50 none is refined)
+        certify = leader._certified_window
+        monkeypatch.setattr(leader, "_certified_window", lambda *args: (*certify(*args)[:4], None))
+        assert all(leader.optimize_bid(*search.args) == search.result for search in refined)
 
 
 class TestBandwidthFloor:
@@ -647,15 +633,15 @@ class TestBandwidthFloor:
     @settings(max_examples=300, deadline=None)
     @given(
         snr=st.floats(0.5, 1e6),
-        bw_max=st.floats(0.01, 20.0),
-        b_max_factor=st.floats(0.0, 2.0),
+        headroom=st.floats(-9.0, 3.0),
         b_min=st.floats(0.1, 10.0),
     )
-    def test_floor_is_at_most_every_grid_bandwidth(self, snr, bw_max, b_max_factor, b_min):
+    def test_floor_is_at_most_every_grid_bandwidth(self, snr, headroom, b_min):
         # to within roundoff: the floor is the bandwidth at the computed
-        # minimizer, which a grid point can hit
-        link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
-        assume(link.b_max > b_min * (1.0 + 1e-6))
+        # minimizer, which a grid point can hit; the rate cap lies a relative
+        # 1e-9..1e3 above the grid's lowest rate
+        b_max = b_min * (1.0 + 1e-6) * (1.0 + 10.0**headroom)
+        link = LinkState(0.0, snr, True, 1.0, b_max)
         _, floor = reference_bw_floor(b_min, snr)
         assert all(floor <= bw * (1.0 + 1e-12) for bw in self.grid_bandwidths(link, b_min))
 
@@ -674,15 +660,8 @@ class TestBandwidthFloor:
         bw_max = reference_bw_floor(b_min, snr)[1] * (1.0 + rel)
         link = LinkState(0.0, snr, True, bw_max, b_max_factor * bw_max * math.log2(1.0 + snr))
         sp = make_sp(alpha=price_alpha, beta=beta)
-        rates = []
-        grid_rate = leader._grid_rate
-
-        def spy(*args):
-            rates.append(args)
-            return grid_rate(*args)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(leader, "_grid_rate", spy)
+            rates = watch(patch, [(leader, "_grid_rate")])
             got = optimize_bid(sp, link, b_min)
         assert got == reference_optimize_bid(sp, link, b_min)
         # 1e-5 under the floor is past the margin: no grid rate is computed
@@ -902,14 +881,7 @@ class TestExpansionRebidOracle:
         link = LinkState(0.0, snr, True, bw_k, probe.b_max)
         sp = make_sp(cost_rate=0.01, cost_bw=0.01)
 
-        judged = []
-        scalar = leader._expanded_bw
-
-        def spy(b, *args):
-            judged.append(b)
-            return scalar(b, *args)
-
-        monkeypatch.setattr(leader, "_expanded_bw", spy)
+        judged = watch(monkeypatch, [(leader, "_expanded_bw")])
         got = expansion_rebid(sp, link, b_min, model)
         # grid[j] and grid[j + 1], the bracket points that decide j, are
         # judged before the bisection's off-grid midpoints and the final bid
@@ -921,7 +893,8 @@ class TestExpansionRebidOracle:
             if scalar_expanded_bw(b, b_min, link, model) <= link.bw_max
         )
         on_grid = set(grid)
-        searched = set(itertools.takewhile(on_grid.__contains__, judged))
+        rates = (call.args[0] for call in judged)
+        searched = set(itertools.takewhile(on_grid.__contains__, rates))
         assert set(grid[j : j + 2]) <= searched
         assert got == reference_expansion_rebid(sp, link, b_min, model)
 
@@ -1074,12 +1047,6 @@ class TestBudgetCrossing:
     the scalar bandwidth of a grid rate or a bisection midpoint, nudged by up
     to 100 ulps either way."""
 
-    @staticmethod
-    def record(patch, name, out):
-        """Append each return value of leader.<name> to out."""
-        fn = getattr(leader, name)
-        patch.setattr(leader, name, lambda *a: out.append(fn(*a)) or out[-1])
-
     def test_rebid_matches_reference_at_judged_points(self):
         banded = []
 
@@ -1104,12 +1071,11 @@ class TestBudgetCrossing:
             assume(0.0 < bw_max < math.inf)
             link = LinkState(0.0, snr, True, bw_max, probe.b_max)
             sp = make_sp(beta=beta, cost_rate=0.01, cost_bw=cost_bw)
-            bands = []
             with pytest.MonkeyPatch.context() as patch:
-                self.record(patch, "_crossing_band", bands)
+                bands = watch(patch, [(leader, "_crossing_band")])
                 got = expansion_rebid(sp, link, b_min, model)
             assert got == reference_expansion_rebid(sp, link, b_min, model)
-            banded.append(any(band != (0.0, math.inf) for band in bands))
+            banded.append(any(band.result != (0.0, math.inf) for band in bands))
 
         check()
         # a replay that always fell back would pass the equality above; the
@@ -1131,14 +1097,13 @@ class TestBudgetCrossing:
         snr, alpha, b_min = 574.1739741615331, 0.6543592024193908, 3.1601495118924308
         model = DecisionModel.pt(alpha)
         link = LinkState(0.0, snr, True, 0.7025875597885886, math.e * b_min)
-        crossings, bands = [], []
-        self.record(monkeypatch, "_budget_crossing", crossings)
-        self.record(monkeypatch, "_crossing_band", bands)
+        crossings = watch(monkeypatch, [(leader, "_budget_crossing")])
+        bands = watch(monkeypatch, [(leader, "_crossing_band")])
         got = expansion_rebid(make_sp(), link, b_min, model)
         assert got == reference_expansion_rebid(make_sp(), link, b_min, model)
         grid = reference_grid(b_min * (1.0 + 1e-6), min(link.b_max, math.e * b_min), 256)
         j = self.last_fit(grid, b_min, link, model)
-        (c, _), [(c_lo, c_hi)] = crossings[0], bands
+        (c, _), [(c_lo, c_hi)] = crossings[0].result, [band.result for band in bands]
         assert j == 144 and c < grid[j] < c_hi < grid[j + 1] and c_lo == 0.0
 
     def test_band_edge_above_the_crossing_is_refused(self, monkeypatch):
@@ -1147,10 +1112,9 @@ class TestBudgetCrossing:
         # scalar bandwidth at the edge refuses it
         snr, bw_max, b_min, model = 50.0, 0.9, 2.0, DecisionModel.pt(0.7)
         link = LinkState(0.0, snr, True, bw_max, math.e * b_min)
-        bands = []
-        self.record(monkeypatch, "_crossing_band", bands)
+        bands = watch(monkeypatch, [(leader, "_crossing_band")])
         expansion_rebid(make_sp(), link, b_min, model)
-        [(c_lo, c_hi)] = bands
+        [(c_lo, c_hi)] = [band.result for band in bands]
         assert c_lo > 0.0 and c_hi < math.inf
         grid = reference_grid(b_min * (1.0 + 1e-6), min(link.b_max, math.e * b_min), 256)
         k = 1.0 / model.prelec_alpha
@@ -1192,27 +1156,17 @@ class TestBudgetCrossing:
         assert got.rate == 5.667756068321067 and got.bandwidth <= link.bw_max
 
     @pytest.mark.parametrize("n", [50, 500])
-    def test_sweep_takes_the_crossing(self, monkeypatch, n):
-        # at n=500 every rebid that returns a Bid is answered from a band
-        # around the crossing; at n=50 no rebid runs.  A regression to
-        # "always fall back" passes every equality test and loses the gain
-        bands, runs = [], []
-        self.record(monkeypatch, "_crossing_band", bands)
-        rebid = equilibrium.expansion_rebid
-
-        def spy(*args):
-            start = len(bands)
-            out = rebid(*args)
-            runs.append((out, bands[start:]))
-            return out
-
-        monkeypatch.setattr(equilibrium, "expansion_rebid", spy)
-        solve_trial(DEFAULT_CONFIG, n, 0)
-        found = [b for out, b in runs if isinstance(out, Bid)]
-        if n == 50:
-            assert not runs
-        else:
-            assert found and all(len(b) == 1 and 0.0 < b[0][0] < b[0][1] < math.inf for b in found)
+    def test_sweep_takes_the_crossing(self, watched_trials, n):
+        # at n=500 every rebid of the watched default trial 0 that returns a
+        # Bid is answered from a band around the crossing; at n=50 no rebid
+        # runs.  A regression to "always fall back" passes every equality
+        # test and loses the gain
+        rebids = calls_named(watched_trials[n].calls, "expansion_rebid")
+        found = [rebid for rebid in rebids if isinstance(rebid.result, Bid)]
+        assert found if n == 500 else not rebids
+        for rebid in found:
+            [(c_lo, c_hi)] = [band.result for band in calls_named(rebid.inner, "_crossing_band")]
+            assert 0.0 < c_lo < c_hi < math.inf
 
 
 class TestGridBracket:
@@ -1275,7 +1229,7 @@ class TestGridBracket:
     @settings(max_examples=400, deadline=None)
     @given(
         snr=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
-        alpha=st.floats(0.05, 0.999),
+        place=st.floats(0.0, 1.0),
         bid_grid=st.booleans(),
         b_min=st.floats(0.2, 8.0),
         width=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
@@ -1284,41 +1238,47 @@ class TestGridBracket:
         ulps=st.integers(-50, 50),
     )
     def test_last_fit_near_the_bottom_matches_the_full_scan(
-        self, snr, alpha, bid_grid, b_min, width, shift, index, ulps
+        self, snr, place, bid_grid, b_min, width, shift, index, ulps
     ):
         # a grid a relative width wide in L around B's bottom, where the
         # bandwidths of neighbouring rates differ by little more than their
-        # roundoff, and a budget on one of them, nudged by up to 50 ulps
-        k = 1.0 if bid_grid else 1.0 / alpha
+        # roundoff, and a budget on one of them, nudged by up to 50 ulps.
+        # Built to fit: the rebid's grid ends at L = 1, below which its
+        # bottom lies where k < (1 + snr) ln(1 + snr) / snr, so alpha = 1 / k
+        # is placed from there to 0.999
+        alpha = 1.0
+        if not bid_grid:
+            least = max(snr / ((1.0 + snr) * math.log1p(snr)) * (1.0 + 1e-6), 0.05)
+            alpha = least + place * (0.999 - least)
+        k = 1.0 / alpha
         a, b = 1e-12, 50.0  # bisected on the sign of d ln B / dL onto the bottom
         for _ in range(200):
             mid = math.sqrt(a * b)
             x = snr * mid**k
             a, b = (a, mid) if mid * (1.0 + x) * math.log1p(x) > k * x else (mid, b)
+        # the grid's ends lie at L = a (1 + (shift -+ 1) width); the shift is
+        # mapped onto the range that puts them above L = 0 and, for the
+        # rebid's grid, below L = 1, which holds a shift for widths up to (1 /
+        # a - 1e-2) / 2
+        if not bid_grid:
+            width = min(width, 0.5 / a - 5e-3)
+        low = max(-1.0, 1.0 - 0.999 / width)
+        high = 1.0 if bid_grid else min(1.0, (1.0 / a - 1.0) * (1.0 - 1e-9) / width - 1.0)
+        shift = low + 0.5 * (shift + 1.0) * (high - low)
         lo, hi = (b_min * math.exp(a * (1.0 + (shift + s) * width)) for s in (-1.0, 1.0))
-        assume(b_min < lo < hi and (bid_grid or hi <= math.e * b_min))
+        assume(b_min < lo < hi and (bid_grid or alpha <= 0.999 and hi <= math.e * b_min))
         self.answer(
             bid_grid, alpha, b_min, snr, lo, hi, lambda bws: nudged(bws[index % len(bws)], ulps)
         )
 
     @pytest.mark.parametrize("n", [50, 500])
-    def test_sweep_needs_no_fallback(self, monkeypatch, n):
-        # every default-trial search gets a certified answer, a bracket or
-        # "no rate fits", so neither the bid grid's full scan nor the rebid's
-        # top-down scan runs; the rebid runs only at n=500
-        answers, full = {}, []
-        bracket, full_grid = leader._grid_bracket, leader._full_grid_window
-
-        def spy(bw, *args):
-            out = bracket(bw, *args)
-            answers.setdefault(bw.__name__, []).append(out)
-            return out
-
-        monkeypatch.setattr(leader, "_grid_bracket", spy)
-        monkeypatch.setattr(
-            leader, "_full_grid_window", lambda *args: full.append(args) or full_grid(*args)
-        )
-        solve_trial(DEFAULT_CONFIG, n, 0)
-        assert not full
-        assert set(answers) == ({"_grid_bw"} if n == 50 else {"_grid_bw", "_expanded_bw"})
-        assert all(None not in out for out in answers.values())
+    def test_sweep_needs_no_fallback(self, watched_trials, n):
+        # every search of the watched default trial 0 gets a certified
+        # answer, a bracket or "no rate fits", so neither the bid grid's full
+        # scan nor the rebid's top-down scan runs; the rebid runs only at n=500
+        calls = watched_trials[n].calls
+        assert not calls_named(calls, "_full_grid_window")
+        brackets = calls_named(calls, "_grid_bracket")
+        want = {"_grid_bw"} if n == 50 else {"_grid_bw", "_expanded_bw"}
+        assert {call.args[0].__name__ for call in brackets} == want
+        assert None not in [call.result for call in brackets]

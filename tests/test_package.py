@@ -1,7 +1,8 @@
 """The package's public surface: hetnetsim.__all__ names exactly what
 __init__ imports from the package's modules, and every name resolves; and
 every module attribute the benchmark's tracer patches exists, with the
-arguments it reads at the positions it reads them from."""
+arguments it reads at the positions it reads them from, and is watched in
+conftest's default trials."""
 
 import ast
 import inspect
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import hetnetsim
+from conftest import WATCHED
 from hetnetsim import Bid, cli, equilibrium, harness
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,10 +48,15 @@ def test_benchmark_patch_targets_resolve():
         import spans
     finally:
         sys.path.remove(str(PERFBENCH))
-    targets = spans.Tracer(Bid).targets(harness, equilibrium, cli)
-    targets += spans.TrialTimer().targets(harness)
+    traced = spans.Tracer(Bid).targets(harness, equilibrium, cli)
+    targets = traced + spans.TrialTimer().targets(harness)
     missing = [f"{m.__name__}.{name}" for m, name, _ in targets if not hasattr(m, name)]
     assert targets and missing == []
+    # the watched default trials that TestCallContract counts wrap every
+    # trial-path name the trace fingerprints: all but the sweep point, the
+    # trial's own timer and the emitter
+    outside = {(harness, "run_point"), (harness, "run_trial"), (cli, "emit")}
+    assert {(m, name) for m, name, _ in traced} - outside <= set(WATCHED)
     # the positions the wrappers read their arguments from: a reordering
     # would only mislabel a traced run
     def params(fn):
