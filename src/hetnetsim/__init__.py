@@ -1,6 +1,8 @@
 """Two-tier access network association: a desk-scale simulator and game
 solver for provider/user bidding under objective and weighted perception."""
 
+from types import ModuleType as _ModuleType
+
 from .channel import (
     LinkState,
     allocate_bw,
@@ -50,46 +52,9 @@ from .prospect import DecisionModel, weight, weight_inverse
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bid",
-    "DecisionModel",
-    "DEFAULT_CONFIG",
-    "GameOutcome",
-    "LinkState",
-    "NeClass",
-    "NoBid",
-    "Scenario",
-    "ScenarioConfig",
-    "SpProfile",
-    "Strategy",
-    "SweepRow",
-    "UserProfile",
-    "allocate_bw",
-    "best_response",
-    "classify",
-    "emit",
-    "expand_bw_pt",
-    "expansion_rebid",
-    "feasible_set",
-    "generate_topology",
-    "guarantee_inverse_bw",
-    "link_state",
-    "load_rows",
-    "make_eut_bids",
-    "marginal_bw",
-    "optimize_bid",
-    "perceived_guarantee",
-    "resolve_user_game",
-    "run_point",
-    "run_sweep",
-    "run_trial",
-    "select_wifi_sp",
-    "service_guarantee",
-    "solve_trial",
-    "sp_price",
-    "sp_utility",
-    "user_benefit",
-    "user_utility",
-    "weight",
-    "weight_inverse",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

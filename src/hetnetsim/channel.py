@@ -27,10 +27,11 @@ MIN_DISTANCE_M = 1.0
 
 
 class LinkState(NamedTuple):
-    """Radio state of one user-SP pair.  Built twice per pair and trial, so
-    a named tuple: as immutable as a frozen dataclass, and cheaper to build.
-    The second build, over the split budget, takes the first as its
-    reference and reuses its path loss and coverage.
+    """Radio state of one user-SP pair.  Built twice per covered pair and
+    trial, so a named tuple: as immutable as a frozen dataclass, and cheaper
+    to build.  The second build, over the split budget, takes the first as
+    its reference and reuses its path loss; a pair the first build left
+    uncovered keeps that first record.
 
     mean_snr is linear (not dB) and is the average SNR over the per-user
     bandwidth budget bw_max.  b_max is the Shannon-capacity rate cap
@@ -69,11 +70,13 @@ def link_state(
     reference for coverage tests (noise integrated over a wider band can only
     understate the SNR achieved over the final, narrower budget).
 
-    reference is the same pair's LinkState over such a wider budget.  When
-    given, its path loss is reused and only the noise, SNR and rate cap are
-    computed over bw_max; the pair is covered when the reference is and the
-    SNR still clears the threshold.  A pair outside the reference's coverage
-    stays outside, since no budget was reserved for it.
+    reference is the same pair's LinkState over such a wider budget.  A
+    pair outside the reference's coverage stays outside, since no budget was
+    reserved for it: the reference itself is returned, with its own bw_max
+    and the mean SNR over it (b_max is 0, and callers read no other field of
+    an uncovered link).  For a covered reference its path loss is reused and
+    only the noise, SNR and rate cap are computed over bw_max; the pair stays
+    covered when the SNR still clears the threshold.
     """
     if bw_max is None:
         bw_max = sp.g_ba * sp.bw_total
@@ -90,9 +93,11 @@ def link_state(
         loss_db = intercept + slope * math.log10(dist_m / 1000.0)
         radius = sp.coverage_radius
         reachable = user.active and (radius is None or dist_m <= radius)
+    elif not reference.covered:
+        return reference
     else:
         loss_db = reference.path_loss_db
-        reachable = reference.covered
+        reachable = True
 
     noise_dbm = noise_density_dbm_hz + 10.0 * math.log10(bw_max * 1e6)
     snr_db = sp.tx_power_dbm - loss_db - noise_dbm

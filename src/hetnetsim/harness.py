@@ -12,13 +12,15 @@ scenarios sharing one topology and one set of committed bids:
 
 Bandwidth budgets are settled in two passes.  Coverage is first judged with
 noise integrated over the full discounted budget of each SP; the resulting
-head counts fix the per-user budget split, and final link states are then
-computed over the split budgets, each from its pair's first-pass state: the
-path loss and coverage carry over, and only the noise, SNR and rate cap are
-computed again.  Shrinking the noise bandwidth can only raise the SNR, so
-the first pass is conservative and the committed split is never invalidated
-(nor widened: users outside the first-pass coverage stay outside, since no
-budget was reserved for them).
+head counts fix the per-user budget split, and the second pass hands each
+pair's first-pass state to link_state with the split budget.  A pair outside
+first-pass coverage keeps its first-pass link as it is: no budget was
+reserved for it, and every reader tests .covered before any other field.  A
+covered pair keeps its path loss, and only the noise, SNR and rate cap are
+computed again over the split.  Shrinking the noise bandwidth can only raise
+the SNR, so the first pass is conservative and the committed split is never
+invalidated (nor widened: users outside the first-pass coverage stay
+outside).
 
 Determinism: each (seed, N, trial) spawns a topology stream and an EUT
 mixed-draw stream; rows are bit-identical whatever the execution order.

@@ -184,6 +184,23 @@ class TestLinkState:
         assert link_state(near, sp).covered
         assert not link_state(far, sp).covered
 
+    @pytest.mark.parametrize("case", ["inactive", "beyond_radius", "lifted_by_split"])
+    def test_uncovered_reference_is_kept(self, case):
+        # the second pass returns a first-pass record outside coverage as it
+        # is, even where the split budget's SNR alone would clear the threshold
+        user = UserProfile(
+            delta=1.0, theta=2.0, b_min=1.0, position=(120.0, 0.0), active=case != "inactive"
+        )
+        sp = make_sp(coverage_radius=91.44 if case == "beyond_radius" else None)
+        if case == "lifted_by_split":
+            snr_db = 10.0 * math.log10(link_state(user, sp).mean_snr)
+            sp = make_sp(coverage_snr_threshold_db=snr_db + 1.0)
+        ref, bw_each = link_state(user, sp), allocate_bw(sp, 10)
+        assert not ref.covered
+        if case == "lifted_by_split":
+            assert link_state(user, sp, -174.0, bw_each).covered
+        assert link_state(user, sp, -174.0, bw_each, ref) is ref
+
     def test_rate_cap_consistency(self):
         user = UserProfile(delta=1.0, theta=2.0, b_min=1.0, position=(200.0, 0.0))
         ln = link_state(user, make_sp(), bw_max=2.5)

@@ -140,8 +140,9 @@ class TestLinks:
 
 def two_pass_links(users, sps, cfg) -> tuple[list[list[LinkState]], int]:
     """build_links from reference_link_state: both passes computed from
-    scratch, then a fix-up that keeps a pair outside first-pass coverage
-    outside; also the number of pairs the fix-up changed."""
+    scratch, then a fix-up that keeps a pair outside first-pass coverage at
+    its first-pass record; also the number of those pairs that the split
+    budget alone would have covered."""
     noise = cfg.noise_density_dbm_hz
     links_by_sp = []
     fixed = 0
@@ -152,9 +153,9 @@ def two_pass_links(users, sps, cfg) -> tuple[list[list[LinkState]], int]:
         final = []
         for u, ref in zip(users, reference, strict=True):
             ln = reference_link_state(u, sp, noise, bw_max=bw_each)
-            if ln.covered and not ref.covered:
-                ln = ln._replace(covered=False, b_max=0.0)
-                fixed += 1
+            if not ref.covered:
+                fixed += ln.covered
+                ln = ref
             final.append(ln)
         links_by_sp.append(final)
     return [list(row) for row in zip(*links_by_sp)], fixed
